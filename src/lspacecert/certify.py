@@ -311,7 +311,7 @@ def certify(g, n):
         "arith.chain",
     )
 
-    verdict = lspace_obstruction(final_bound, 1 - g, g)
+    verdict = lspace_obstruction(final_bound)
     builder.add(
         KIND_CONCLUSION,
         f"16n^2-5 = {final_bound} "

@@ -51,10 +51,15 @@ class ApplyPhi:
 
 
 class _Parser:
+    # Subexpressions nest at most this deep, so parsing and evaluation
+    # stay far below the interpreter's recursion limit.
+    MAX_DEPTH = 100
+
     def __init__(self, text, g):
         self.text = text
         self.g = g
         self.i = 0
+        self.depth = 0
 
     def error(self, expected):
         found = self.text[self.i] if self.i < len(self.text) else None
@@ -104,11 +109,21 @@ class _Parser:
             )
         return idx
 
+    def nested(self):
+        """Parse a subexpression one level deeper than the current one."""
+        if self.depth == self.MAX_DEPTH:
+            self.skip_ws()
+            self.error([f"an expression nested at most {self.MAX_DEPTH} deep"])
+        self.depth += 1
+        node = self.expr()
+        self.depth -= 1
+        return node
+
     def expr(self):
         self.skip_ws()
         if self.match_word("psi"):
             self.expect("(")
-            target = self.expr()
+            target = self.nested()
             self.expect(")")
             return ApplyPsi(target)
         if self.match_word("phi"):
@@ -116,21 +131,21 @@ class _Parser:
             n = self.integer(allow_negative=True)
             self.expect("]")
             self.expect("(")
-            target = self.expr()
+            target = self.nested()
             self.expect(")")
             return ApplyPhi(n, target)
         ch = self.peek()
         if ch == "T":
             self.i += 1
             self.expect("(")
-            about = self.expr()
+            about = self.nested()
             self.expect(")")
             power = 1
             if self.peek() == "^":
                 self.i += 1
                 power = self.integer(allow_negative=True)
             self.expect("(")
-            target = self.expr()
+            target = self.nested()
             self.expect(")")
             return Twist(about, power, target)
         if ch == "B":

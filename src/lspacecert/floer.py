@@ -225,7 +225,7 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def lspace_obstruction(rank_lower_bound, at_grading, genus):
+def lspace_obstruction(rank_lower_bound):
     """Compare a proved rank bound against the staircase cap.
 
     A staircase never carries rank above one in any grading, so a lower
@@ -233,7 +233,6 @@ def lspace_obstruction(rank_lower_bound, at_grading, genus):
     surgery.  A bound of one or less (including vacuous negative bounds)
     decides nothing.
     """
-    del at_grading, genus  # recorded by callers; the cap is the same everywhere
     if rank_lower_bound > 1:
         return Verdict.OBSTRUCTION_FOUND
     return Verdict.INCONCLUSIVE

@@ -20,7 +20,7 @@ from .curves import (
     oriented_class,
 )
 from .errors import AnchorViolation, GenusTooSmall, NegativePower
-from .poly import LaurentPoly, charpoly
+from .poly import _mat_mul, charpoly
 from .surface import standard_surface
 
 
@@ -173,73 +173,32 @@ def symplectic_form(g):
     return tuple(tuple(row) for row in j)
 
 
-@dataclass(frozen=True)
-class SymplecticMatrix:
-    """Integer matrix preserving the chain pairing."""
-
-    genus: int
-    entries: tuple
-
-    def __post_init__(self):
-        j = symplectic_form(self.genus)
-        m = self.entries
-        n = 2 * self.genus
-        jm = _mat_mul(j, m)
-        mtjm = _mat_mul(_transpose(m), jm)
-        if mtjm != j:
-            raise ValueError("matrix does not preserve the intersection pairing")
-
-    def __matmul__(self, other):
-        return SymplecticMatrix(self.genus, _mat_mul(self.entries, other.entries))
-
-    def apply(self, vector):
-        return tuple(
-            sum(row[k] * vector[k] for k in range(len(vector)))
-            for row in self.entries
-        )
-
-
-def _transpose(m):
-    return tuple(tuple(row[i] for row in m) for i in range(len(m)))
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _transvection(g, curve, power):
-    """Action of a twist power on first homology: x -> x + power <x, c> c."""
-    n = 2 * g
-    j = symplectic_form(g)
-    gamma = oriented_class(curve.word, n)
-    jg = [sum(j[r][s] * gamma[s] for s in range(n)) for r in range(n)]
-    entries = tuple(
-        tuple((1 if r == s else 0) + power * gamma[r] * jg[s] for s in range(n))
-        for r in range(n)
-    )
-    return SymplecticMatrix(g, entries)
-
-
 def homology_action(word):
-    """Product of the factor transvections, in word order."""
+    """Integer matrix of the word's action on first homology, as row tuples.
+
+    Factors multiply in word order.  Each is the transvection
+    x -> x + p <x, gamma> gamma, applied to the running product as the
+    rank-one update M <- M + p (M gamma)(J gamma)^T.  The pairing
+    M^T J M = J is checked once, on the result.
+    """
     if not word.factors:
         raise ValueError("empty twist word has no surface attached")
     g = word.factors[0][0].surface.genus
-    out = _identity_matrix(g)
-    for curve, power in word.factors:
-        out = out @ _transvection(g, curve, power)
-    return out
-
-
-def _identity_matrix(g):
     n = 2 * g
-    return SymplecticMatrix(
-        g, tuple(tuple(1 if r == s else 0 for s in range(n)) for r in range(n))
-    )
+    j = symplectic_form(g)
+    m = [[1 if r == s else 0 for s in range(n)] for r in range(n)]
+    for curve, power in word.factors:
+        gamma = oriented_class(curve.word, n)
+        jg = [sum(x * y for x, y in zip(jrow, gamma)) for jrow in j]
+        for row in m:
+            mg = power * sum(x * y for x, y in zip(row, gamma))
+            if mg:
+                row[:] = [x + mg * y for x, y in zip(row, jg)]
+    action = tuple(map(tuple, m))
+    mtjm = tuple(map(tuple, _mat_mul(tuple(zip(*action)), _mat_mul(j, action))))
+    if mtjm != j:
+        raise AnchorViolation("pairing(M^T J M)", j, mtjm)
+    return action
 
 
 def alexander_polynomial(word):
@@ -248,14 +207,9 @@ def alexander_polynomial(word):
     For the monodromy of a fibred knot this is its Alexander polynomial,
     normalized to lowest exponent zero and monic top term.
     """
-    action = homology_action(word)
-    poly = charpoly([list(row) for row in action.entries])
+    poly = charpoly(homology_action(word))
     poly = poly.shifted(-poly.min_exp)
     if poly.coeffs[-1][1] < 0:
         poly = poly.negated()
     return poly
 
-
-def torus_knot_alexander(g):
-    """t^{2g} - t^{2g-1} + ... + 1, the (2, 2g+1) torus knot polynomial."""
-    return LaurentPoly.from_dict({e: (-1) ** e for e in range(0, 2 * g + 1)})

@@ -6,6 +6,8 @@ palindrome tests, parsing and printing in the usual knot-table style.
 """
 from dataclasses import dataclass
 
+from .errors import WorkbenchError
+
 
 @dataclass(frozen=True)
 class LaurentPoly:
@@ -150,15 +152,20 @@ def charpoly(matrix):
             mk = [
                 [mk[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)
             ]
-        mk = _matmul(matrix, mk)
+        mk = _mat_mul(matrix, mk)
         trace = sum(mk[i][i] for i in range(n))
-        assert trace % k == 0
+        if trace % k != 0:
+            raise WorkbenchError(
+                f"charpoly: trace {trace} at step {k} is not divisible by {k}; "
+                "the matrix is not an integer matrix"
+            )
         c = -trace // k
         coeffs[n - k] = c
     return LaurentPoly.from_dict(coeffs)
 
 
-def _matmul(a, b):
+def _mat_mul(a, b):
+    """Dense product of two square matrices given as sequences of rows."""
     n = len(a)
     return [
         [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)

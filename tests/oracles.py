@@ -3,8 +3,9 @@
 Each oracle recomputes something the package also computes, by a method
 that shares no code with it: intersection numbers by exhaustive search
 over chord diagram placements, Alexander polynomials from a Seifert
-matrix by permutation expansion, exact triangles as explicit matrices
-over GF(2).  Keep these slow and obvious.
+matrix by permutation expansion, homological actions as dense products
+of transvection matrices, exact triangles as explicit matrices over
+GF(2).  Keep these slow and obvious.
 """
 import itertools
 import random
@@ -182,6 +183,33 @@ def _poly_mul(p, q):
                 continue
             out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# homological action as a dense product of transvection matrices
+
+def oracle_homology_action(word):
+    """Product, in word order, of the explicit transvection matrices
+    I + p gamma (J gamma)^T of the factors (curve, p).  gamma counts a
+    curve's letters per arc with sign, and J is the chain form: +1 just
+    above the diagonal, -1 just below.  Returns a tuple of row tuples."""
+    n = 2 * word.factors[0][0].surface.genus
+    j = [[(s == r + 1) - (r == s + 1) for s in range(n)] for r in range(n)]
+    out = [[int(r == s) for s in range(n)] for r in range(n)]
+    for curve, power in word.factors:
+        gamma = [0] * n
+        for letter in curve.word:
+            gamma[abs(letter) - 1] += 1 if letter > 0 else -1
+        jg = [sum(j[r][s] * gamma[s] for s in range(n)) for r in range(n)]
+        t = [
+            [int(r == s) + power * gamma[r] * jg[s] for s in range(n)]
+            for r in range(n)
+        ]
+        out = [
+            [sum(out[r][k] * t[k][s] for k in range(n)) for s in range(n)]
+            for r in range(n)
+        ]
+    return tuple(map(tuple, out))
 
 
 # ---------------------------------------------------------------------------

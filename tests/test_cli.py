@@ -6,6 +6,7 @@ import jsonschema
 import lspacecert.cli as cli
 from lspacecert.certify import certify
 from lspacecert.cli import certificate_schema, emit_certificate, main, replay_json
+from lspacecert.dsl import _Parser
 from lspacecert.floer import Verdict
 
 
@@ -137,3 +138,14 @@ def test_expression_errors_exit_one(capsys):
 def test_usage_error_exit_code():
     code, _ = run("no-such-command")
     assert code == 1
+
+
+def test_deeply_nested_expression_is_a_syntax_error(capsys):
+    depth = 3000
+    expr = "psi(" * depth + "b2" + ")" * depth
+    code, out = run("twist", "-g", "2", expr)
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert "ExprSyntaxError" in err
+    # psi( is four bytes; the target of psi( number MAX_DEPTH + 1 is one level too deep
+    assert f"at byte {4 * (_Parser.MAX_DEPTH + 1)}:" in err

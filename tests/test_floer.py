@@ -234,6 +234,6 @@ def test_profile_ranks_capped_at_one_and_count_coefficients():
 # the obstruction
 
 def test_obstruction_verdicts():
-    assert lspace_obstruction(11, -1, 2) is Verdict.OBSTRUCTION_FOUND
-    assert lspace_obstruction(1, -1, 2) is Verdict.INCONCLUSIVE
-    assert lspace_obstruction(-5, -1, 2) is Verdict.INCONCLUSIVE
+    assert lspace_obstruction(11) is Verdict.OBSTRUCTION_FOUND
+    assert lspace_obstruction(1) is Verdict.INCONCLUSIVE
+    assert lspace_obstruction(-5) is Verdict.INCONCLUSIVE

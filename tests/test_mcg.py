@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
 import pytest
 
+from lspacecert import mcg
 from lspacecert.curves import (
     canonical_sign,
     homology_class,
@@ -7,7 +13,7 @@ from lspacecert.curves import (
     is_isotopic,
     oriented_class,
 )
-from lspacecert.errors import GenusTooSmall, NegativePower
+from lspacecert.errors import AnchorViolation, GenusTooSmall, NegativePower, WorkbenchError
 from lspacecert.mcg import (
     TwistWord,
     alexander_polynomial,
@@ -18,12 +24,11 @@ from lspacecert.mcg import (
     monodromy_psi,
     standard_curve_system,
     symplectic_form,
-    torus_knot_alexander,
 )
-from lspacecert.poly import LaurentPoly
+from lspacecert.poly import LaurentPoly, charpoly
 
 from conftest import random_curve, random_twist_word
-from oracles import seifert_torus_alexander
+from oracles import oracle_homology_action, seifert_torus_alexander
 
 
 # ---------------------------------------------------------------------------
@@ -158,19 +163,19 @@ def test_twist_about_c_acts_trivially_on_homology():
     system = standard_curve_system(2)
     act = homology_action(TwistWord(((system.c, 1),)))
     n = 4
-    assert act.entries == tuple(
+    assert act == tuple(
         tuple(1 if r == s else 0 for s in range(n)) for r in range(n)
     )
 
 
 def test_homological_monodromy_independent_of_n():
-    base = homology_action(monodromy_phi(2, 0)).entries
+    base = homology_action(monodromy_phi(2, 0))
     for n in (1, 2, 5):
-        assert homology_action(monodromy_phi(2, n)).entries == base
+        assert homology_action(monodromy_phi(2, n)) == base
 
 
 def test_action_is_symplectic_randomized(rng):
-    # construction re-checks M^T J M = J; just build random words
+    # homology_action checks M^T J M = J on its result; just build random words
     for g in (2, 3):
         for _ in range(15):
             homology_action(random_twist_word(rng, g))
@@ -182,10 +187,27 @@ def test_action_matches_kernel_on_curves(rng):
             w = random_twist_word(rng, g, max_len=3)
             x = random_curve(rng, g, max_len=2)
             lhs = homology_class(apply_word(w, x))
+            v = oriented_class(x.word, 2 * g)
             rhs = canonical_sign(
-                homology_action(w).apply(oriented_class(x.word, 2 * g))
+                [sum(a * b for a, b in zip(row, v)) for row in homology_action(w)]
             )
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_action_matches_dense_transvection_oracle(rng, g):
+    for _ in range(15):
+        w = random_twist_word(rng, g)
+        assert homology_action(w) == oracle_homology_action(w)
+
+
+def test_pairing_check_is_live(monkeypatch):
+    def identity_form(g):
+        return tuple(tuple(int(r == s) for s in range(2 * g)) for r in range(2 * g))
+
+    monkeypatch.setattr(mcg, "symplectic_form", identity_form)
+    with pytest.raises(AnchorViolation):
+        homology_action(monodromy_phi(2, 1))
 
 
 def test_symplectic_form_is_the_chain_form():
@@ -212,7 +234,6 @@ def test_alexander_independent_of_n_and_matches_seifert_oracle(g):
     assert len(polys) == 1
     poly = polys.pop()
     assert poly == LaurentPoly.from_dict(seifert_torus_alexander(g))
-    assert poly == torus_knot_alexander(g)
     assert abs(poly(1)) == 1
     assert poly.is_palindromic()
     assert len(poly.coeffs) == 2 * g + 1
@@ -222,3 +243,22 @@ def test_alexander_coefficients_alternate():
     poly = alexander_polynomial(monodromy_phi(3, 2))
     coeffs = [c for _, c in sorted(poly.coeffs)]
     assert coeffs == [(-1) ** e for e in range(7)]
+
+
+def test_charpoly_rejects_inexact_division_even_under_python_O():
+    with pytest.raises(WorkbenchError):
+        charpoly([[Fraction(1, 2)]])
+    code = (
+        "from fractions import Fraction\n"
+        "from lspacecert.errors import WorkbenchError\n"
+        "from lspacecert.poly import charpoly\n"
+        "try:\n"
+        "    charpoly([[Fraction(1, 2)]])\n"
+        "except WorkbenchError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(mcg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
