@@ -322,7 +322,12 @@ def certify(g, n):
     )
 
     # internal coherence of the two bookkeeping tracks
-    assert s_target.output.contains(max(0, final_bound))
+    if not s_target.output.contains(max(0, final_bound)):
+        raise AnchorViolation(
+            f"step {s_target.index} contains max(0, final bound)",
+            max(0, final_bound),
+            s_target.output,
+        )
     return Certificate(g, n, tuple(builder.steps), final_bound, verdict)
 
 

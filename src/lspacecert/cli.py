@@ -13,7 +13,7 @@ from .certify import (
 )
 from .curves import intersection_number
 from .dsl import curve_from_text
-from .errors import WorkbenchError
+from .errors import AnchorViolation, WorkbenchError
 from .floer import (
     RankInterval,
     Verdict,
@@ -48,7 +48,8 @@ def emit_certificate(cert, fmt="text"):
             shown = str(out)
         lines.append(f"[{s.index:02d}] {s.kind:<21} {s.label} -> {shown}")
     final = cert.steps[-1]
-    assert final.kind == KIND_CONCLUSION
+    if final.kind != KIND_CONCLUSION:
+        raise AnchorViolation("kind of the last step", KIND_CONCLUSION, final.kind)
     lines.append(f"final bound: {final.label}")
     return "\n".join(lines) + "\n"
 

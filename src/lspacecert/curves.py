@@ -19,7 +19,13 @@ are minimal by construction, which is the bigon criterion in this model.
 """
 from functools import cmp_to_key
 
-from .errors import Inessential, NotSimple, SurfaceMismatch
+from .errors import (
+    AnchorViolation,
+    Inessential,
+    NotSimple,
+    SurfaceMismatch,
+    WalkBoundExceeded,
+)
 
 _WALK_MARGIN = 8  # two distinct periodic rays must disagree within p+q steps
 
@@ -92,7 +98,7 @@ def _ray_side(surface, line, phase, ray, cap):
         while ray(r) == line[(phase + r) % p]:
             r += 1
             if r > cap:
-                raise RuntimeError("ray follows line beyond the periodicity bound")
+                raise WalkBoundExceeded(f"ray follows line beyond {cap} steps")
         i = phase + r
         f, b, t = line[i % p], -line[(i - 1) % p], ray(r)
         followed = r
@@ -101,7 +107,7 @@ def _ray_side(surface, line, phase, ray, cap):
         while ray(r) == -line[(phase - 1 - r) % p]:
             r += 1
             if r > cap:
-                raise RuntimeError("ray follows line beyond the periodicity bound")
+                raise WalkBoundExceeded(f"ray follows line beyond {cap} steps")
         i = phase - r
         f, b, t = line[i % p], -line[(i - 1) % p], ray(r)
         followed = 0
@@ -399,7 +405,10 @@ def dehn_twist(target, about, power=1):
     slot = xs[0].m
     for x in xs:
         slot = max(slot, x.m)
-        assert slot <= x.m + x.k, "crossing order inconsistent with intervals"
+        if slot > x.m + x.k:
+            raise AnchorViolation(
+                f"crossing slot of the lift at axis vertex {x.m}", f"<= {x.m + x.k}", slot
+            )
         phase = _phase_at(x, slot, q)
         loop = rotate_word(c, phase)
         e = x.eps * power

@@ -43,6 +43,10 @@ class AnchorViolation(WorkbenchError):
         super().__init__(f"{fact}: expected {expected}, got {got}")
 
 
+class WalkBoundExceeded(WorkbenchError):
+    """A ray followed a periodic geodesic past the periodicity bound."""
+
+
 class BudgetExceeded(WorkbenchError):
     """A direct computation was larger than the configured budget."""
 

@@ -162,17 +162,6 @@ def staircase_from_alexander(poly):
     return Staircase(ns, _delta_recursion(ns))
 
 
-def staircase_polynomial(stair):
-    """The centered Alexander polynomial a staircase comes from."""
-    k = len(stair.ns) - 1
-    coeffs = {}
-    for i, n in enumerate(stair.ns):
-        c = (-1) ** (k - i)
-        coeffs[n] = c
-        coeffs[-n] = c
-    return LaurentPoly.from_dict(coeffs)
-
-
 @dataclass(frozen=True)
 class HfkProfile:
     """Rank-one support positions with their Maslov levels.
@@ -189,11 +178,6 @@ class HfkProfile:
         if j < self.gradings[0] or j > self.gradings[-1]:
             return 0
         return self.ranks[j - self.gradings[0]]
-
-    def maslov_at(self, j):
-        if j < self.gradings[0] or j > self.gradings[-1]:
-            return None
-        return self.maslov[j - self.gradings[0]]
 
     @property
     def total_rank(self):

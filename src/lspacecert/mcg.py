@@ -178,8 +178,10 @@ def homology_action(word):
 
     Factors multiply in word order.  Each is the transvection
     x -> x + p <x, gamma> gamma, applied to the running product as the
-    rank-one update M <- M + p (M gamma)(J gamma)^T.  The pairing
-    M^T J M = J is checked once, on the result.
+    rank-one update M <- M + p (M gamma)(J gamma)^T.  gamma and J gamma
+    are kept as their nonzero (index, value) pairs, so a factor costs
+    O(n (|gamma| + |J gamma|)).  The pairing M^T J M = J is checked once,
+    on the result.
     """
     if not word.factors:
         raise ValueError("empty twist word has no surface attached")
@@ -188,12 +190,14 @@ def homology_action(word):
     j = symplectic_form(g)
     m = [[1 if r == s else 0 for s in range(n)] for r in range(n)]
     for curve, power in word.factors:
-        gamma = oriented_class(curve.word, n)
-        jg = [sum(x * y for x, y in zip(jrow, gamma)) for jrow in j]
+        gamma = [(k, x) for k, x in enumerate(oriented_class(curve.word, n)) if x]
+        jg = [sum(jrow[k] * x for k, x in gamma) for jrow in j]
+        jg = [(s, v) for s, v in enumerate(jg) if v]
         for row in m:
-            mg = power * sum(x * y for x, y in zip(row, gamma))
+            mg = power * sum(row[k] * x for k, x in gamma)
             if mg:
-                row[:] = [x + mg * y for x, y in zip(row, jg)]
+                for s, v in jg:
+                    row[s] += mg * v
     action = tuple(map(tuple, m))
     mtjm = tuple(map(tuple, _mat_mul(tuple(zip(*action)), _mat_mul(j, action))))
     if mtjm != j:

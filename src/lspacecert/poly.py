@@ -37,9 +37,6 @@ class LaurentPoly:
     def coefficient(self, e):
         return self.as_dict().get(e, 0)
 
-    def __call__(self, t):
-        return sum(c * t**e for e, c in self.coeffs)
-
     def shifted(self, k):
         """Multiply by t^k."""
         return LaurentPoly(tuple((e + k, c) for e, c in self.coeffs))
@@ -141,7 +138,9 @@ def charpoly(matrix):
     """det(t I - M) of an integer matrix, by the Faddeev-LeVerrier scheme.
 
     All arithmetic is exact; the divisions in the recurrence are exact on
-    integer matrices.  Returns the monic LaurentPoly of degree n.
+    integer matrices.  Each of the n steps is one product M . M_k with M
+    on the left, so it costs O(nnz(M) n).  Returns the monic LaurentPoly
+    of degree n.
     """
     n = len(matrix)
     coeffs = {n: 1}
@@ -149,9 +148,8 @@ def charpoly(matrix):
     c = 1
     for k in range(1, n + 1):
         if k > 1:
-            mk = [
-                [mk[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)
-            ]
+            for i in range(n):
+                mk[i][i] += c
         mk = _mat_mul(matrix, mk)
         trace = sum(mk[i][i] for i in range(n))
         if trace % k != 0:
@@ -165,8 +163,18 @@ def charpoly(matrix):
 
 
 def _mat_mul(a, b):
-    """Dense product of two square matrices given as sequences of rows."""
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)
-    ]
+    """Product of two square matrices given as sequences of rows.
+
+    Row i of a.b is the sum of x . b[k] over the nonzero entries
+    x = a[i][k], so the cost is O(nnz(a) n): zero entries of the left
+    factor cost nothing.  Returns a list of row lists.
+    """
+    n = len(b)
+    out = []
+    for arow in a:
+        row = [0] * n
+        for x, brow in zip(arow, b):
+            if x:
+                row = [r + x * y for r, y in zip(row, brow)]
+        out.append(row)
+    return out

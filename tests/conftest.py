@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import lspacecert
 from lspacecert.mcg import TwistWord, apply_word, standard_curve_system
 
 
@@ -28,3 +33,20 @@ def random_curve(rng, g, max_len=4):
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+def raises_under_python_O(body, error):
+    """Whether ``body`` raises lspacecert.errors.<error> in a fresh ``python -O``,
+    where assert statements are stripped."""
+    code = (
+        f"from lspacecert.errors import {error}\n"
+        "try:\n"
+        + textwrap.indent(textwrap.dedent(body), "    ")
+        + f"\nexcept {error}:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(lspacecert.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    return proc.returncode == 0

@@ -4,8 +4,9 @@ Each oracle recomputes something the package also computes, by a method
 that shares no code with it: intersection numbers by exhaustive search
 over chord diagram placements, Alexander polynomials from a Seifert
 matrix by permutation expansion, homological actions as dense products
-of transvection matrices, exact triangles as explicit matrices over
-GF(2).  Keep these slow and obvious.
+of transvection matrices, matrix products as triple sums, characteristic
+polynomials by permutation expansion, exact triangles as explicit
+matrices over GF(2).  Keep these slow and obvious.
 """
 import itertools
 import random
@@ -210,6 +211,45 @@ def oracle_homology_action(word):
             for r in range(n)
         ]
     return tuple(map(tuple, out))
+
+
+# ---------------------------------------------------------------------------
+# matrix products and characteristic polynomials
+
+def oracle_mat_mul(a, b):
+    """Dense triple-sum product of two square matrices, as row lists."""
+    n = len(a)
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)
+    ]
+
+
+def oracle_charpoly(m):
+    """det(t I - M) expanded over all permutations; only for n <= 6.
+    Returns a dict exponent -> nonzero coefficient."""
+    n = len(m)
+    assert n <= 6, "permutation expansion is for small matrices only"
+    det = {}
+    for perm in itertools.permutations(range(n)):
+        term = {0: _perm_sign(perm)}
+        for i in range(n):
+            term = _poly_mul(term, {0: -m[i][perm[i]], 1: int(i == perm[i])})
+            if not term:
+                break
+        for e, c in term.items():
+            det[e] = det.get(e, 0) + c
+    return {e: c for e, c in det.items() if c}
+
+
+def oracle_staircase_polynomial(stair):
+    """The centered Alexander polynomial a staircase comes from: +-n_i
+    carry alternating signs, +1 at the top.  Returns a dict exponent ->
+    coefficient."""
+    k = len(stair.ns) - 1
+    coeffs = {}
+    for i, n in enumerate(stair.ns):
+        coeffs[n] = coeffs[-n] = (-1) ** (k - i)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

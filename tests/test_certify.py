@@ -21,6 +21,8 @@ from lspacecert.errors import (
 )
 from lspacecert.floer import RankInterval, Verdict
 
+from conftest import raises_under_python_O
+
 
 def _clear_system_caches():
     mcg.standard_curve_system.cache_clear()
@@ -195,3 +197,20 @@ def test_cross_validate_rejects_n_zero():
 def test_cross_validate_budget():
     with pytest.raises(BudgetExceeded):
         cross_validate(2, 3, budget=10)
+
+
+def test_final_bound_outside_target_interval_is_a_typed_error_even_under_python_O(
+    monkeypatch,
+):
+    monkeypatch.setattr(RankInterval, "contains", lambda self, v: False)
+    with pytest.raises(AnchorViolation):
+        certify(2, 1)
+    assert raises_under_python_O(
+        """
+        from lspacecert.certify import certify
+        from lspacecert.floer import RankInterval
+        RankInterval.contains = lambda self, v: False
+        certify(2, 1)
+        """,
+        "AnchorViolation",
+    )

@@ -1,13 +1,19 @@
+import dataclasses
 import io
 import json
 
 import jsonschema
+import pytest
 
 import lspacecert.cli as cli
+import lspacecert.curves as curves
 from lspacecert.certify import certify
 from lspacecert.cli import certificate_schema, emit_certificate, main, replay_json
 from lspacecert.dsl import _Parser
+from lspacecert.errors import AnchorViolation
 from lspacecert.floer import Verdict
+
+from conftest import raises_under_python_O
 
 
 def run(*argv):
@@ -149,3 +155,28 @@ def test_deeply_nested_expression_is_a_syntax_error(capsys):
     assert "ExprSyntaxError" in err
     # psi( is four bytes; the target of psi( number MAX_DEPTH + 1 is one level too deep
     assert f"at byte {4 * (_Parser.MAX_DEPTH + 1)}:" in err
+
+
+def test_emitting_a_certificate_without_conclusion_is_a_typed_error_even_under_python_O():
+    cert = certify(2, 1)
+    truncated = dataclasses.replace(cert, steps=cert.steps[:-1])
+    with pytest.raises(AnchorViolation):
+        emit_certificate(truncated)
+    assert raises_under_python_O(
+        """
+        import dataclasses
+        from lspacecert.certify import certify
+        from lspacecert.cli import emit_certificate
+        cert = certify(2, 1)
+        emit_certificate(dataclasses.replace(cert, steps=cert.steps[:-1]))
+        """,
+        "AnchorViolation",
+    )
+
+
+def test_walk_bound_exits_one_with_a_message(monkeypatch, capsys):
+    # a negative margin puts the cap below the first step a ray shares with c
+    monkeypatch.setattr(curves, "_WALK_MARGIN", -10**6)
+    code, out = run("intersect", "-g", "2", "c", "T(a1)(c)")
+    assert code == 1 and out == ""
+    assert "WalkBoundExceeded" in capsys.readouterr().err

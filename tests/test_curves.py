@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lspacecert.curves as curves
 from lspacecert.curves import (
     canonical_form,
     dehn_twist,
@@ -15,11 +16,17 @@ from lspacecert.curves import (
     reduce_cyclic,
     validate_simple,
 )
-from lspacecert.errors import Inessential, NotSimple, SurfaceMismatch
+from lspacecert.errors import (
+    AnchorViolation,
+    Inessential,
+    NotSimple,
+    SurfaceMismatch,
+    WalkBoundExceeded,
+)
 from lspacecert.mcg import beta_gn, standard_curve_system
 from lspacecert.surface import standard_surface
 
-from conftest import random_curve
+from conftest import random_curve, raises_under_python_O
 from oracles import oracle_is_simple, oracle_min_crossings, oracle_reduce
 
 S2 = standard_surface(2)
@@ -141,6 +148,37 @@ def test_isotopy_basics():
 
 def test_twist_about_disjoint_curve_is_identity():
     assert is_isotopic(dehn_twist(B2, A1, 1), B2)
+
+
+def test_inconsistent_crossing_order_is_a_typed_error_even_under_python_O(monkeypatch):
+    # the second crossing's interval [0, 0] ends before the first one's slot 5
+    def bad_order(surface, d, c):
+        return [curves._Crossing(5, 0, 0, True, 1), curves._Crossing(0, 0, 0, True, 1)]
+
+    monkeypatch.setattr(curves, "_crossing_order", bad_order)
+    with pytest.raises(AnchorViolation):
+        dehn_twist(B1, A1)
+    assert raises_under_python_O(
+        """
+        import lspacecert.curves as curves
+        from lspacecert.mcg import standard_curve_system
+        curves._crossing_order = lambda surface, d, c: [
+            curves._Crossing(5, 0, 0, True, 1), curves._Crossing(0, 0, 0, True, 1)
+        ]
+        system = standard_curve_system(2)
+        curves.dehn_twist(system.betas[0], system.alphas[0])
+        """,
+        "AnchorViolation",
+    )
+
+
+def test_ray_following_the_line_past_the_cap_is_a_typed_error():
+    line = (1, 2, -1, -2)
+    forward = lambda r: line[r % 4]
+    backward = lambda r: -line[(-1 - r) % 4]
+    for ray in (forward, backward):
+        with pytest.raises(WalkBoundExceeded):
+            curves._ray_side(S2, line, 0, ray, 5)
 
 
 def test_surface_mismatch_raised():

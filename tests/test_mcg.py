@@ -1,6 +1,4 @@
-import os
-import subprocess
-import sys
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,10 +23,15 @@ from lspacecert.mcg import (
     standard_curve_system,
     symplectic_form,
 )
-from lspacecert.poly import LaurentPoly, charpoly
+from lspacecert.poly import LaurentPoly, _mat_mul, charpoly
 
-from conftest import random_curve, random_twist_word
-from oracles import oracle_homology_action, seifert_torus_alexander
+from conftest import random_curve, random_twist_word, raises_under_python_O
+from oracles import (
+    oracle_charpoly,
+    oracle_homology_action,
+    oracle_mat_mul,
+    seifert_torus_alexander,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +237,7 @@ def test_alexander_independent_of_n_and_matches_seifert_oracle(g):
     assert len(polys) == 1
     poly = polys.pop()
     assert poly == LaurentPoly.from_dict(seifert_torus_alexander(g))
-    assert abs(poly(1)) == 1
+    assert abs(sum(c for _, c in poly.coeffs)) == 1
     assert poly.is_palindromic()
     assert len(poly.coeffs) == 2 * g + 1
 
@@ -245,20 +248,55 @@ def test_alexander_coefficients_alternate():
     assert coeffs == [(-1) ** e for e in range(7)]
 
 
+def test_alexander_at_genus_forty_is_the_torus_knot_polynomial():
+    # T(2, 81): all 81 coefficients of t^0 .. t^80 alternate, +1 at both ends
+    poly = alexander_polynomial(monodromy_phi(40, 0))
+    assert poly == LaurentPoly.from_dict({e: (-1) ** e for e in range(81)})
+
+
 def test_charpoly_rejects_inexact_division_even_under_python_O():
     with pytest.raises(WorkbenchError):
         charpoly([[Fraction(1, 2)]])
-    code = (
-        "from fractions import Fraction\n"
-        "from lspacecert.errors import WorkbenchError\n"
-        "from lspacecert.poly import charpoly\n"
-        "try:\n"
-        "    charpoly([[Fraction(1, 2)]])\n"
-        "except WorkbenchError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(1)\n"
+    assert raises_under_python_O(
+        """
+        from fractions import Fraction
+        from lspacecert.poly import charpoly
+        charpoly([[Fraction(1, 2)]])
+        """,
+        "WorkbenchError",
     )
-    src = os.path.dirname(os.path.dirname(mcg.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
-    assert proc.returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# the matrix kernel against dense oracles
+
+def _random_matrices(seed):
+    """Seeded integer matrices, n = 1..6: sparse ones with entries in
+    {-1, 0, 1}, fully dense ones with larger entries, and ones with zero rows."""
+    rng = random.Random(seed)
+    for n in range(1, 7):
+        for _ in range(4):
+            yield [[rng.choice((-1, 0, 0, 0, 1)) for _ in range(n)] for _ in range(n)]
+            yield [[rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(n)]
+                   for _ in range(n)]
+            m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            m[rng.randrange(n)] = [0] * n
+            yield m
+
+
+def test_mat_mul_matches_triple_sum_oracle():
+    mats = list(_random_matrices(7))
+    for a, b in zip(mats, mats[1:]):
+        if len(a) == len(b):
+            assert _mat_mul(a, b) == oracle_mat_mul(a, b)
+            assert _mat_mul(tuple(map(tuple, a)), b) == oracle_mat_mul(a, b)
+    assert _mat_mul([[0, 0], [0, 0]], [[1, 2], [3, 4]]) == [[0, 0], [0, 0]]
+
+
+def test_charpoly_matches_permutation_expansion_oracle():
+    for m in _random_matrices(11):
+        poly = charpoly(m)
+        assert poly.as_dict() == oracle_charpoly(m)
+        assert poly.max_exp == len(m) and poly.coefficient(len(m)) == 1
+    assert charpoly([[0]]) == LaurentPoly.from_dict({1: 1})
+    assert charpoly([[-3]]) == LaurentPoly.from_dict({1: 1, 0: 3})
