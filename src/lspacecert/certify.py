@@ -116,9 +116,6 @@ class Certificate:
     final_bound: int
     verdict: Verdict
 
-    def step(self, index):
-        return self.steps[index]
-
 
 def _cite(anchor):
     return Citation(anchor, CITATIONS[anchor])

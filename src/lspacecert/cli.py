@@ -40,12 +40,7 @@ def emit_certificate(cert, fmt="text"):
     lines = [f"certificate genus={cert.genus} n={cert.n}"]
     for s in cert.steps:
         out = s.output
-        if isinstance(out, Verdict):
-            shown = out.value
-        elif isinstance(out, RankInterval):
-            shown = str(out)
-        else:
-            shown = str(out)
+        shown = out.value if isinstance(out, Verdict) else str(out)
         lines.append(f"[{s.index:02d}] {s.kind:<21} {s.label} -> {shown}")
     final = cert.steps[-1]
     if final.kind != KIND_CONCLUSION:

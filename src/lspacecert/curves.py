@@ -143,9 +143,12 @@ class _Crossing:
 def _crossings(surface, a, b):
     """All lifts of b crossing the axis of a, one per period of a.
 
-    Both words must be reduced, cyclically reduced and non-conjugate as
-    unoriented curves.  A lift is anchored at the first axis vertex it
-    meets, so each geometric crossing is listed exactly once.
+    Both words must be reduced and cyclically reduced, and either
+    non-conjugate as unoriented curves or the same primitive word: with
+    a == b the list is empty exactly when the curve embeds.  A lift is
+    anchored at the first axis vertex it meets, so each geometric
+    crossing is listed exactly once, and the axis itself (j == m when
+    a == b) is skipped because it passes the previous vertex.
     """
     p, q = len(a), len(b)
     cap = p + q + _WALK_MARGIN
@@ -211,42 +214,41 @@ def _crossing_order(surface, a, b):
 # ---------------------------------------------------------------------------
 # simplicity
 
-def _has_self_crossing(surface, word):
-    p = len(word)
-    cap = 2 * p + _WALK_MARGIN
-    for m in range(p):
-        back = -word[(m - 1) % p]
-        for j in range(p):
-            if j == m:
-                continue
-            if back == word[j] or back == -word[(j - 1) % p]:
-                continue
-            s1, _ = _ray_side(surface, word, m, lambda r, j=j: word[(j + r) % p], cap)
-            s2, _ = _ray_side(
-                surface, word, m, lambda r, j=j: -word[(j - 1 - r) % p], cap
-            )
-            if s1 != s2:
-                return True
-    return False
+def _validate_word(surface, word):
+    """The reduced word of an embedded essential curve, else a typed error.
 
-
-def validate_simple(word, surface):
-    """Whether a raw crossing word yields an embedded essential curve.
-
-    The word is reduced first; the empty (inessential) class is flagged
-    as not simple.  A proper power never embeds, and otherwise the class
-    embeds exactly when no two of its lifts cross.
+    A primitive word embeds exactly when no two of its lifts cross, which
+    is the crossing walk of the word against itself.
     """
-    word = tuple(word)
     for x in word:
         if not isinstance(x, int) or x == 0 or abs(x) > surface.arc_count:
             raise ValueError(f"letter {x!r} does not name an arc of the surface")
     reduced = reduce_cyclic(word)
     if not reduced:
-        return False
+        raise Inessential("word reduces to a contractible loop")
     if not is_primitive(reduced):
+        raise NotSimple("word is a proper power")
+    if _crossings(surface, reduced, reduced):
+        raise NotSimple("chord diagram admits no disjoint realization")
+    if len(reduced) == len(surface.boundary_order) and (
+        canonical_form(reduced) == canonical_form(surface.boundary_word())
+    ):
+        raise Inessential("word is parallel to the boundary")
+    return reduced
+
+
+def validate_simple(word, surface):
+    """Whether a raw crossing word yields an embedded essential curve.
+
+    Runs the same checks as building a Curve: the reduced word must be
+    nonempty, primitive, free of self-crossing lifts and not parallel to
+    the boundary.  Letters that name no arc raise ValueError.
+    """
+    try:
+        _validate_word(surface, tuple(word))
+    except (Inessential, NotSimple):
         return False
-    return not _has_self_crossing(surface, reduced)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +265,12 @@ class Curve:
     __slots__ = ("surface", "word", "_canon", "_hash")
 
     def __init__(self, surface, word):
-        normalized = _validate_word(surface, tuple(word))
+        self._set(surface, _validate_word(surface, tuple(word)))
+
+    def _set(self, surface, reduced):
         object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "word", normalized)
-        object.__setattr__(self, "_canon", canonical_form(normalized))
+        object.__setattr__(self, "word", reduced)
+        object.__setattr__(self, "_canon", canonical_form(reduced))
         object.__setattr__(self, "_hash", hash((surface.genus, self._canon)))
 
     def __setattr__(self, name, value):
@@ -292,22 +296,6 @@ class Curve:
         return " ".join(
             f"{names[abs(x) - 1]}{'+' if x > 0 else '-'}" for x in self.word
         )
-
-
-def _validate_word(surface, word):
-    for x in word:
-        if not isinstance(x, int) or x == 0 or abs(x) > surface.arc_count:
-            raise ValueError(f"letter {x!r} does not name an arc of the surface")
-    reduced = reduce_cyclic(word)
-    if not reduced:
-        raise Inessential("word reduces to a contractible loop")
-    if not is_primitive(reduced):
-        raise NotSimple("word is a proper power")
-    if _has_self_crossing(surface, reduced):
-        raise NotSimple("chord diagram admits no disjoint realization")
-    if canonical_form(reduced) == canonical_form(surface.boundary_word()):
-        raise Inessential("word is parallel to the boundary")
-    return reduced
 
 
 def normalize(word, surface):
@@ -343,11 +331,7 @@ def _fast_curve(surface, word):
     the expensive simplicity re-check is skipped; reduction still runs.
     """
     curve = Curve.__new__(Curve)
-    reduced = reduce_cyclic(tuple(word))
-    object.__setattr__(curve, "surface", surface)
-    object.__setattr__(curve, "word", reduced)
-    object.__setattr__(curve, "_canon", canonical_form(reduced))
-    object.__setattr__(curve, "_hash", hash((surface.genus, curve._canon)))
+    curve._set(surface, reduce_cyclic(tuple(word)))
     return curve
 
 
@@ -362,24 +346,27 @@ def is_isotopic(a, b):
     return a._canon == b._canon
 
 
-def intersection_number(a, b):
-    """Geometric intersection number of two normalized curves.
+def crossing_signs(a, b):
+    """Signs of the crossings of b through a in minimal position.
 
-    Symmetric, and zero on isotopic pairs since a curve can be isotoped
-    off itself.
+    One entry per geometric crossing, +1 when b's forward end departs on
+    the positive side of a's axis for the stored orientations.  Empty on
+    isotopic pairs since a curve can be isotoped off itself.
     """
     _check_same_surface(a, b)
     if a._canon == b._canon:
-        return 0
-    return len(_crossings(a.surface, a.word, b.word))
+        return ()
+    return tuple(x.eps for x in _crossings(a.surface, a.word, b.word))
+
+
+def intersection_number(a, b):
+    """Geometric intersection number of two normalized curves; symmetric."""
+    return len(crossing_signs(a, b))
 
 
 def algebraic_intersection_number(a, b):
     """Signed count of crossings of b through a, for the stored orientations."""
-    _check_same_surface(a, b)
-    if a._canon == b._canon:
-        return 0
-    return sum(x.eps for x in _crossings(a.surface, a.word, b.word))
+    return sum(crossing_signs(a, b))
 
 
 def dehn_twist(target, about, power=1):
@@ -429,10 +416,7 @@ def homology_class(a):
     are unoriented, so the vector is only defined up to a global sign;
     the first nonzero coordinate is reported positive.
     """
-    coords = [0] * a.surface.arc_count
-    for x in a.word:
-        coords[abs(x) - 1] += 1 if x > 0 else -1
-    return canonical_sign(tuple(coords))
+    return canonical_sign(oriented_class(a.word, a.surface.arc_count))
 
 
 def oriented_class(word, arc_count):

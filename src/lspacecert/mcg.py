@@ -4,9 +4,11 @@ The chain curves a_1, b_1, ..., a_g, b_g cross their cut arcs once each,
 so they are the single-letter words in the arc-dual basis.  The extra
 curve c bounds a neighborhood of a_g and b_{g-1}, which makes its word
 the commutator of those two letters.  Every pinned property of the
-system (the chain intersection pattern, the four crossings of c, its
-null homology) is recomputed at construction time and any mismatch
-aborts with AnchorViolation.
+system (the chain intersection pattern and the signs of its adjacent
+crossings, the four crossings of c, its null homology) is recomputed at
+construction time and any mismatch aborts with AnchorViolation.  The
+chain signs fix the intersection pairing of the chain basis, so the
+homology layer reads that form off the checked system.
 """
 from dataclasses import dataclass
 from functools import lru_cache
@@ -14,6 +16,7 @@ from functools import lru_cache
 from .curves import (
     Curve,
     algebraic_intersection_number,
+    crossing_signs,
     dehn_twist,
     homology_class,
     intersection_number,
@@ -38,10 +41,6 @@ class StandardCurveSystem:
     alphas: tuple
     betas: tuple
     c: Curve
-
-    @property
-    def genus(self):
-        return self.surface.genus
 
     def chain(self):
         """The 2g chain curves in order a_1, b_1, a_2, ..., b_g."""
@@ -76,9 +75,13 @@ def standard_curve_system(g):
     chain = system.chain()
     for i, x in enumerate(chain):
         for j in range(i + 1, 2 * g):
-            want = 1 if j == i + 1 else 0
-            _require(f"iota(chain_{i + 1}, chain_{j + 1})", want,
-                     intersection_number(x, chain[j]))
+            signs = crossing_signs(x, chain[j])
+            _require(f"iota(chain_{i + 1}, chain_{j + 1})", int(j == i + 1), len(signs))
+            if j == i + 1:
+                # consecutive chain curves cross once positively, in this order
+                _require(f"pairing(chain_{i + 1}, chain_{j + 1})", 1, sum(signs))
+                _require(f"pairing(chain_{j + 1}, chain_{i + 1})", -1,
+                         algebraic_intersection_number(chain[j], x))
     for name, x in system.named()[:-1]:
         want = 2 if name in (f"b{g}", f"a{g - 1}") else 0
         _require(f"iota(c, {name})", want, intersection_number(c, x))
@@ -154,23 +157,18 @@ def symplectic_form(g):
     """Intersection pairing of the chain basis classes.
 
     Consecutive chain curves cross once positively with the stored
-    orientations; the matrix is validated against the kernel's signed
-    counts so the homological and word-level conventions cannot drift
-    apart.
+    orientations, so J[k][k+1] = 1 and J[k+1][k] = -1.  No walk runs here:
+    ``standard_curve_system`` has checked every nonzero entry against the
+    kernel's signed counts in both orders, and each zero above the
+    diagonal comes from the walk that shows the two curves disjoint.  The
+    zeros below it rest on the kernel's symmetry, which the tests pin.
     """
+    standard_curve_system(g)
     n = 2 * g
-    j = [[0] * n for _ in range(n)]
-    for k in range(n - 1):
-        j[k][k + 1] = 1
-        j[k + 1][k] = -1
-    chain = standard_curve_system(g).chain()
-    for r in range(n):
-        for s in range(n):
-            got = algebraic_intersection_number(chain[r], chain[s])
-            if got != j[r][s]:
-                raise AnchorViolation(f"pairing(chain_{r + 1}, chain_{s + 1})",
-                                      j[r][s], got)
-    return tuple(tuple(row) for row in j)
+    return tuple(
+        tuple(1 if s == r + 1 else -1 if s == r - 1 else 0 for s in range(n))
+        for r in range(n)
+    )
 
 
 def homology_action(word):

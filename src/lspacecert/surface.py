@@ -58,6 +58,7 @@ class SurfaceSpec:
     cut_arcs: tuple
     boundary_order: tuple
     _pos: dict = field(init=False, repr=False, compare=False, hash=False)
+    _boundary: tuple = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         g = self.genus
@@ -74,19 +75,16 @@ class SurfaceSpec:
             raise ValueError(
                 f"cut system regluing has {len(cycles)} boundary circles, need 1"
             )
+        n = len(order)
         object.__setattr__(self, "boundary_order", order)
         object.__setattr__(self, "_pos", {s: i for i, s in enumerate(order)})
+        object.__setattr__(
+            self, "_boundary", tuple(order[(p + 1) % n] for p in cycles[0])
+        )
 
     @property
     def arc_count(self):
         return 2 * self.genus
-
-    def position(self, letter):
-        """Index of a signed arc symbol in the cyclic boundary order."""
-        return self._pos[letter]
-
-    def arc_name(self, index):
-        return self.cut_arcs[index - 1]
 
     def boundary_word(self):
         """Crossing word of a curve just inside the boundary.
@@ -95,16 +93,7 @@ class SurfaceSpec:
         once near each endpoint; following the single boundary cycle and
         recording the arc side crossed after each segment spells it out.
         """
-        order = self.boundary_order
-        n = len(order)
-        where = {sym: i for i, sym in enumerate(order)}
-        word = []
-        p = 0
-        for _ in range(n):
-            nxt = order[(p + 1) % n]
-            word.append(nxt)
-            p = where[-nxt]
-        return tuple(word)
+        return self._boundary
 
 
 def chain_boundary_order(g):

@@ -7,6 +7,7 @@ import textwrap
 import pytest
 
 import lspacecert
+from lspacecert import mcg
 from lspacecert.mcg import TwistWord, apply_word, standard_curve_system
 
 
@@ -33,6 +34,17 @@ def random_curve(rng, g, max_len=4):
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+@pytest.fixture
+def fresh_system_caches():
+    """Empty the per-genus system and pairing caches around the test, so it
+    builds (or fails to build) the standard system itself."""
+    mcg.standard_curve_system.cache_clear()
+    mcg.symplectic_form.cache_clear()
+    yield
+    mcg.standard_curve_system.cache_clear()
+    mcg.symplectic_form.cache_clear()
 
 
 def raises_under_python_O(body, error):

@@ -190,17 +190,11 @@ def test_criterion_7_performance():
     )
 
 
-def test_criterion_8_anchor_tripwire(monkeypatch):
-    mcg.standard_curve_system.cache_clear()
-    mcg.symplectic_form.cache_clear()
+def test_criterion_8_anchor_tripwire(monkeypatch, fresh_system_caches):
     monkeypatch.setattr(mcg, "_c_word", lambda g: (1, 2, -1, -2))
-    try:
-        with pytest.raises(AnchorViolation) as exc:
-            certify(2, 1)
-    finally:
-        monkeypatch.undo()
-        mcg.standard_curve_system.cache_clear()
-        mcg.symplectic_form.cache_clear()
+    with pytest.raises(AnchorViolation) as exc:
+        certify(2, 1)
+    monkeypatch.undo()
     assert certify(2, 1).verdict is Verdict.OBSTRUCTION_FOUND
     print(
         f"\ncriterion 8 PASS: corrupted curve table aborts certify with "

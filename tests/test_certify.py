@@ -24,11 +24,6 @@ from lspacecert.floer import RankInterval, Verdict
 from conftest import raises_under_python_O
 
 
-def _clear_system_caches():
-    mcg.standard_curve_system.cache_clear()
-    mcg.symplectic_form.cache_clear()
-
-
 # ---------------------------------------------------------------------------
 # the base bound
 
@@ -161,19 +156,16 @@ def test_verify_certificate_passes_and_detects_tampering():
         verify_certificate(tampered)
 
 
-def test_anchor_tripwire_on_corrupted_curve_table(monkeypatch):
+def test_anchor_tripwire_on_corrupted_curve_table(monkeypatch, fresh_system_caches):
     # swap the hard-coded word of c for a different (valid, simple,
     # nullhomologous) curve; a pinned crossing count then fails and the
     # derivation must abort rather than certify from a wrong system
-    _clear_system_caches()
     monkeypatch.setattr(mcg, "_c_word", lambda g: (1, 2, -1, -2))
-    try:
-        with pytest.raises(AnchorViolation) as exc:
-            certify(2, 1)
-        assert "iota(c," in str(exc.value)
-    finally:
-        monkeypatch.undo()
-        _clear_system_caches()
+    with pytest.raises(AnchorViolation) as exc:
+        certify(2, 1)
+    assert "iota(c," in str(exc.value)
+    monkeypatch.undo()
+    # a failed build is not cached, so the real table is rebuilt
     assert certify(2, 1).final_bound == 11
 
 

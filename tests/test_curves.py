@@ -121,6 +121,7 @@ def test_validate_simple_examples():
     assert not validate_simple((), S2)
     assert not validate_simple((1, 2, 1, 2), S2)  # interleaved returns
     assert not validate_simple((1, 1), S2)  # proper power
+    assert not validate_simple(S2.boundary_word(), S2)  # boundary parallel
 
 
 def test_validate_simple_agrees_with_placement_oracle():

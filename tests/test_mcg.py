@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from lspacecert import mcg
+from lspacecert import curves, mcg
 from lspacecert.curves import (
+    algebraic_intersection_number,
     canonical_sign,
     homology_class,
     intersection_number,
@@ -221,6 +222,60 @@ def test_symplectic_form_is_the_chain_form():
         (0, -1, 0, 1),
         (0, 0, -1, 0),
     )
+
+
+@pytest.mark.parametrize("g", range(2, 9))
+def test_symplectic_form_matches_the_kernel_on_every_ordered_pair(g):
+    j = symplectic_form(g)
+    chain = standard_curve_system(g).chain()
+    for r, x in enumerate(chain):
+        for s, y in enumerate(chain):
+            assert algebraic_intersection_number(x, y) == j[r][s], (r, s)
+
+
+@pytest.mark.parametrize("name, flip, fact", [
+    ("algebraic_intersection_number", lambda n: -n, "pairing(chain_2, chain_1)"),
+    ("crossing_signs", lambda xs: tuple(-e for e in xs), "pairing(chain_1, chain_2)"),
+])
+def test_chain_pairing_check_is_live(
+    monkeypatch, fresh_system_caches, name, flip, fact
+):
+    kernel = getattr(mcg, name)
+    monkeypatch.setattr(mcg, name, lambda a, b: flip(kernel(a, b)))
+    with pytest.raises(AnchorViolation) as exc:
+        standard_curve_system(3)
+    assert exc.value.fact == fact
+
+
+def _count_walks(monkeypatch):
+    walks = []
+    inner = curves._crossings
+    monkeypatch.setattr(
+        curves, "_crossings", lambda *args: walks.append(args[1:]) or inner(*args)
+    )
+    return walks
+
+
+@pytest.mark.parametrize("g", [2, 5])
+def test_symplectic_form_walks_nothing_once_the_system_is_built(
+    monkeypatch, fresh_system_caches, g
+):
+    standard_curve_system(g)
+    walks = _count_walks(monkeypatch)
+    symplectic_form(g)
+    assert walks == []
+
+
+def test_system_and_pairing_at_genus_forty_take_3400_walks(
+    monkeypatch, fresh_system_caches
+):
+    # 3160 chain pairs i < j (the adjacent ones also give the forward sign),
+    # 79 reverse adjacent signs, 80 chain curves against c, and one
+    # self-crossing walk for each of the 81 curves of the system
+    walks = _count_walks(monkeypatch)
+    standard_curve_system(40)
+    symplectic_form(40)
+    assert len(walks) == 3400
 
 
 # ---------------------------------------------------------------------------
