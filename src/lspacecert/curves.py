@@ -214,6 +214,11 @@ def _crossing_order(surface, a, b):
 # ---------------------------------------------------------------------------
 # simplicity
 
+def _has_self_crossing(surface, word):
+    """Whether two lifts of a primitive word cross: its walk against itself."""
+    return bool(_crossings(surface, word, word))
+
+
 def _validate_word(surface, word):
     """The reduced word of an embedded essential curve, else a typed error.
 
@@ -228,7 +233,7 @@ def _validate_word(surface, word):
         raise Inessential("word reduces to a contractible loop")
     if not is_primitive(reduced):
         raise NotSimple("word is a proper power")
-    if _crossings(surface, reduced, reduced):
+    if _has_self_crossing(surface, reduced):
         raise NotSimple("chord diagram admits no disjoint realization")
     if len(reduced) == len(surface.boundary_order) and (
         canonical_form(reduced) == canonical_form(surface.boundary_word())
