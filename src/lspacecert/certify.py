@@ -284,7 +284,10 @@ def certify(g, n):
         f"rk HF(psi({b_expr}), {b_expr})", s_x2, s_t1, "fact.psi-reduction"
     )
 
-    hf_lower = (4 * n) ** 2 - 3
+    # each bound is read off the steps it cites, then held to its label
+    hf_lower = s_4n.output.lo ** 2 - s_self.output.hi - s_eq4.output.hi
+    if hf_lower != 16 * n * n - 3:
+        raise AnchorViolation("chain lower bound 16n^2-3", 16 * n * n - 3, hf_lower)
     s_chain = builder.add(
         KIND_ARITHMETIC,
         f"chain lower bound: rk HF(psi({b_expr}), {b_expr}) >= 16n^2-3 = {hf_lower}",
@@ -299,7 +302,9 @@ def certify(g, n):
         f"rk HFK(S3, K{n}; {1 - g})", s_x1, s_base, "axiom.surgery-triangle"
     )
 
-    final_bound = 16 * n * n - 5
+    final_bound = s_chain.output - s_base.output.hi
+    if final_bound != 16 * n * n - 5:
+        raise AnchorViolation("final bound 16n^2-5", 16 * n * n - 5, final_bound)
     s_final = builder.add(
         KIND_ARITHMETIC,
         f"final bound: rk HFK(S3, K{n}; {1 - g}) >= 16n^2-5 = {final_bound}",

@@ -16,6 +16,10 @@ and only if they leave a common vertex on opposite sides, which turns
 minimal-position intersection counts into finite walks along periodic
 words.  No reduction order ever has to be chosen; the counts returned
 are minimal by construction, which is the bigon criterion in this model.
+
+A ray is a position in a cyclic word, and running backward along a word
+is running forward along its inverse, so every walk step is one
+common-extension count (``_coast``) of two words from two positions.
 """
 from functools import cmp_to_key
 
@@ -78,46 +82,44 @@ def is_primitive(word):
 # ---------------------------------------------------------------------------
 # walks in the dual tree
 
-def _ray_side(surface, line, phase, ray, cap):
+def _coast(u, i, v, j, cap):
+    """Number of steps over which cyclic words u (from i) and v (from j) agree."""
+    lu, lv = len(u), len(v)
+    k = 0
+    while u[(i + k) % lu] == v[(j + k) % lv]:
+        k += 1
+        if k > cap:
+            raise WalkBoundExceeded(f"ray follows line beyond {cap} steps")
+    return k
+
+
+def _ray_side(surface, line, line_inv, phase, ray, at, cap):
     """Side on which a ray leaves a bi-infinite geodesic.
 
-    ``line`` is the cyclic word of the geodesic, ``phase`` the position of
-    the shared start vertex (between letters phase-1 and phase), and
-    ``ray(r)`` the r-th letter of the departing ray.  The ray may coast
-    along the line in either direction before branching off.  Returns
-    (side, followed) where side is +1 when the departing germ lies in the
-    counterclockwise arc from the line's forward germ to its backward
-    germ, and followed counts forward steps shared with the line.
+    ``line`` is the cyclic word of the geodesic and ``line_inv`` its
+    inverse word, ``phase`` the position of the shared start vertex
+    (between letters phase-1 and phase), and the ray reads the cyclic word
+    ``ray`` from position ``at``.  The ray may coast along the line in
+    either direction before branching off; coasting backward is coasting
+    forward along ``line_inv``.  Returns (side, followed) where side is +1
+    when the departing germ lies in the counterclockwise arc from the
+    line's forward germ to its backward germ, and followed counts forward
+    steps shared with the line.
     """
     pos = surface._pos
     n = len(surface.boundary_order)
-    p = len(line)
-    first = ray(0)
-    if first == line[phase % p]:
-        r = 1
-        while ray(r) == line[(phase + r) % p]:
-            r += 1
-            if r > cap:
-                raise WalkBoundExceeded(f"ray follows line beyond {cap} steps")
-        i = phase + r
-        f, b, t = line[i % p], -line[(i - 1) % p], ray(r)
-        followed = r
-    elif first == -line[(phase - 1) % p]:
-        r = 1
-        while ray(r) == -line[(phase - 1 - r) % p]:
-            r += 1
-            if r > cap:
-                raise WalkBoundExceeded(f"ray follows line beyond {cap} steps")
-        i = phase - r
-        f, b, t = line[i % p], -line[(i - 1) % p], ray(r)
-        followed = 0
-    else:
-        f, b, t = line[phase % p], -line[(phase - 1) % p], first
-        followed = 0
+    p, r = len(line), len(ray)
+    first = ray[at % r]
+    # most rays branch off at once: coast only where the first letters agree
+    fwd = _coast(ray, at, line, phase, cap) if first == line[phase % p] else 0
+    rev = p - phase  # the start vertex as a position in line_inv
+    back = _coast(ray, at, line_inv, rev, cap) if first == line_inv[rev % p] else 0
+    i = phase + fwd - back
+    f, b, t = line[i % p], -line[(i - 1) % p], ray[(at + fwd + back) % r]
     df = (pos[t] - pos[f]) % n
     db = (pos[b] - pos[f]) % n
     side = 1 if 0 < df < db else -1
-    return side, followed
+    return side, fwd
 
 
 class _Crossing:
@@ -151,6 +153,7 @@ def _crossings(surface, a, b):
     a == b) is skipped because it passes the previous vertex.
     """
     p, q = len(a), len(b)
+    a_inv, b_inv = inverse_word(a), inverse_word(b)
     cap = p + q + _WALK_MARGIN
     out = []
     for m in range(p):
@@ -158,12 +161,8 @@ def _crossings(surface, a, b):
         for j in range(q):
             if back == b[j] or back == -b[(j - 1) % q]:
                 continue  # lift also passes the previous axis vertex
-            side_fwd, fol_fwd = _ray_side(
-                surface, a, m, lambda r, j=j: b[(j + r) % q], cap
-            )
-            side_back, fol_back = _ray_side(
-                surface, a, m, lambda r, j=j: -b[(j - 1 - r) % q], cap
-            )
+            side_fwd, fol_fwd = _ray_side(surface, a, a_inv, m, b, j, cap)
+            side_back, fol_back = _ray_side(surface, a, a_inv, m, b_inv, q - j, cap)
             if side_fwd == side_back:
                 continue
             aligned = b[j] == a[m % p]
@@ -190,17 +189,16 @@ def _crossing_order(surface, a, b):
     if len(xs) <= 1:
         return xs
     p, q = len(a), len(b)
-    cap = p + q + _WALK_MARGIN
+    a_inv, b_inv = inverse_word(a), inverse_word(b)
+    cap = 3 * q + p + _WALK_MARGIN
 
     def earlier(x2, x1):
         # True when the axis meets x2's lift before x1's.
         t = max(x1.m, x2.m)
         p1 = _phase_at(x1, t, q)
         p2 = _phase_at(x2, t, q)
-        side_l2, _ = _ray_side(surface, b, p1, lambda r: b[(p2 + r) % q], 2 * q + cap)
-        side_from, _ = _ray_side(
-            surface, b, p1, lambda r: -a[(t - 1 - r) % p], 2 * q + cap
-        )
+        side_l2, _ = _ray_side(surface, b, b_inv, p1, b, p2, cap)
+        side_from, _ = _ray_side(surface, b, b_inv, p1, a_inv, p - t, cap)
         return side_l2 == side_from
 
     def cmp(x1, x2):

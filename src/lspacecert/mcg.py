@@ -118,14 +118,8 @@ def beta_gn(g, n):
 
 
 def monodromy_phi(g, n):
-    """The 2g-factor monodromy of the n-twisted fibred knot."""
-    if n < 0:
-        raise NegativePower(f"twist count n = {n} must be nonnegative")
-    system = standard_curve_system(g)
-    factors = [(beta_gn(g, n), 1)]
-    factors += [(b, 1) for b in reversed(system.betas[:-1])]
-    factors += [(a, 1) for a in reversed(system.alphas)]
-    return TwistWord(tuple(factors))
+    """The 2g-factor monodromy of the n-twisted fibred knot: T(B[g,n]) psi."""
+    return TwistWord(((beta_gn(g, n), 1),)) * monodromy_psi(g)
 
 
 def monodromy_psi(g):

@@ -2,14 +2,17 @@
 
 Each oracle recomputes something the package also computes, by a method
 that shares no code with it: intersection numbers by exhaustive search
-over chord diagram placements, Alexander polynomials from a Seifert
-matrix by permutation expansion, homological actions as dense products
-of transvection matrices, matrix products as triple sums, characteristic
-polynomials by permutation expansion, exact triangles as explicit
-matrices over GF(2).  Keep these slow and obvious.
+over chord diagram placements, ray sides in the dual tree by one
+coasting loop per direction over a letter closure, Alexander polynomials
+from a Seifert matrix by permutation expansion, homological actions as
+dense products of transvection matrices, matrix products as triple sums,
+characteristic polynomials by permutation expansion, exact triangles as
+explicit matrices over GF(2).  Keep these slow and obvious.
 """
 import itertools
 import random
+
+from lspacecert.errors import WalkBoundExceeded
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +123,51 @@ def oracle_reduce(word):
                 changed = True
                 break
     return tuple(w)
+
+
+# ---------------------------------------------------------------------------
+# ray sides in the dual tree, one coasting loop per direction
+
+def oracle_ray_side(surface, line, phase, ray, cap):
+    """Side on which a ray leaves a bi-infinite geodesic.
+
+    ``line`` is the cyclic word of the geodesic, ``phase`` the position of
+    the shared start vertex (between letters phase-1 and phase), and
+    ``ray(r)`` the r-th letter of the departing ray.  The ray may coast
+    along the line in either direction before branching off.  Returns
+    (side, followed) where side is +1 when the departing germ lies in the
+    counterclockwise arc from the line's forward germ to its backward
+    germ, and followed counts forward steps shared with the line.
+    """
+    pos = surface._pos
+    n = len(surface.boundary_order)
+    p = len(line)
+    first = ray(0)
+    if first == line[phase % p]:
+        r = 1
+        while ray(r) == line[(phase + r) % p]:
+            r += 1
+            if r > cap:
+                raise WalkBoundExceeded(f"ray follows line beyond {cap} steps")
+        i = phase + r
+        f, b, t = line[i % p], -line[(i - 1) % p], ray(r)
+        followed = r
+    elif first == -line[(phase - 1) % p]:
+        r = 1
+        while ray(r) == -line[(phase - 1 - r) % p]:
+            r += 1
+            if r > cap:
+                raise WalkBoundExceeded(f"ray follows line beyond {cap} steps")
+        i = phase - r
+        f, b, t = line[i % p], -line[(i - 1) % p], ray(r)
+        followed = 0
+    else:
+        f, b, t = line[phase % p], -line[(phase - 1) % p], first
+        followed = 0
+    df = (pos[t] - pos[f]) % n
+    db = (pos[b] - pos[f]) % n
+    side = 1 if 0 < df < db else -1
+    return side, followed
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 
 import pytest
 
@@ -19,7 +20,7 @@ from lspacecert.errors import (
     GenusTooSmall,
     NegativePower,
 )
-from lspacecert.floer import RankInterval, Verdict
+from lspacecert.floer import RankInterval, Verdict, triangle_propagate
 
 from conftest import raises_under_python_O
 
@@ -111,6 +112,29 @@ def test_embedded_bounds_match_the_formulas():
             )
 
 
+def test_bounds_are_read_off_the_steps_they_cite():
+    for g in (2, 3):
+        for n in range(6):
+            cert = certify(g, n)
+            cited = lambda step: [cert.steps[int(r.split(":")[1])] for r in step.inputs]
+            final = cited(cert.steps[-1])[0]
+            chain, base = cited(final)
+            s_4n, s_self, s_eq4 = cited(chain)
+            assert chain.output == s_4n.output.lo ** 2 - s_self.output.hi - s_eq4.output.hi
+            assert final.output == chain.output - base.output.hi == cert.final_bound
+
+
+def test_chain_bound_that_disagrees_with_its_label_is_a_typed_error(monkeypatch):
+    # the package re-exports the function certify, which shadows the module
+    certify_module = importlib.import_module("lspacecert.certify")
+    widened = lambda a, c: RankInterval(
+        triangle_propagate(a, c).lo, triangle_propagate(a, c).hi + 1
+    )
+    monkeypatch.setattr(certify_module, "triangle_propagate", widened)
+    with pytest.raises(AnchorViolation, match="chain lower bound"):
+        certify(2, 1)
+
+
 def test_verdict_boundary_and_monotonicity():
     previous = None
     for n in range(0, 8):
@@ -129,8 +153,6 @@ def test_certificates_are_deterministic():
 
 
 def test_triangle_steps_recompute_from_their_inputs():
-    from lspacecert.floer import triangle_propagate
-
     cert = certify(3, 2)
     by_index = {s.index: s for s in cert.steps}
     checked = 0

@@ -27,7 +27,12 @@ from lspacecert.mcg import beta_gn, standard_curve_system
 from lspacecert.surface import standard_surface
 
 from conftest import random_curve, raises_under_python_O
-from oracles import oracle_is_simple, oracle_min_crossings, oracle_reduce
+from oracles import (
+    oracle_is_simple,
+    oracle_min_crossings,
+    oracle_ray_side,
+    oracle_reduce,
+)
 
 S2 = standard_surface(2)
 SYS2 = standard_curve_system(2)
@@ -175,11 +180,94 @@ def test_inconsistent_crossing_order_is_a_typed_error_even_under_python_O(monkey
 
 def test_ray_following_the_line_past_the_cap_is_a_typed_error():
     line = (1, 2, -1, -2)
-    forward = lambda r: line[r % 4]
-    backward = lambda r: -line[(-1 - r) % 4]
-    for ray in (forward, backward):
+    line_inv = curves.inverse_word(line)
+    # the forward ray reads the line itself, the backward ray its inverse
+    for ray in (line, line_inv):
         with pytest.raises(WalkBoundExceeded):
-            curves._ray_side(S2, line, 0, ray, 5)
+            curves._ray_side(S2, line, line_inv, 0, ray, 0, 5)
+    with pytest.raises(WalkBoundExceeded):
+        curves._coast((1, 2), 1, (1, 2), 1, 6)
+    # a run of exactly cap steps is still a result
+    assert curves._coast((1, 2, 3), 0, (1, 2, 4), 0, 2) == 2
+
+
+def _side_or_bound(ray_side, *args):
+    try:
+        return ray_side(*args)
+    except WalkBoundExceeded:
+        return "bound"
+
+
+def _oracle_crossing_tuples(surface, a, b):
+    """(m, j, k, aligned, eps) of every crossing lift, from closure rays."""
+    p, q = len(a), len(b)
+    cap = p + q + curves._WALK_MARGIN
+    out = []
+    for m in range(p):
+        for j in range(q):
+            if -a[m - 1] in (b[j], -b[j - 1]):
+                continue
+            fwd = oracle_ray_side(surface, a, m, lambda r: b[(j + r) % q], cap)
+            back = oracle_ray_side(surface, a, m, lambda r: -b[(j - 1 - r) % q], cap)
+            if fwd[0] != back[0]:
+                aligned = b[j] == a[m]
+                out.append((m, j, (fwd if aligned else back)[1], aligned, fwd[0]))
+    return out
+
+
+def test_ray_side_matches_closure_oracle_randomized():
+    rng = random.Random(61)
+    seen = set()
+    for g in (2, 3):
+        surface = standard_surface(g)
+        for trial in range(15):
+            a = random_curve(rng, g).word
+            b = a if trial % 3 == 0 else random_curve(rng, g).word
+            p, q = len(a), len(b)
+            a_inv, b_inv = curves.inverse_word(a), curves.inverse_word(b)
+            cap = p + q + curves._WALK_MARGIN
+            # forward and back ray of b at every (m, j), the skipped pairs too
+            for m in range(p):
+                for j in range(q):
+                    for ray, at, letter in (
+                        (b, j, lambda r, j=j: b[(j + r) % q]),
+                        (b_inv, q - j, lambda r, j=j: -b[(j - 1 - r) % q]),
+                    ):
+                        got = _side_or_bound(
+                            curves._ray_side, surface, a, a_inv, m, ray, at, cap
+                        )
+                        assert got == _side_or_bound(
+                            oracle_ray_side, surface, a, m, letter, cap
+                        ), (g, a, b, m, ray, at)
+                        seen.add("bound" if got == "bound" else
+                                 "forward" if letter(0) == a[m] else
+                                 "backward" if letter(0) == -a[m - 1] else "branch")
+            xs = curves._crossings(surface, a, b)
+            assert [(x.m, x.j, x.k, x.aligned, x.eps) for x in xs] == (
+                _oracle_crossing_tuples(surface, a, b)
+            )
+            # the two rays `earlier` reads for each pair of lifts through a
+            # common vertex, and the order _crossing_order puts them in
+            order = curves._crossing_order(surface, a, b)
+            order_cap = 2 * q + cap
+            for i, x1 in enumerate(order):
+                for x2 in order[i + 1:]:
+                    t = max(x1.m, x2.m)
+                    if t > min(x1.m + x1.k, x2.m + x2.k):
+                        continue  # disjoint intervals, ordered by anchors
+                    p1, p2 = curves._phase_at(x1, t, q), curves._phase_at(x2, t, q)
+                    sides = []
+                    for ray, at, letter in (
+                        (b, p2, lambda r: b[(p2 + r) % q]),
+                        (a_inv, p - t, lambda r: -a[(t - 1 - r) % p]),
+                    ):
+                        got = curves._ray_side(surface, b, b_inv, p1, ray, at, order_cap)
+                        assert got == oracle_ray_side(surface, b, p1, letter, order_cap)
+                        sides.append(got[0])
+                    # x1 comes first, so the axis does not meet x2 earlier
+                    assert sides[0] != sides[1]
+                    seen.add("earlier")
+    assert seen == {"bound", "forward", "backward", "branch", "earlier"}
 
 
 def test_surface_mismatch_raised():
