@@ -10,14 +10,15 @@ arithmetic steps track the inequality chain whose end is the final
 bound 16n^2 - 5 on the rank in Alexander grading 1 - g.  The verdict
 compares that bound against the staircase cap of one.
 
-Curves appearing in rank facts are named by expressions of the command
-language (``a1``, ``B[2,3]``, ``psi(B[2,3])``, ...), so a serialized
-certificate can be re-verified from scratch by re-evaluating its own
-step labels.
+Curves appearing in rank facts are named only by expressions of the
+command language (``a1``, ``B[2,3]``, ``psi(b2)``, ...): ``certify``
+evaluates every cited expression through the DSL, so verifying a
+certificate is rerunning ``certify`` and comparing the result.
 """
 from dataclasses import dataclass
 
 from .curves import is_isotopic
+from .dsl import curve_from_text
 from .errors import AnchorViolation, BudgetExceeded, GenusTooSmall, NegativePower
 from .floer import (
     RankInterval,
@@ -29,14 +30,7 @@ from .floer import (
     tensor_rank,
     triangle_propagate,
 )
-from .mcg import (
-    alexander_polynomial,
-    apply_word,
-    beta_gn,
-    monodromy_phi,
-    monodromy_psi,
-    standard_curve_system,
-)
+from .mcg import alexander_polynomial, apply_word, beta_gn, monodromy_phi, monodromy_psi
 
 SCHEMA_VERSION = 1
 
@@ -122,8 +116,15 @@ def _cite(anchor):
 
 
 class _Builder:
-    def __init__(self):
+    def __init__(self, g):
+        self.g = g
         self.steps = []
+        self.curves = {}  # expression -> Curve, each evaluated once
+
+    def curve(self, expr):
+        if expr not in self.curves:
+            self.curves[expr] = curve_from_text(expr, self.g)
+        return self.curves[expr]
 
     def add(self, kind, label, inputs, output, anchor):
         step = DerivationStep(
@@ -132,11 +133,13 @@ class _Builder:
         self.steps.append(step)
         return step
 
-    def rank_fact(self, expr_a, expr_b, curve_a, curve_b, expected, fact_name):
-        """Recompute a pinned Floer rank and freeze it as a step."""
+    def rank_fact(self, expr_a, expr_b, expected):
+        """Evaluate both expressions, recompute their pinned Floer rank and
+        freeze it as a step."""
+        curve_a, curve_b = self.curve(expr_a), self.curve(expr_b)
         value = hf_rank(curve_a, curve_b)
         if value != expected:
-            raise AnchorViolation(fact_name, expected, value)
+            raise AnchorViolation(f"rk HF({expr_a}, {expr_b})", expected, value)
         anchor = (
             "axiom.hf-rank-isotopic"
             if is_isotopic(curve_a, curve_b)
@@ -150,14 +153,14 @@ class _Builder:
             anchor,
         )
 
-    def tensor(self, label, left, right, anchor="arith.tensor"):
+    def tensor(self, label, left, right):
         out = tensor_rank(left.output, right.output)
         return self.add(
             KIND_ARITHMETIC,
             label,
             (f"step:{left.index}", f"step:{right.index}"),
             out,
-            anchor,
+            "arith.tensor",
         )
 
     def triangle(self, label, a, c, anchor):
@@ -167,7 +170,7 @@ class _Builder:
         )
 
 
-def _base_bound_steps(builder, g, system):
+def _base_bound_steps(builder, g):
     """The genus-only part: rank of the untwisted reference group is at most 2.
 
     Three steps.  The image of b_g under the base monodromy meets b_g in
@@ -176,11 +179,7 @@ def _base_bound_steps(builder, g, system):
     monodromy's own Alexander polynomial), and the surgery triangle then
     bounds the reference rank by their sum.
     """
-    bg = system.betas[-1]
-    psi_bg = apply_word(monodromy_psi(g), bg)
-    s_iota = builder.rank_fact(
-        f"b{g}", f"psi(b{g})", bg, psi_bg, 1, f"iota(b{g}, psi(b{g}))"
-    )
+    s_iota = builder.rank_fact(f"b{g}", f"psi(b{g})", 1)
     stair = staircase_from_alexander(alexander_polynomial(monodromy_phi(g, 0)))
     base_rank = lspace_profile(stair).rank_at(1 - g)
     if base_rank != 1:
@@ -205,9 +204,8 @@ def derive_base_bound(g):
     """Standalone derivation of rk HFK(Y, K; 1-g) in [0, 2]."""
     if g < 2:
         raise GenusTooSmall(f"genus {g} < 2")
-    builder = _Builder()
-    system = standard_curve_system(g)
-    _base_bound_steps(builder, g, system)
+    builder = _Builder(g)
+    _base_bound_steps(builder, g)
     return tuple(builder.steps)
 
 
@@ -221,27 +219,15 @@ def certify(g, n):
         raise GenusTooSmall(f"genus {g} < 2")
     if n < 0:
         raise NegativePower(f"twist count n = {n} must be nonnegative")
-    system = standard_curve_system(g)
-    ag1, ag = system.alphas[-2], system.alphas[-1]
-    bg1 = system.betas[-2]
-    bn = beta_gn(g, n)
     b_expr = f"B[{g},{n}]"
     tw_expr = f"T(a{g - 1})^1({b_expr})"
-    builder = _Builder()
+    builder = _Builder(g)
 
     # pinned crossing-word facts
-    s_4n = builder.rank_fact(
-        f"a{g - 1}", b_expr, ag1, bn, 4 * n, f"iota(a{g - 1}, {b_expr})"
-    )
-    s_one = builder.rank_fact(
-        b_expr, f"a{g}", bn, ag, 1, f"iota({b_expr}, a{g})"
-    )
-    s_self = builder.rank_fact(
-        b_expr, b_expr, bn, bn, 2, f"rk HF({b_expr}, {b_expr})"
-    )
-    s_aa = builder.rank_fact(
-        f"a{g - 1}", f"a{g}", ag1, ag, 0, f"iota(a{g - 1}, a{g})"
-    )
+    s_4n = builder.rank_fact(f"a{g - 1}", b_expr, 4 * n)
+    s_one = builder.rank_fact(b_expr, f"a{g}", 1)
+    s_self = builder.rank_fact(b_expr, b_expr, 2)
+    s_aa = builder.rank_fact(f"a{g - 1}", f"a{g}", 0)
 
     # rk HF(T(a_{g-1})(B), a_g) = 1: twist triangle with vanishing corner
     s_t0 = builder.tensor(
@@ -252,9 +238,7 @@ def certify(g, n):
     )
 
     # step 1 corner: B is disjoint from b_{g-1}
-    s_bb = builder.rank_fact(
-        b_expr, f"b{g - 1}", bn, bg1, 0, f"iota({b_expr}, b{g - 1})"
-    )
+    s_bb = builder.rank_fact(b_expr, f"b{g - 1}", 0)
     s_t1 = builder.add(
         KIND_ARITHMETIC,
         f"rk HF(b{g - 1}, T(a{g})^1({tw_expr})) (x) HF({b_expr}, b{g - 1})",
@@ -296,7 +280,7 @@ def certify(g, n):
         "arith.chain",
     )
 
-    _, _, s_base = _base_bound_steps(builder, g, system)
+    _, _, s_base = _base_bound_steps(builder, g)
 
     s_target = builder.triangle(
         f"rk HFK(S3, K{n}; {1 - g})", s_x1, s_base, "axiom.surgery-triangle"
@@ -334,28 +318,16 @@ def certify(g, n):
 
 
 def verify_certificate(cert):
-    """Re-derive a certificate and re-evaluate every rank fact.
+    """Re-derive a certificate and compare it with the given one.
 
-    Returns True when the freshly built certificate has identical steps
-    and every rank fact, recomputed from its own curve expressions, still
-    has the recorded value.  Raises AnchorViolation on any mismatch.
+    The rerun evaluates every cited curve expression and checks each rank
+    against its pinned value, so it is the whole verification.  Returns
+    True when the fresh certificate is equal, and raises AnchorViolation
+    otherwise.
     """
-    from .dsl import curve_from_text
-
     fresh = certify(cert.genus, cert.n)
     if fresh != cert:
         raise AnchorViolation("certificate replay", cert, fresh)
-    for step in cert.steps:
-        if step.kind != KIND_RANK_FACT:
-            continue
-        exprs = [s.split(":", 1)[1] for s in step.inputs if s.startswith("curve:")]
-        if len(exprs) != 2:
-            continue
-        a = curve_from_text(exprs[0], cert.genus)
-        b = curve_from_text(exprs[1], cert.genus)
-        value = hf_rank(a, b)
-        if not step.output.is_point() or value != step.output.lo:
-            raise AnchorViolation(step.label, step.output, value)
     return True
 
 

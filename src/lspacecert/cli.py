@@ -259,7 +259,9 @@ def main(argv=None, out=None):
         return 0 if e.code in (0, None) else 1
     try:
         return args.func(args, out)
-    except WorkbenchError as e:
+    # an interpreter limit (a power past the index range, memory, recursion)
+    # ends like a domain error, with its type and no traceback
+    except (WorkbenchError, OverflowError, MemoryError, RecursionError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     except ValueError as e:

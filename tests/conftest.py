@@ -37,6 +37,14 @@ def rng():
 
 
 @pytest.fixture
+def sys2():
+    """The genus-2 standard system, built by the test that asks for it, so
+    an anchor failure in the build fails those tests one by one instead of
+    their module's collection."""
+    return standard_curve_system(2)
+
+
+@pytest.fixture
 def fresh_system_caches():
     """Empty the per-genus system and pairing caches around the test, so it
     builds (or fails to build) the standard system itself."""

@@ -3,6 +3,7 @@ import importlib
 
 import pytest
 
+import lspacecert.dsl as dsl
 import lspacecert.mcg as mcg
 from lspacecert.certify import (
     KIND_ARITHMETIC,
@@ -20,7 +21,7 @@ from lspacecert.errors import (
     GenusTooSmall,
     NegativePower,
 )
-from lspacecert.floer import RankInterval, Verdict, triangle_propagate
+from lspacecert.floer import RankInterval, Verdict, hf_rank, triangle_propagate
 
 from conftest import raises_under_python_O
 
@@ -176,6 +177,28 @@ def test_verify_certificate_passes_and_detects_tampering():
     )
     with pytest.raises(AnchorViolation):
         verify_certificate(tampered)
+
+
+def test_rank_facts_recompute_from_their_curve_expressions():
+    checked = 0
+    for g in (2, 3):
+        for n in range(6):
+            for step in certify(g, n).steps:
+                exprs = [r.split(":", 1)[1] for r in step.inputs if r.startswith("curve:")]
+                if step.kind != KIND_RANK_FACT or len(exprs) != 2:
+                    continue
+                a, b = (dsl.curve_from_text(e, g) for e in exprs)
+                assert step.output == RankInterval.exactly(hf_rank(a, b)), step.label
+                checked += 1
+    assert checked == 2 * 6 * 6
+
+
+def test_rank_facts_are_evaluated_from_their_labels(monkeypatch):
+    # B[g,n] that means B[g,n+1] must trip the first fact citing it
+    monkeypatch.setattr(dsl, "beta_gn", lambda g, n: mcg.beta_gn(g, n + 1))
+    with pytest.raises(AnchorViolation) as exc:
+        certify(2, 1)
+    assert exc.value.fact == "rk HF(a1, B[2,1])"
 
 
 def test_anchor_tripwire_on_corrupted_curve_table(monkeypatch, fresh_system_caches):

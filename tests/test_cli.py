@@ -1,10 +1,14 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import lspacecert
 import lspacecert.cli as cli
 import lspacecert.curves as curves
 from lspacecert.certify import certify
@@ -180,3 +184,36 @@ def test_walk_bound_exits_one_with_a_message(monkeypatch, capsys):
     code, out = run("intersect", "-g", "2", "c", "T(a1)(c)")
     assert code == 1 and out == ""
     assert "WalkBoundExceeded" in capsys.readouterr().err
+
+
+def test_oversized_twist_power_exits_one_with_a_message(capsys):
+    # the power does not fit an index, so the twist fails before allocating
+    code, out = run("twist", "-g", "2", "T(c)^99999999999999999999(b2)")
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: OverflowError: ")
+
+
+@pytest.mark.parametrize("limit", [MemoryError, RecursionError])
+def test_interpreter_limits_exit_one_with_a_message(monkeypatch, capsys, limit):
+    def exhausted(args, out):
+        raise limit("limit reached")
+
+    monkeypatch.setattr(cli, "_cmd_twist", exhausted)
+    code, out = run("twist", "-g", "2", "b2")
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {limit.__name__}: limit reached\n"
+
+
+def test_oversized_power_reaches_no_traceback_from_the_command_line():
+    src = os.path.dirname(os.path.dirname(lspacecert.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lspacecert.cli", "certify", "-g", "2", "-n",
+         "99999999999999999999"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: OverflowError: ")
+    assert "Traceback" not in proc.stderr

@@ -35,10 +35,6 @@ from oracles import (
 )
 
 S2 = standard_surface(2)
-SYS2 = standard_curve_system(2)
-A1, A2 = SYS2.alphas
-B1, B2 = SYS2.betas
-C = SYS2.c
 
 
 # ---------------------------------------------------------------------------
@@ -54,21 +50,22 @@ def test_wraparound_bigon_removed():
     assert reduce_cyclic((1, 4, 3, -1)) == (4, 3)
 
 
-def test_normalize_idempotent_on_system_curves():
-    for _, curve in SYS2.named():
+def test_normalize_idempotent_on_system_curves(sys2):
+    for _, curve in sys2.named():
         again = normalize(curve.word, S2)
         assert again.word == curve.word
 
 
-def test_normalize_accepts_token_text():
+def test_normalize_accepts_token_text(sys2):
+    c = sys2.c
     curve = normalize("e3+ e2+ e3- e2-", S2)
-    assert curve == C
-    assert parse_tokens(C.tokens(), S2) == C.word
+    assert curve == c
+    assert parse_tokens(c.tokens(), S2) == c.word
 
 
-def test_normalized_word_has_no_bigon():
+def test_normalized_word_has_no_bigon(sys2):
     # no cancelling adjacent pair, including around the wrap
-    for _, curve in SYS2.named():
+    for _, curve in sys2.named():
         w = curve.word
         for i in range(len(w)):
             assert w[i] != -w[(i + 1) % len(w)]
@@ -107,22 +104,27 @@ def test_reduction_matches_slow_reducer_up_to_rotation(letters):
     assert reduce_cyclic(fast) == fast
 
 
-def test_surgery_output_normalizes_to_the_pinned_example():
+def test_surgery_output_normalizes_to_the_pinned_example(sys2):
+    a1, _ = sys2.alphas
+    _, b2 = sys2.betas
+    c = sys2.c
     # one twist of b2 about c, before reduction, normalizes to a word
     # meeting a1 in 4 points; expected count frozen from the placement
     # oracle (and equal to iota(c, b2) squared)
-    raw = dehn_twist(B2, C, 1).word
+    raw = dehn_twist(b2, c, 1).word
     curve = normalize(raw, S2)
-    assert intersection_number(curve, A1) == 4
-    assert oracle_min_crossings(curve.word, A1.word, S2) == 4
+    assert intersection_number(curve, a1) == 4
+    assert oracle_min_crossings(curve.word, a1.word, S2) == 4
 
 
 # ---------------------------------------------------------------------------
 # simplicity
 
-def test_validate_simple_examples():
-    assert validate_simple(B2.word, S2)
-    assert validate_simple(C.word, S2)
+def test_validate_simple_examples(sys2):
+    _, b2 = sys2.betas
+    c = sys2.c
+    assert validate_simple(b2.word, S2)
+    assert validate_simple(c.word, S2)
     assert not validate_simple((), S2)
     assert not validate_simple((1, 2, 1, 2), S2)  # interleaved returns
     assert not validate_simple((1, 1), S2)  # proper power
@@ -144,26 +146,33 @@ def test_validate_simple_agrees_with_placement_oracle():
 # ---------------------------------------------------------------------------
 # isotopy
 
-def test_isotopy_basics():
-    assert is_isotopic(B2, B2)
-    assert not is_isotopic(A2, B2)
+def test_isotopy_basics(sys2):
+    _, a2 = sys2.alphas
+    _, b2 = sys2.betas
+    c = sys2.c
+    assert is_isotopic(b2, b2)
+    assert not is_isotopic(a2, b2)
     # rotation and reversal are the same unoriented curve
     rotated = normalize((2, -3, -2, 3), S2)
-    assert is_isotopic(rotated, C)
+    assert is_isotopic(rotated, c)
 
 
-def test_twist_about_disjoint_curve_is_identity():
-    assert is_isotopic(dehn_twist(B2, A1, 1), B2)
+def test_twist_about_disjoint_curve_is_identity(sys2):
+    a1, _ = sys2.alphas
+    _, b2 = sys2.betas
+    assert is_isotopic(dehn_twist(b2, a1, 1), b2)
 
 
-def test_inconsistent_crossing_order_is_a_typed_error_even_under_python_O(monkeypatch):
+def test_inconsistent_crossing_order_is_a_typed_error_even_under_python_O(sys2, monkeypatch):
+    a1, _ = sys2.alphas
+    b1, _ = sys2.betas
     # the second crossing's interval [0, 0] ends before the first one's slot 5
     def bad_order(surface, d, c):
         return [curves._Crossing(5, 0, 0, True, 1), curves._Crossing(0, 0, 0, True, 1)]
 
     monkeypatch.setattr(curves, "_crossing_order", bad_order)
     with pytest.raises(AnchorViolation):
-        dehn_twist(B1, A1)
+        dehn_twist(b1, a1)
     assert raises_under_python_O(
         """
         import lspacecert.curves as curves
@@ -270,30 +279,34 @@ def test_ray_side_matches_closure_oracle_randomized():
     assert seen == {"bound", "forward", "backward", "branch", "earlier"}
 
 
-def test_surface_mismatch_raised():
+def test_surface_mismatch_raised(sys2):
+    _, b2 = sys2.betas
     other = standard_curve_system(3)
     with pytest.raises(SurfaceMismatch):
-        is_isotopic(B2, other.betas[0])
+        is_isotopic(b2, other.betas[0])
     with pytest.raises(SurfaceMismatch):
-        intersection_number(B2, other.betas[0])
+        intersection_number(b2, other.betas[0])
 
 
 # ---------------------------------------------------------------------------
 # intersection numbers
 
-def test_anchor_intersections():
-    assert intersection_number(A2, B2) == 1
-    assert intersection_number(C, B2) == 2
-    assert intersection_number(C, A1) == 2
-    assert intersection_number(C, A2) == 0
-    assert intersection_number(C, B1) == 0
+def test_anchor_intersections(sys2):
+    a1, a2 = sys2.alphas
+    b1, b2 = sys2.betas
+    c = sys2.c
+    assert intersection_number(a2, b2) == 1
+    assert intersection_number(c, b2) == 2
+    assert intersection_number(c, a1) == 2
+    assert intersection_number(c, a2) == 0
+    assert intersection_number(c, b1) == 0
     sys3 = standard_curve_system(3)
     assert intersection_number(sys3.c, sys3.betas[0]) == 0
     assert intersection_number(sys3.c, sys3.alphas[0]) == 0
 
 
-def test_self_intersection_is_zero():
-    for _, curve in SYS2.named():
+def test_self_intersection_is_zero(sys2):
+    for _, curve in sys2.named():
         assert intersection_number(curve, curve) == 0
 
 
@@ -317,29 +330,35 @@ def test_intersection_matches_placement_oracle_randomized():
         checked += 1
 
 
-def test_twisted_family_against_oracle():
+def test_twisted_family_against_oracle(sys2):
+    _, a2 = sys2.alphas
     bn = beta_gn(2, 1)
-    assert intersection_number(bn, A2) == 1
-    assert oracle_min_crossings(bn.word, A2.word, S2) == 1
+    assert intersection_number(bn, a2) == 1
+    assert oracle_min_crossings(bn.word, a2.word, S2) == 1
 
 
 # ---------------------------------------------------------------------------
 # homology
 
-def test_homology_classes():
-    assert homology_class(C) == (0, 0, 0, 0)
-    assert homology_class(A1) == (1, 0, 0, 0)
-    assert homology_class(B1) == (0, 1, 0, 0)
-    assert homology_class(A2) == (0, 0, 1, 0)
-    assert homology_class(B2) == (0, 0, 0, 1)
+def test_homology_classes(sys2):
+    a1, a2 = sys2.alphas
+    b1, b2 = sys2.betas
+    c = sys2.c
+    assert homology_class(c) == (0, 0, 0, 0)
+    assert homology_class(a1) == (1, 0, 0, 0)
+    assert homology_class(b1) == (0, 1, 0, 0)
+    assert homology_class(a2) == (0, 0, 1, 0)
+    assert homology_class(b2) == (0, 0, 0, 1)
 
 
-def test_homology_canonical_sign():
+def test_homology_canonical_sign(sys2):
+    _, b2 = sys2.betas
     # reversal flips every crossing sign but not the reported class
-    rev = normalize(tuple(-x for x in reversed(B2.word)), S2)
-    assert homology_class(rev) == homology_class(B2)
+    rev = normalize(tuple(-x for x in reversed(b2.word)), S2)
+    assert homology_class(rev) == homology_class(b2)
 
 
-def test_twisting_about_nullhomologous_curve_fixes_class():
+def test_twisting_about_nullhomologous_curve_fixes_class(sys2):
+    _, b2 = sys2.betas
     for n in range(6):
-        assert homology_class(beta_gn(2, n)) == homology_class(B2)
+        assert homology_class(beta_gn(2, n)) == homology_class(b2)

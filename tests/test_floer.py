@@ -26,23 +26,21 @@ from oracles import (
     triangle_dims_realizable,
 )
 
-SYS2 = standard_curve_system(2)
-
 
 # ---------------------------------------------------------------------------
 # hf_rank
 
-def test_hf_rank_examples():
-    b2 = SYS2.betas[-1]
-    a1, a2 = SYS2.alphas
+def test_hf_rank_examples(sys2):
+    b2 = sys2.betas[-1]
+    a1, a2 = sys2.alphas
     assert hf_rank(b2, b2) == 2
     assert hf_rank(a1, beta_gn(2, 2)) == 8
     assert hf_rank(beta_gn(2, 2), a2) == 1
 
 
-def test_hf_rank_two_vs_intersection_zero():
+def test_hf_rank_two_vs_intersection_zero(sys2):
     # the isotopic case is rank 2 even though iota vanishes
-    b2 = SYS2.betas[-1]
+    b2 = sys2.betas[-1]
     assert intersection_number(b2, b2) == 0
     assert hf_rank(b2, b2) == 2
 
@@ -57,9 +55,9 @@ def test_hf_rank_symmetric_and_equal_to_iota_randomized(rng):
                 assert hf_rank(a, b) == intersection_number(a, b)
 
 
-def test_hf_rank_surface_mismatch():
+def test_hf_rank_surface_mismatch(sys2):
     with pytest.raises(SurfaceMismatch):
-        hf_rank(SYS2.betas[0], standard_curve_system(3).betas[0])
+        hf_rank(sys2.betas[0], standard_curve_system(3).betas[0])
 
 
 # ---------------------------------------------------------------------------

@@ -10,29 +10,35 @@ from lspacecert.curves import (
     is_isotopic,
     oriented_class,
 )
-from lspacecert.mcg import apply_word, beta_gn, standard_curve_system
+from lspacecert.mcg import apply_word, beta_gn
 
 from conftest import random_curve, random_twist_word
 
-SYS2 = standard_curve_system(2)
-A1, A2 = SYS2.alphas
-B1, B2 = SYS2.betas
-C = SYS2.c
+# every curve of the genus-2 system, by name
+SYSTEM_CURVES = pytest.mark.parametrize(
+    "name", ["a1", "a2", "b1", "b2", "c"], ids=["x0", "x1", "x2", "x3", "x4"]
+)
 
 
-def test_power_zero_is_identity():
-    assert dehn_twist(B2, C, 0) is B2
+def test_power_zero_is_identity(sys2):
+    _, b2 = sys2.betas
+    c = sys2.c
+    assert dehn_twist(b2, c, 0) is b2
 
 
-def test_twist_of_own_core_is_identity():
-    assert is_isotopic(dehn_twist(C, C, 3), C)
+def test_twist_of_own_core_is_identity(sys2):
+    c = sys2.c
+    assert is_isotopic(dehn_twist(c, c, 3), c)
 
 
-def test_square_identity_pinned_cases():
+def test_square_identity_pinned_cases(sys2):
+    a1, a2 = sys2.alphas
+    _, b2 = sys2.betas
+    c = sys2.c
     # iota(t_c(b2), b2) = iota(c, b2)^2 = 4
-    assert intersection_number(dehn_twist(B2, C, 1), B2) == 4
-    assert intersection_number(dehn_twist(B2, A2, 1), B2) == 1
-    assert intersection_number(dehn_twist(A1, C, 1), A1) == 4
+    assert intersection_number(dehn_twist(b2, c, 1), b2) == 4
+    assert intersection_number(dehn_twist(b2, a2, 1), b2) == 1
+    assert intersection_number(dehn_twist(a1, c, 1), a1) == 4
 
 
 def test_square_identity_randomized(rng):
@@ -64,24 +70,31 @@ def test_power_additivity(rng):
         assert is_isotopic(two_step, dehn_twist(b, a, m + k))
 
 
-def test_inverse_twist_undoes():
-    t = dehn_twist(B2, C, 3)
-    assert is_isotopic(dehn_twist(t, C, -3), B2)
+def test_inverse_twist_undoes(sys2):
+    _, b2 = sys2.betas
+    c = sys2.c
+    t = dehn_twist(b2, c, 3)
+    assert is_isotopic(dehn_twist(t, c, -3), b2)
 
 
-@pytest.mark.parametrize("x", [A1, A2, B1, B2, C])
-def test_disjoint_twists_commute(x):
+@SYSTEM_CURVES
+def test_disjoint_twists_commute(sys2, name):
+    a1, a2 = sys2.alphas
+    x = dict(sys2.named())[name]
     # iota(a1, a2) = 0
-    lhs = dehn_twist(dehn_twist(x, A2, 1), A1, 1)
-    rhs = dehn_twist(dehn_twist(x, A1, 1), A2, 1)
+    lhs = dehn_twist(dehn_twist(x, a2, 1), a1, 1)
+    rhs = dehn_twist(dehn_twist(x, a1, 1), a2, 1)
     assert is_isotopic(lhs, rhs)
 
 
-@pytest.mark.parametrize("x", [A1, A2, B1, B2, C])
-def test_braid_relation_on_once_crossing_pair(x):
+@SYSTEM_CURVES
+def test_braid_relation_on_once_crossing_pair(sys2, name):
+    _, a2 = sys2.alphas
+    _, b2 = sys2.betas
+    x = dict(sys2.named())[name]
     # iota(a2, b2) = 1: t_a t_b t_a = t_b t_a t_b as actions
-    lhs = dehn_twist(dehn_twist(dehn_twist(x, A2, 1), B2, 1), A2, 1)
-    rhs = dehn_twist(dehn_twist(dehn_twist(x, B2, 1), A2, 1), B2, 1)
+    lhs = dehn_twist(dehn_twist(dehn_twist(x, a2, 1), b2, 1), a2, 1)
+    rhs = dehn_twist(dehn_twist(dehn_twist(x, b2, 1), a2, 1), b2, 1)
     assert is_isotopic(lhs, rhs)
 
 
