@@ -1,6 +1,6 @@
 """Command line front end and certificate emission."""
 import argparse
-import concurrent.futures
+import concurrent.futures  # loads the process pool, and multiprocessing, on first use
 import json
 import sys
 from importlib import resources
@@ -101,7 +101,10 @@ def certificate_schema():
 def _parse_range(text):
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
+        lo, hi = int(lo), int(hi)
+        if hi < lo:
+            raise ValueError(f"empty range {text!r}: {hi} < {lo}")
+        return range(lo, hi + 1)
     v = int(text)
     return range(v, v + 1)
 
@@ -176,9 +179,13 @@ def _sweep_one(task):
 
 
 def _cmd_sweep(args, out):
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     tasks = [(g, n) for g in _parse_range(args.genus) for n in _parse_range(args.n)]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork-started pool forks all its workers at once: no more than tasks
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, tasks))
     else:
         results = [_sweep_one(t) for t in tasks]

@@ -60,23 +60,56 @@ def rotate_word(word, k):
     return word[k:] + word[:k]
 
 
+def _least_rotation(word):
+    """Lexicographically least rotation of a word, by Booth's algorithm.
+
+    K. S. Booth, "Lexicographically least circular substrings" (1980):
+    one failure-function pass over the doubled word, O(L) comparisons.
+    """
+    s = word + word
+    fail = [-1] * len(s)
+    k = 0  # start of the least rotation found so far
+    for j in range(1, len(s)):
+        x = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and x != s[k + i + 1]:
+            if x < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if x != s[k + i + 1]:  # here i == -1
+            if x < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return s[k:k + len(word)]
+
+
 def canonical_form(word):
     """Least rotation of the word or of its inverse, as unoriented curves."""
     if not word:
         return ()
-    best = min(rotate_word(word, k) for k in range(len(word)))
-    inv = inverse_word(word)
-    best_inv = min(rotate_word(inv, k) for k in range(len(inv)))
-    return min(best, best_inv)
+    return min(_least_rotation(word), _least_rotation(inverse_word(word)))
 
 
 def is_primitive(word):
-    """True unless the cyclic word is a proper power."""
+    """True unless the cyclic word is a proper power.
+
+    The smallest period of the word is L minus its longest proper border,
+    read off the KMP failure function; the word is u^k with k >= 2
+    exactly when that period is less than L and divides L.
+    """
     n = len(word)
-    for d in range(1, n):
-        if n % d == 0 and word == rotate_word(word, d):
-            return False
-    return True
+    border = [0] * n
+    i = 0
+    for j in range(1, n):
+        while i and word[j] != word[i]:
+            i = border[i - 1]
+        if word[j] == word[i]:
+            i += 1
+        border[j] = i
+    period = n - (border[-1] if n else 0)
+    return period == n or n % period != 0
 
 
 # ---------------------------------------------------------------------------
@@ -151,23 +184,38 @@ def _crossings(surface, a, b):
     anchored at the first axis vertex it meets, so each geometric
     crossing is listed exactly once, and the axis itself (j == m when
     a == b) is skipped because it passes the previous vertex.
+
+    The lift's two rays leave the vertex along b[j] and -b[j-1].  A ray
+    whose first letter is not the axis's forward letter a[m] shares no
+    edge with the axis (the skip rules out its backward letter), so its
+    side is where that letter sits between a[m] and -a[m-1], which is
+    the comparison that ends ``_ray_side``.  Only a ray that starts
+    along a[m] walks.
     """
     p, q = len(a), len(b)
     a_inv, b_inv = inverse_word(a), inverse_word(b)
     cap = p + q + _WALK_MARGIN
+    pos = surface._pos
+    n = len(surface.boundary_order)
+    # phase, forward and backward letter of a lift of b, and their germs
+    ends = [(j, b[j], -b[j - 1], pos[b[j]], pos[-b[j - 1]]) for j in range(q)]
     out = []
     for m in range(p):
-        back = -a[(m - 1) % p]
-        for j in range(q):
-            if back == b[j] or back == -b[(j - 1) % q]:
+        f, back = a[m], -a[m - 1]
+        pf = pos[f]
+        db = (pos[back] - pf) % n
+        for j, x, y, px, py in ends:
+            if back == x or back == y:
                 continue  # lift also passes the previous axis vertex
-            side_fwd, fol_fwd = _ray_side(surface, a, a_inv, m, b, j, cap)
-            side_back, fol_back = _ray_side(surface, a, a_inv, m, b_inv, q - j, cap)
-            if side_fwd == side_back:
-                continue
-            aligned = b[j] == a[m % p]
-            k = fol_fwd if aligned else fol_back
-            out.append(_Crossing(m, j, k, aligned, side_fwd))
+            k = 0
+            side_fwd = 1 if (px - pf) % n < db else -1
+            side_back = 1 if (py - pf) % n < db else -1
+            if f == x:  # the forward ray starts along the axis
+                side_fwd, k = _ray_side(surface, a, a_inv, m, b, j, cap)
+            elif f == y:  # the backward ray does
+                side_back, k = _ray_side(surface, a, a_inv, m, b_inv, q - j, cap)
+            if side_fwd != side_back:
+                out.append(_Crossing(m, j, k, f == x, side_fwd))
     return out
 
 

@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the tests.
 
 Each oracle recomputes something the package also computes, by a method
-that shares no code with it: intersection numbers by exhaustive search
+that shares no code with it: least rotations and primitivity by
+comparing every rotation, intersection numbers by exhaustive search
 over chord diagram placements, ray sides in the dual tree by one
 coasting loop per direction over a letter closure, Alexander polynomials
 from a Seifert matrix by permutation expansion, homological actions as
@@ -13,6 +14,29 @@ import itertools
 import random
 
 from lspacecert.errors import WalkBoundExceeded
+
+
+# ---------------------------------------------------------------------------
+# cyclic words, one rotation at a time
+
+def _rotations(word):
+    return [word[k:] + word[:k] for k in range(len(word))]
+
+
+def oracle_canonical_form(word):
+    """Least rotation of the word or of its inverse, over all rotations."""
+    if not word:
+        return ()
+    inverse = tuple(-x for x in reversed(word))
+    return min(_rotations(word) + _rotations(inverse))
+
+
+def oracle_is_primitive(word):
+    """True unless some proper divisor d of L has word == its d-rotation."""
+    n = len(word)
+    return not any(
+        n % d == 0 and word == word[d:] + word[:d] for d in range(1, n)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,54 @@ def test_sweep_parallel_jobs():
     assert "3 certificates, 0 mismatches" in out
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swaps sweep's process pool for an in-process map and returns the
+    max_workers of every pool sweep asks for, so no test forks workers."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
+    return sizes
+
+
+def test_sweep_pool_is_no_larger_than_its_tasks(pool_sizes):
+    code, out = run("sweep", "-g", "2", "-n", "0..2", "--jobs", "5000")
+    assert code == 0 and "3 certificates, 0 mismatches" in out
+    assert pool_sizes == [3]
+    # one task needs no pool at all
+    code, out = run("sweep", "-g", "2", "-n", "0", "--jobs", "5000")
+    assert code == 0 and "1 certificates, 0 mismatches" in out
+    assert pool_sizes == [3]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_job(jobs, pool_sizes, capsys):
+    code, out = run("sweep", "-g", "2", "-n", "0..1", "--jobs", jobs)
+    assert code == 1 and out == "" and pool_sizes == []
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["-g", "-n"])
+def test_sweep_empty_range_exits_one(flag, capsys):
+    ranges = {"-g": "2", "-n": "0..1", flag: "5..2"}
+    code, out = run("sweep", "-g", ranges["-g"], "-n", ranges["-n"])
+    assert code == 1 and out == ""
+    assert "empty range '5..2'" in capsys.readouterr().err
+
+
 def test_sweep_mismatch_exits_two(monkeypatch):
     real = certify
 

@@ -11,6 +11,7 @@ from lspacecert.curves import (
     homology_class,
     intersection_number,
     is_isotopic,
+    is_primitive,
     normalize,
     parse_tokens,
     reduce_cyclic,
@@ -23,11 +24,13 @@ from lspacecert.errors import (
     SurfaceMismatch,
     WalkBoundExceeded,
 )
-from lspacecert.mcg import beta_gn, standard_curve_system
+from lspacecert.mcg import apply_word, beta_gn, monodromy_psi, standard_curve_system
 from lspacecert.surface import standard_surface
 
 from conftest import random_curve, raises_under_python_O
 from oracles import (
+    oracle_canonical_form,
+    oracle_is_primitive,
     oracle_is_simple,
     oracle_min_crossings,
     oracle_ray_side,
@@ -93,6 +96,47 @@ def test_normalize_rejects_non_simple():
 def test_normalize_rejects_unknown_arcs():
     with pytest.raises(ValueError):
         normalize((9,), S2)
+
+
+def _normal_form_words(rng):
+    """Words that exercise the least-rotation and period searches."""
+    letters = [1, -1, 2, -2, 3, -3]
+    for size in (1, 2, 3):
+        for length in range(1, 21):
+            for _ in range(4):
+                alphabet = rng.sample(letters, size)
+                yield tuple(rng.choice(alphabet) for _ in range(length))
+    for _ in range(200):  # proper powers w^k and near-powers w^k x
+        root = tuple(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+        power = root * rng.randint(2, 5)
+        yield power
+        yield power + (rng.choice(letters),)
+    for x in letters:  # single-letter and all-equal words
+        for length in (1, 2, 3, 7, 12):
+            yield (x,) * length
+    for k in range(1, 12):  # repeated near-minimal runs
+        yield (1, 1, 2) * k + (1, 1, 1)
+        yield (1, 1, 1) + (1, 1, 2) * k
+        yield (-1, -1, 2) * k + (-1, -1, -1, 2)
+        yield (1, 2) * k + (1, 1)
+    for g in range(2, 6):
+        for _, curve in standard_curve_system(g).named():
+            yield curve.word
+    psi = monodromy_psi(2)
+    for n in range(11):
+        bn = beta_gn(2, n)
+        yield bn.word
+        yield apply_word(psi, bn).word
+
+
+def test_normal_forms_match_rotation_oracles():
+    rng = random.Random(8080)
+    powers = 0
+    for w in _normal_form_words(rng):
+        assert canonical_form(w) == oracle_canonical_form(w), w
+        assert is_primitive(w) == oracle_is_primitive(w), w
+        powers += not oracle_is_primitive(w)
+    assert powers > 300  # over two fifths of the words are proper powers
 
 
 @settings(max_examples=150, deadline=None)
