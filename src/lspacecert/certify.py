@@ -1,10 +1,13 @@
 """Replayable derivation certificates for the twisted monodromy family.
 
-A certificate is an ordered list of typed steps.  Rank facts are
-recomputed from crossing words by the curve kernel every time a
+A certificate is an ordered list of typed steps.  Every n-dependent rank
+fact is recomputed from crossing words by the curve kernel each time a
 certificate is built, and each one is checked against its pinned value;
 a kernel regression or a corrupted curve table therefore aborts the
 derivation with AnchorViolation instead of producing a wrong proof.
+The genus-only block (the base bound, ``derive_base_bound``) is derived
+and checked once per genus per process and spliced into every
+certificate of that genus; a build that fails its checks is not cached.
 Triangle steps apply the exact-triangle bound to earlier steps, and
 arithmetic steps track the inequality chain whose end is the final
 bound 16n^2 - 5 on the rank in Alexander grading 1 - g.  The verdict
@@ -13,13 +16,21 @@ compares that bound against the staircase cap of one.
 Curves appearing in rank facts are named only by expressions of the
 command language (``a1``, ``B[2,3]``, ``psi(b2)``, ...): ``certify``
 evaluates every cited expression through the DSL, so verifying a
-certificate is rerunning ``certify`` and comparing the result.
+certificate is rerunning ``certify`` and comparing the result: the rerun
+re-evaluates every n-dependent fact and reuses the checked base block.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .curves import is_isotopic
 from .dsl import curve_from_text
-from .errors import AnchorViolation, BudgetExceeded, GenusTooSmall, NegativePower
+from .errors import (
+    AnchorViolation,
+    BudgetExceeded,
+    GenusTooSmall,
+    MalformedInput,
+    NegativePower,
+)
 from .floer import (
     RankInterval,
     Verdict,
@@ -169,16 +180,42 @@ class _Builder:
             KIND_TRIANGLE, label, (f"step:{a.index}", f"step:{c.index}"), out, anchor
         )
 
+    def splice(self, steps):
+        """Append a block built by another builder, moving its indices and
+        ``step:k`` inputs up by the current length; returns its last step."""
+        offset = len(self.steps)
+        for s in steps:
+            inputs = tuple(
+                f"step:{int(ref[5:]) + offset}" if ref.startswith("step:") else ref
+                for ref in s.inputs
+            )
+            self.steps.append(replace(s, index=s.index + offset, inputs=inputs))
+        return self.steps[-1]
 
-def _base_bound_steps(builder, g):
-    """The genus-only part: rank of the untwisted reference group is at most 2.
 
-    Three steps.  The image of b_g under the base monodromy meets b_g in
-    one point (recomputed), the untwisted surgered knot is the torus knot
-    whose staircase carries rank one in grading 1-g (recomputed from the
+def _check_int(name, value):
+    # type, not isinstance: a bool is an int, and True must not pass as 1
+    if type(value) is not int:
+        raise MalformedInput(f"{name} must be an int, got {value!r}")
+
+
+# typed: only then does the documented contract give 2.0 and True keys of
+# their own, so they reach the type check instead of the entries of 2 and 1
+@lru_cache(maxsize=None, typed=True)
+def derive_base_bound(g):
+    """The genus-only block: rk HFK(Y, K; 1-g) in [0, 2], as three steps.
+
+    The image of b_g under the base monodromy meets b_g in one point
+    (recomputed), the untwisted surgered knot is the torus knot whose
+    staircase carries rank one in grading 1-g (recomputed from the
     monodromy's own Alexander polynomial), and the surgery triangle then
-    bounds the reference rank by their sum.
+    bounds the reference rank by their sum.  Cached per genus; a build
+    that fails a check raises and is not cached.
     """
+    _check_int("genus", g)
+    if g < 2:
+        raise GenusTooSmall(f"genus {g} < 2")
+    builder = _Builder(g)
     s_iota = builder.rank_fact(f"b{g}", f"psi(b{g})", 1)
     stair = staircase_from_alexander(alexander_polynomial(monodromy_phi(g, 0)))
     base_rank = lspace_profile(stair).rank_at(1 - g)
@@ -191,30 +228,24 @@ def _base_bound_steps(builder, g):
         RankInterval.exactly(1),
         "fact.base-knot",
     )
-    s_base = builder.triangle(
+    builder.triangle(
         f"rk HFK(Y, K; {1 - g}) bounded via the surgery triangle over b{g}",
         s_k0,
         s_iota,
         "axiom.surgery-triangle",
     )
-    return s_iota, s_k0, s_base
-
-
-def derive_base_bound(g):
-    """Standalone derivation of rk HFK(Y, K; 1-g) in [0, 2]."""
-    if g < 2:
-        raise GenusTooSmall(f"genus {g} < 2")
-    builder = _Builder(g)
-    _base_bound_steps(builder, g)
     return tuple(builder.steps)
 
 
 def certify(g, n):
     """Build the full certificate for the n-twisted genus-g knot.
 
-    Every curve-level number is recomputed by the kernel; the returned
-    steps deterministically replay to the same certificate.
+    Every n-dependent curve-level number is recomputed by the kernel and
+    the checked base block of genus g is spliced in; the returned steps
+    deterministically replay to the same certificate.
     """
+    _check_int("genus", g)
+    _check_int("n", n)
     if g < 2:
         raise GenusTooSmall(f"genus {g} < 2")
     if n < 0:
@@ -280,7 +311,7 @@ def certify(g, n):
         "arith.chain",
     )
 
-    _, _, s_base = _base_bound_steps(builder, g)
+    s_base = builder.splice(derive_base_bound(g))
 
     s_target = builder.triangle(
         f"rk HFK(S3, K{n}; {1 - g})", s_x1, s_base, "axiom.surgery-triangle"

@@ -13,7 +13,7 @@ from .certify import (
 )
 from .curves import intersection_number
 from .dsl import curve_from_text
-from .errors import AnchorViolation, WorkbenchError
+from .errors import AnchorViolation, MalformedInput, WorkbenchError
 from .floer import (
     RankInterval,
     Verdict,
@@ -83,10 +83,14 @@ def replay_json(text):
 
     Only the (genus, n) pair is trusted; everything else is recomputed,
     so comparing the emission of the result against the input is a full
-    integrity check.
+    integrity check.  A document that is not an object, or whose genus or
+    n is missing or not an int, raises MalformedInput.
     """
     data = json.loads(text)
-    return certify(data["genus"], data["n"])
+    if not isinstance(data, dict):
+        raise MalformedInput(f"a certificate is a JSON object, got {type(data).__name__}")
+    # a missing key reaches certify as None and fails its int check
+    return certify(data.get("genus"), data.get("n"))
 
 
 def certificate_schema():

@@ -86,7 +86,8 @@ class _Parser:
         if allow_negative and self.i < len(self.text) and self.text[self.i] == "-":
             self.i += 1
         digits = self.i
-        while self.i < len(self.text) and self.text[self.i].isdigit():
+        # ASCII only: str.isdigit also accepts "²", which int() rejects
+        while self.i < len(self.text) and "0" <= self.text[self.i] <= "9":
             self.i += 1
         if self.i == digits:
             self.i = start

@@ -25,6 +25,10 @@ class NegativePower(WorkbenchError):
     """A twisting power that must be nonnegative was negative."""
 
 
+class MalformedInput(WorkbenchError):
+    """An argument or a document has the wrong type or shape."""
+
+
 class NotLSpaceForm(WorkbenchError):
     """A polynomial is not of the shape a staircase can produce."""
 

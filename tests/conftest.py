@@ -7,7 +7,8 @@ import textwrap
 import pytest
 
 import lspacecert
-from lspacecert import mcg
+from lspacecert import mcg, surface
+from lspacecert.certify import derive_base_bound
 from lspacecert.mcg import TwistWord, apply_word, standard_curve_system
 
 
@@ -44,15 +45,22 @@ def sys2():
     return standard_curve_system(2)
 
 
+def clear_genus_caches():
+    """Empty every per-genus cache of the package: surface, curve system,
+    pairing and base block."""
+    surface.standard_surface.cache_clear()
+    mcg.standard_curve_system.cache_clear()
+    mcg.symplectic_form.cache_clear()
+    derive_base_bound.cache_clear()
+
+
 @pytest.fixture
 def fresh_system_caches():
-    """Empty the per-genus system and pairing caches around the test, so it
-    builds (or fails to build) the standard system itself."""
-    mcg.standard_curve_system.cache_clear()
-    mcg.symplectic_form.cache_clear()
+    """Empty the per-genus caches around the test, so it builds (or fails
+    to build) the standard system and the base block itself."""
+    clear_genus_caches()
     yield
-    mcg.standard_curve_system.cache_clear()
-    mcg.symplectic_form.cache_clear()
+    clear_genus_caches()
 
 
 def raises_under_python_O(body, error):

@@ -1,8 +1,11 @@
+import collections
 import dataclasses
 import importlib
+import io
 
 import pytest
 
+import lspacecert.cli as cli
 import lspacecert.dsl as dsl
 import lspacecert.mcg as mcg
 from lspacecert.certify import (
@@ -19,11 +22,16 @@ from lspacecert.errors import (
     AnchorViolation,
     BudgetExceeded,
     GenusTooSmall,
+    MalformedInput,
     NegativePower,
 )
 from lspacecert.floer import RankInterval, Verdict, hf_rank, triangle_propagate
+from lspacecert.poly import parse_poly
 
-from conftest import raises_under_python_O
+from conftest import clear_genus_caches, raises_under_python_O
+
+# the package re-exports the function certify, which shadows the module
+certify_module = importlib.import_module("lspacecert.certify")
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +47,63 @@ def test_base_bound_is_zero_two_for_every_genus(g):
     assert torus_fact.output == RankInterval.exactly(1)
     assert triangle.kind == KIND_TRIANGLE
     assert triangle.output == RankInterval(0, 2)
+
+
+def test_base_block_is_spliced_at_steps_14_to_16():
+    for g in range(2, 6):
+        shifted = [
+            dataclasses.replace(
+                s,
+                index=s.index + 14,
+                inputs=tuple(
+                    f"step:{int(r.split(':')[1]) + 14}" if r.startswith("step:") else r
+                    for r in s.inputs
+                ),
+            )
+            for s in derive_base_bound(g)
+        ]
+        assert [s.inputs for s in shifted] == [
+            (f"curve:b{g}", f"curve:psi(b{g})"),
+            (f"curve:phi[0](b{g})",),
+            ("step:15", "step:14"),
+        ]
+        for n in range(4):
+            assert list(certify(g, n).steps[14:17]) == shifted
+
+
+def test_genus_work_runs_once_per_genus_and_matches_a_cold_build(
+    monkeypatch, fresh_system_caches
+):
+    calls = collections.Counter()
+    real = certify_module.alexander_polynomial
+
+    def counting(phi):
+        calls[phi.factors[0][0].surface.genus] += 1
+        return real(phi)
+
+    monkeypatch.setattr(certify_module, "alexander_polynomial", counting)
+    emitted = {}
+    for g in range(2, 5):
+        for n in range(15):
+            out = io.StringIO()
+            assert cli.main(["certify", "-g", str(g), "-n", str(n), "--json"], out) == 0
+            blob = out.getvalue()
+            replayed = cli.replay_json(blob)
+            assert cli.emit_certificate(replayed, "json") == blob
+            assert verify_certificate(replayed)
+            emitted[g, n] = blob
+    assert calls == {2: 1, 3: 1, 4: 1}
+    # the oracle: each certificate built again with every cache empty
+    for (g, n), blob in emitted.items():
+        clear_genus_caches()
+        assert cli.emit_certificate(certify(g, n), "json") == blob
+
+
+@pytest.mark.parametrize("g", [2.0, True, "2", None])
+def test_base_bound_rejects_a_genus_that_is_not_an_int(g):
+    derive_base_bound(2)  # a cached genus 2 must not answer for 2.0
+    with pytest.raises(MalformedInput):
+        derive_base_bound(g)
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +133,30 @@ def test_certify_rejects_bad_arguments():
         certify(1, 1)
     with pytest.raises(NegativePower):
         certify(2, -1)
+
+
+@pytest.mark.parametrize("g, n", [(2.0, 1), (True, 1), (2, 1.0), (2, True), (2, "1")])
+def test_certify_rejects_arguments_that_are_not_ints(g, n):
+    certify(2, 1)
+    with pytest.raises(MalformedInput):
+        certify(g, n)
+
+
+def test_non_int_arguments_are_a_typed_error_even_under_python_O():
+    assert raises_under_python_O(
+        """
+        from lspacecert.certify import certify, derive_base_bound
+        derive_base_bound(2)
+        for bad in ((lambda: derive_base_bound(2.0)), (lambda: certify(True, 1))):
+            try:
+                bad()
+            except MalformedInput:
+                continue
+            raise SystemExit(1)
+        certify(2, 1.0)
+        """,
+        "MalformedInput",
+    )
 
 
 def test_certificate_step_structure():
@@ -126,8 +215,6 @@ def test_bounds_are_read_off_the_steps_they_cite():
 
 
 def test_chain_bound_that_disagrees_with_its_label_is_a_typed_error(monkeypatch):
-    # the package re-exports the function certify, which shadows the module
-    certify_module = importlib.import_module("lspacecert.certify")
     widened = lambda a, c: RankInterval(
         triangle_propagate(a, c).lo, triangle_propagate(a, c).hi + 1
     )
@@ -211,6 +298,19 @@ def test_anchor_tripwire_on_corrupted_curve_table(monkeypatch, fresh_system_cach
     assert "iota(c," in str(exc.value)
     monkeypatch.undo()
     # a failed build is not cached, so the real table is rebuilt
+    assert certify(2, 1).final_bound == 11
+
+
+def test_base_block_tripwire_bites_through_the_cache(monkeypatch, fresh_system_caches):
+    # the unknot has rank zero in grading -1, so only the genus-only block is
+    # wrong; a genus-2 block cached by an earlier test would hide it unless
+    # the fixture empties the cache
+    monkeypatch.setattr(certify_module, "alexander_polynomial", lambda phi: parse_poly("1"))
+    with pytest.raises(AnchorViolation) as exc:
+        certify(2, 1)
+    assert exc.value.fact == "rk HFK(S3, K0; -1)"
+    monkeypatch.undo()
+    # the failed build was not cached
     assert certify(2, 1).final_bound == 11
 
 

@@ -14,7 +14,7 @@ import lspacecert.curves as curves
 from lspacecert.certify import certify
 from lspacecert.cli import certificate_schema, emit_certificate, main, replay_json
 from lspacecert.dsl import _Parser
-from lspacecert.errors import AnchorViolation
+from lspacecert.errors import AnchorViolation, MalformedInput
 from lspacecert.floer import Verdict
 
 from conftest import raises_under_python_O
@@ -93,6 +93,30 @@ def test_emission_is_deterministic_and_replays():
     replayed = replay_json(blob)
     assert emit_certificate(replayed, "json") == blob
     assert replayed.verdict is cert.verdict
+
+
+@pytest.mark.parametrize(
+    "text", ['{"n": 1}', '{"genus": 2}', '{"genus": 2, "n": "1"}', '{"genus": 2.0, "n": 1}', "[1]"]
+)
+def test_replay_of_a_malformed_document_is_a_typed_error(text):
+    with pytest.raises(MalformedInput):
+        replay_json(text)
+
+
+def test_replay_of_a_malformed_document_is_a_typed_error_even_under_python_O():
+    assert raises_under_python_O(
+        """
+        from lspacecert.cli import replay_json
+        for text in ('{"n": 1}', '{"genus": 2, "n": "1"}'):
+            try:
+                replay_json(text)
+            except MalformedInput:
+                continue
+            raise SystemExit(1)
+        replay_json("[1]")
+        """,
+        "MalformedInput",
+    )
 
 
 def test_validate_command():

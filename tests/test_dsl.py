@@ -97,6 +97,12 @@ def test_parser_totality_fuzz(text):
         pass
 
 
+@pytest.mark.parametrize("text", ["a\u00b2", "a\u0663", "B[2,\u00b9]"])
+def test_non_ascii_digits_are_a_syntax_error(text):
+    with pytest.raises(ExprSyntaxError):
+        parse_expression(text, 2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.text(alphabet="abcBTpsi()[]^,0123456789- ", max_size=16))
 def test_parser_totality_fuzz_token_soup(text):
