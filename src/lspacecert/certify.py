@@ -199,9 +199,6 @@ def _check_int(name, value):
         raise MalformedInput(f"{name} must be an int, got {value!r}")
 
 
-# typed: only then does the documented contract give 2.0 and True keys of
-# their own, so they reach the type check instead of the entries of 2 and 1
-@lru_cache(maxsize=None, typed=True)
 def derive_base_bound(g):
     """The genus-only block: rk HFK(Y, K; 1-g) in [0, 2], as three steps.
 
@@ -210,11 +207,18 @@ def derive_base_bound(g):
     staircase carries rank one in grading 1-g (recomputed from the
     monodromy's own Alexander polynomial), and the surgery triangle then
     bounds the reference rank by their sum.  Cached per genus; a build
-    that fails a check raises and is not cached.
+    that fails a check raises and is not cached.  The genus is checked
+    before the cache sees it, so a genus that is not an int (unhashable
+    ones included) raises MalformedInput.
     """
     _check_int("genus", g)
     if g < 2:
         raise GenusTooSmall(f"genus {g} < 2")
+    return _base_block(g)
+
+
+@lru_cache(maxsize=None)
+def _base_block(g):
     builder = _Builder(g)
     s_iota = builder.rank_fact(f"b{g}", f"psi(b{g})", 1)
     stair = staircase_from_alexander(alexander_polynomial(monodromy_phi(g, 0)))
@@ -235,6 +239,10 @@ def derive_base_bound(g):
         "axiom.surgery-triangle",
     )
     return tuple(builder.steps)
+
+
+# callers that empty the per-genus caches reach this one by its public name
+derive_base_bound.cache_clear = _base_block.cache_clear
 
 
 def certify(g, n):
@@ -378,8 +386,12 @@ def cross_validate(g, n, budget=50_000):
     Computes iota(B[g,n], psi(B[g,n])) on crossing words, checks the two
     curves are not isotopic, and compares against the derived lower bound
     16n^2 - 3.  The product of the two word lengths must stay within
-    ``budget``.
+    ``budget``.  A genus, n or budget that is not an int raises
+    MalformedInput.
     """
+    _check_int("genus", g)
+    _check_int("n", n)
+    _check_int("budget", budget)
     if g < 2:
         raise GenusTooSmall(f"genus {g} < 2")
     if n < 1:

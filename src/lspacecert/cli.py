@@ -1,9 +1,11 @@
 """Command line front end and certificate emission."""
 import argparse
 import concurrent.futures  # loads the process pool, and multiprocessing, on first use
+import functools
 import json
 import sys
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _q
 
 from .certify import (
     KIND_CONCLUSION,
@@ -31,10 +33,16 @@ def emit_certificate(cert, fmt="text"):
     order, no timestamps.  In JSON, step outputs are {lo, hi} intervals
     (hi null when unbounded; arithmetic bound values appear as degenerate
     intervals and may be negative) except for the conclusion, which is
-    {verdict}.
+    {verdict}.  The JSON is written from a fixed template, byte for byte
+    what ``json.dumps(..., indent=2)`` gives for the same fields; the
+    tests hold it to that oracle.  A certificate whose last step is not
+    the conclusion raises AnchorViolation in either format.
     """
+    last = cert.steps[-1].kind if cert.steps else None
+    if last != KIND_CONCLUSION:
+        raise AnchorViolation("kind of the last step", KIND_CONCLUSION, last)
     if fmt == "json":
-        return json.dumps(_cert_dict(cert), indent=2) + "\n"
+        return _json_certificate(cert)
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     lines = [f"certificate genus={cert.genus} n={cert.n}"]
@@ -42,40 +50,62 @@ def emit_certificate(cert, fmt="text"):
         out = s.output
         shown = out.value if isinstance(out, Verdict) else str(out)
         lines.append(f"[{s.index:02d}] {s.kind:<21} {s.label} -> {shown}")
-    final = cert.steps[-1]
-    if final.kind != KIND_CONCLUSION:
-        raise AnchorViolation("kind of the last step", KIND_CONCLUSION, final.kind)
-    lines.append(f"final bound: {final.label}")
+    lines.append(f"final bound: {cert.steps[-1].label}")
     return "\n".join(lines) + "\n"
 
 
-def _output_dict(out):
+# The JSON template: json.dumps(indent=2) takes its pure-Python encoder,
+# so the certificate's fixed shape is written directly.  Every string goes
+# through the C escaper json.dumps itself uses under ensure_ascii.
+
+def _json_int(v):
+    return "null" if v is None else str(v)
+
+
+def _json_output(out):
     if isinstance(out, Verdict):
-        return {"verdict": out.value}
-    if isinstance(out, RankInterval):
-        return {"lo": out.lo, "hi": out.hi}
-    return {"lo": out, "hi": out}
+        return f'{{\n        "verdict": {_q(out.value)}\n      }}'
+    lo, hi = (out.lo, out.hi) if isinstance(out, RankInterval) else (out, out)
+    return (
+        f'{{\n        "lo": {_json_int(lo)},\n'
+        f'        "hi": {_json_int(hi)}\n      }}'
+    )
 
 
-def _cert_dict(cert):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "genus": cert.genus,
-        "n": cert.n,
-        "steps": [
-            {
-                "index": s.index,
-                "kind": s.kind,
-                "label": s.label,
-                "inputs": list(s.inputs),
-                "output": _output_dict(s.output),
-                "citation": {"anchor": s.citation.anchor, "quote": s.citation.quote},
-            }
-            for s in cert.steps
-        ],
-        "final_bound": cert.final_bound,
-        "verdict": cert.verdict.value,
-    }
+def _json_step(s):
+    inputs = (
+        "[\n        " + ",\n        ".join(map(_q, s.inputs)) + "\n      ]"
+        if s.inputs
+        else "[]"
+    )
+    return (
+        f'    {{\n'
+        f'      "index": {s.index},\n'
+        f'      "kind": {_q(s.kind)},\n'
+        f'      "label": {_q(s.label)},\n'
+        f'      "inputs": {inputs},\n'
+        f'      "output": {_json_output(s.output)},\n'
+        f'      "citation": {{\n'
+        f'        "anchor": {_q(s.citation.anchor)},\n'
+        f'        "quote": {_q(s.citation.quote)}\n'
+        f'      }}\n'
+        f'    }}'
+    )
+
+
+def _json_certificate(cert):
+    # emit_certificate has checked the conclusion, so there is a step
+    steps = ",\n".join(map(_json_step, cert.steps))
+    return (
+        f'{{\n'
+        f'  "schema_version": {SCHEMA_VERSION},\n'
+        f'  "genus": {cert.genus},\n'
+        f'  "n": {cert.n},\n'
+        f'  "steps": [\n{steps}\n  ],\n'
+        f'  "final_bound": {cert.final_bound},\n'
+        f'  "verdict": {_q(cert.verdict.value)}\n'
+        f'}}\n'
+    )
 
 
 def replay_json(text):
@@ -207,7 +237,10 @@ def _cmd_sweep(args, out):
     return 2 if mismatches else 0
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built on the first call and reused: the command
+    function is looked up by name when it runs, not bound here."""
     parser = argparse.ArgumentParser(
         prog="lspacecert",
         description=(
@@ -219,44 +252,36 @@ def _build_parser():
 
     p = sub.add_parser("curves", help="print the standard curve system")
     p.add_argument("-g", "--genus", type=int, required=True)
-    p.set_defaults(func=_cmd_curves)
 
     p = sub.add_parser("intersect", help="geometric intersection number")
     p.add_argument("-g", "--genus", type=int, required=True)
     p.add_argument("expr", nargs=2, help="two curve expressions")
-    p.set_defaults(func=_cmd_intersect)
 
     p = sub.add_parser("twist", help="normalized word of a curve expression")
     p.add_argument("-g", "--genus", type=int, required=True)
     p.add_argument("expr")
-    p.set_defaults(func=_cmd_twist)
 
     p = sub.add_parser("alexander", help="Alexander polynomial of phi_n")
     p.add_argument("-g", "--genus", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    p.set_defaults(func=_cmd_alexander)
 
     p = sub.add_parser("staircase", help="staircase of an L-space form polynomial")
     p.add_argument("polynomial")
-    p.set_defaults(func=_cmd_staircase)
 
     p = sub.add_parser("certify", help="derive the obstruction certificate")
     p.add_argument("-g", "--genus", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("validate", help="directly measure the twisted pair rank")
     p.add_argument("-g", "--genus", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--budget", type=int, default=50_000)
-    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("sweep", help="certify a grid of (g, n) and verify verdicts")
     p.add_argument("-g", "--genus", required=True, help="genus or range G1..G2")
     p.add_argument("-n", required=True, help="twist count or range N1..N2")
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=_cmd_sweep)
 
     return parser
 
@@ -269,7 +294,7 @@ def main(argv=None, out=None):
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:
-        return args.func(args, out)
+        return globals()[f"_cmd_{args.command}"](args, out)
     # an interpreter limit (a power past the index range, memory, recursion)
     # ends like a domain error, with its type and no traceback
     except (WorkbenchError, OverflowError, MemoryError, RecursionError) as e:

@@ -88,8 +88,8 @@ class LaurentPoly:
 def parse_poly(text):
     """Parse a signed sum of monomials in t, e.g. ``t^4 - t^3 + t^2 - t + 1``.
 
-    Exponents may be negative (``t^-2``).  Raises ValueError on malformed
-    input.
+    Exponents may be negative (``t^-2``).  Digits are ASCII only.  Raises
+    ValueError on malformed input.
     """
     s = text.replace(" ", "")
     if not s:
@@ -107,7 +107,8 @@ def parse_poly(text):
             raise ValueError(f"dangling sign at byte {i}")
         mag = None
         start = i
-        while i < n and s[i].isdigit():
+        # ASCII only: str.isdigit also accepts "²" and "٢"
+        while i < n and "0" <= s[i] <= "9":
             i += 1
         if i > start:
             mag = int(s[start:i])
@@ -122,7 +123,7 @@ def parse_poly(text):
                 estart = i
                 if i < n and s[i] == "-":
                     i += 1
-                while i < n and s[i].isdigit():
+                while i < n and "0" <= s[i] <= "9":
                     i += 1
                 if i == estart or s[estart:i] == "-":
                     raise ValueError(f"bad exponent at byte {estart}")

@@ -8,12 +8,16 @@ coasting loop per direction over a letter closure, Alexander polynomials
 from a Seifert matrix by permutation expansion, homological actions as
 dense products of transvection matrices, matrix products as triple sums,
 characteristic polynomials by permutation expansion, exact triangles as
-explicit matrices over GF(2).  Keep these slow and obvious.
+explicit matrices over GF(2), certificate JSON through json.dumps of a
+dict.  Keep these slow and obvious.
 """
 import itertools
+import json
 import random
 
+from lspacecert.certify import SCHEMA_VERSION
 from lspacecert.errors import WalkBoundExceeded
+from lspacecert.floer import RankInterval, Verdict
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +326,41 @@ def oracle_staircase_polynomial(stair):
     for i, n in enumerate(stair.ns):
         coeffs[n] = coeffs[-n] = (-1) ** (k - i)
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# certificate JSON, through json.dumps
+
+def _oracle_output_dict(out):
+    if isinstance(out, Verdict):
+        return {"verdict": out.value}
+    if isinstance(out, RankInterval):
+        return {"lo": out.lo, "hi": out.hi}
+    return {"lo": out, "hi": out}
+
+
+def oracle_certificate_json(cert):
+    """The JSON emission of a certificate: its fields as a dict, in the
+    published key order, through json.dumps(indent=2)."""
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "genus": cert.genus,
+        "n": cert.n,
+        "steps": [
+            {
+                "index": s.index,
+                "kind": s.kind,
+                "label": s.label,
+                "inputs": list(s.inputs),
+                "output": _oracle_output_dict(s.output),
+                "citation": {"anchor": s.citation.anchor, "quote": s.citation.quote},
+            }
+            for s in cert.steps
+        ],
+        "final_bound": cert.final_bound,
+        "verdict": cert.verdict.value,
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

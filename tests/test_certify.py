@@ -99,7 +99,7 @@ def test_genus_work_runs_once_per_genus_and_matches_a_cold_build(
         assert cli.emit_certificate(certify(g, n), "json") == blob
 
 
-@pytest.mark.parametrize("g", [2.0, True, "2", None])
+@pytest.mark.parametrize("g", [2.0, True, "2", None, [2]])
 def test_base_bound_rejects_a_genus_that_is_not_an_int(g):
     derive_base_bound(2)  # a cached genus 2 must not answer for 2.0
     with pytest.raises(MalformedInput):
@@ -334,6 +334,28 @@ def test_cross_validate_rejects_n_zero():
 def test_cross_validate_budget():
     with pytest.raises(BudgetExceeded):
         cross_validate(2, 3, budget=10)
+
+
+@pytest.mark.parametrize(
+    "g, n, budget",
+    [(2.0, 1, 50_000), (True, 1, 50_000), (2, True, 50_000), (2, 1.0, 50_000), (2, 1, "5")],
+)
+def test_cross_validate_rejects_arguments_that_are_not_ints(g, n, budget):
+    with pytest.raises(MalformedInput):
+        cross_validate(g, n, budget=budget)
+
+
+def test_cross_validate_argument_types_are_a_typed_error_even_under_python_O():
+    assert raises_under_python_O(
+        """
+        from lspacecert.certify import cross_validate
+        try:
+            cross_validate(2.0, 1)
+        except MalformedInput:
+            cross_validate(2, True)
+        """,
+        "MalformedInput",
+    )
 
 
 def test_final_bound_outside_target_interval_is_a_typed_error_even_under_python_O(

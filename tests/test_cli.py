@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import io
 import json
@@ -11,13 +12,14 @@ import pytest
 import lspacecert
 import lspacecert.cli as cli
 import lspacecert.curves as curves
-from lspacecert.certify import certify
+from lspacecert.certify import Citation, certify
 from lspacecert.cli import certificate_schema, emit_certificate, main, replay_json
 from lspacecert.dsl import _Parser
 from lspacecert.errors import AnchorViolation, MalformedInput
-from lspacecert.floer import Verdict
+from lspacecert.floer import RankInterval, Verdict
 
 from conftest import raises_under_python_O
+from oracles import oracle_certificate_json
 
 
 def run(*argv):
@@ -60,6 +62,13 @@ def test_staircase_command():
     assert "total 5" in out
 
 
+@pytest.mark.parametrize("poly", ["t^\u00b2", "t^\u0662 - t + \u0661"])
+def test_staircase_of_non_ascii_digits_exits_one(poly, capsys):
+    code, out = run("staircase", poly)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: bad exponent at byte 2\n"
+
+
 def test_certify_text_final_line():
     code, out = run("certify", "-g", "2", "-n", "1")
     assert code == 0
@@ -93,6 +102,78 @@ def test_emission_is_deterministic_and_replays():
     replayed = replay_json(blob)
     assert emit_certificate(replayed, "json") == blob
     assert replayed.verdict is cert.verdict
+
+
+@pytest.mark.parametrize(
+    "g, n",
+    [(g, n) for g in range(2, 9) for n in range(15)] + [(20, 2), (40, 10), (2, 400), (3, 400)],
+)
+def test_json_emission_matches_the_dumps_oracle(g, n):
+    cert = certify(g, n)
+    assert emit_certificate(cert, "json") == oracle_certificate_json(cert)
+
+
+def _with_step(cert, k, **fields):
+    steps = list(cert.steps)
+    steps[k] = dataclasses.replace(steps[k], **fields)
+    return dataclasses.replace(cert, steps=tuple(steps))
+
+
+@pytest.mark.parametrize(
+    "k, fields",
+    [
+        (0, {"output": RankInterval(0, None)}),
+        (13, {"output": -7}),
+        (0, {"inputs": ()}),
+        (-1, {"inputs": ()}),
+        (0, {"inputs": ("curve:b\u00b2",)}),
+        (0, {"label": 'rk HF(a\u2081, b) \u2265 4 \u2014 "\u00e9" \\ \n\t\x01 \U0001d53d'}),
+        (5, {"citation": Citation("axiom.twist-triangle", "\u00e9\"\\/")}),
+    ],
+    ids=["hi-null", "negative-output", "no-inputs", "conclusion-no-inputs", "non-ascii-input",
+         "non-ascii-label", "escaped-quote"],
+)
+def test_json_emission_of_synthetic_steps_matches_the_dumps_oracle(k, fields):
+    cert = _with_step(certify(2, 1), k, **fields)
+    blob = emit_certificate(cert, "json")
+    assert blob == oracle_certificate_json(cert)
+    assert blob.isascii()
+
+
+def test_main_builds_its_parser_once_and_matches_a_fresh_process(monkeypatch, capsys):
+    builds = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counting(self, **kwargs):
+        builds.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    # help text wraps at the terminal width: fix it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._build_parser.cache_clear()
+    src = os.path.dirname(os.path.dirname(lspacecert.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    calls = [
+        ("certify", "-g", "2", "-n", "1"),
+        ("certify", "-g", "2"),
+        ("--help",),
+        ("certify", "-g", "3", "-n", "2", "--json"),
+    ]
+    for argv, expected_code in zip(calls, (0, 1, 0, 0)):
+        code, out = run(*argv)
+        captured = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "lspacecert.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert code == proc.returncode == expected_code
+        assert out + captured.out == proc.stdout
+        assert captured.err == proc.stderr
+    assert builds == ["lspacecert"]
 
 
 @pytest.mark.parametrize(
@@ -235,16 +316,21 @@ def test_deeply_nested_expression_is_a_syntax_error(capsys):
 
 def test_emitting_a_certificate_without_conclusion_is_a_typed_error_even_under_python_O():
     cert = certify(2, 1)
-    truncated = dataclasses.replace(cert, steps=cert.steps[:-1])
-    with pytest.raises(AnchorViolation):
-        emit_certificate(truncated)
+    for steps in (cert.steps[:-1], ()):
+        for fmt in ("text", "json"):
+            with pytest.raises(AnchorViolation):
+                emit_certificate(dataclasses.replace(cert, steps=steps), fmt)
     assert raises_under_python_O(
         """
         import dataclasses
         from lspacecert.certify import certify
         from lspacecert.cli import emit_certificate
         cert = certify(2, 1)
-        emit_certificate(dataclasses.replace(cert, steps=cert.steps[:-1]))
+        truncated = dataclasses.replace(cert, steps=cert.steps[:-1])
+        try:
+            emit_certificate(truncated, "text")
+        except AnchorViolation:
+            emit_certificate(truncated, "json")
         """,
         "AnchorViolation",
     )
