@@ -20,7 +20,16 @@ are minimal by construction, which is the bigon criterion in this model.
 A ray is a position in a cyclic word, and running backward along a word
 is running forward along its inverse, so every walk step is one
 common-extension count (``_coast``) of two words from two positions.
+
+The walk ``_crossings`` lists every crossing; only twist surgery needs
+the list.  Callers that need numbers use the count form
+``_crossing_count``, which counts lifts by corner type and decides a ray
+that runs along the axis by turn codes: the code of position i of a
+word w is ``(pos[w[i]] - pos[-w[i-1]]) % 4g``, and a ray leaves on the
+positive side exactly when its codes are lexicographically greater than
+the axis's, which is the cyclic order of ends in the dual tree.
 """
+from bisect import bisect_left, bisect_right
 from functools import cmp_to_key
 
 from .errors import (
@@ -219,6 +228,160 @@ def _crossings(surface, a, b):
     return out
 
 
+def _turn_codes(surface, word):
+    """Germ of each letter counted counterclockwise from the edge it follows.
+
+    Position i of a cyclic word leaves its vertex along w[i] after arriving
+    along the edge of -w[i-1]; the code is the number of boundary steps
+    between the two germs, (pos[w[i]] - pos[-w[i-1]]) % 4g.
+    """
+    pos = surface._pos
+    n = len(surface.boundary_order)
+    return [(pos[x] - pos[-y]) % n for x, y in zip(word, word[-1:] + word[:-1])]
+
+
+def _leaves_above(codes_a, x, codes_w, y, depth, cap):
+    """Whether the ray at y of codes_w leaves the axis ray at x on the + side.
+
+    Both rays have shared ``depth`` letters; the first differing turn code
+    decides, and sharing more than ``cap`` letters raises, as the walk does.
+    """
+    p, q = len(codes_a), len(codes_w)
+    while True:
+        if depth > cap:
+            raise WalkBoundExceeded(f"ray follows line beyond {cap} steps")
+        ca, cw = codes_a[x % p], codes_w[y % q]
+        if ca != cw:
+            return cw > ca
+        x += 1
+        y += 1
+        depth += 1
+
+
+def _count_coasting(codes_a, codes_w, xs, ups, downs, cap):
+    """Decide the coasting rays of one corner class by their turn codes.
+
+    ``xs`` are axis positions and ``ups`` and ``downs`` positions of rays
+    in the word with codes ``codes_w``, each just past a letter shared
+    with the axis.  A ray leaves on the + side exactly when its codes are
+    lexicographically greater than the axis ray's.  A ray of ``ups``
+    crosses when it leaves on the + side (its lift's other ray lies
+    below), one of ``downs`` when it leaves on the - side.  Returns the
+    crossings leaving on the + side and on the - side.
+
+    Codes are compared a depth at a time for whole buckets: pairs whose
+    codes differ are counted by products, and only rays tied with some
+    axis ray go one letter deeper.  A bucket down to one axis ray is
+    finished ray by ray.
+    """
+    p, q = len(codes_a), len(codes_w)
+    plus = minus = 0
+    groups = [(xs, ups, downs)]
+    depth = 1  # letters shared so far
+    while groups:
+        if depth > cap:
+            raise WalkBoundExceeded(f"ray follows line beyond {cap} steps")
+        ties = []
+        for xs, ups, downs in groups:
+            if len(xs) == 1:
+                x = xs[0]
+                for y in ups:
+                    plus += _leaves_above(codes_a, x, codes_w, y, depth, cap)
+                for y in downs:
+                    minus += not _leaves_above(codes_a, x, codes_w, y, depth, cap)
+                continue
+            bx = {}
+            for x in xs:
+                bx.setdefault(codes_a[x % p], []).append(x + 1)
+            keys = sorted(bx)
+            cum = [0]  # axis rays with a code below keys[i]
+            for c in keys:
+                cum.append(cum[-1] + len(bx[c]))
+            tied = {}
+            for y in ups:
+                c = codes_w[y % q]
+                plus += cum[bisect_left(keys, c)]
+                if c in bx:
+                    tied.setdefault(c, ([], []))[0].append(y + 1)
+            for y in downs:
+                c = codes_w[y % q]
+                minus += cum[-1] - cum[bisect_right(keys, c)]
+                if c in bx:
+                    tied.setdefault(c, ([], []))[1].append(y + 1)
+            ties.extend((bx[c], u, d) for c, (u, d) in tied.items())
+        groups = ties
+        depth += 1
+    return plus, minus
+
+
+def _crossing_count(surface, a, b):
+    """Number and signed sum of the lifts of b crossing the axis of a.
+
+    Equal to len and the sum of eps of ``_crossings(surface, a, b)``, and
+    raises WalkBoundExceeded wherever that walk does, without listing a
+    crossing.  The lift at axis vertex m and phase j sits at two corners,
+    (a[m], -a[m-1]) and (b[j], -b[j-1]).  When neither of its rays starts
+    along a[m], whether it crosses depends on the two corner types only,
+    so those lifts are counted by one product per pair of types.  A ray
+    that starts along a[m] is decided by turn codes (``_count_coasting``),
+    one axis corner and one direction of b at a time.
+    """
+    p, q = len(a), len(b)
+    cap = p + q + _WALK_MARGIN
+    pos = surface._pos
+    n = len(surface.boundary_order)
+    # a corner is a letter and the one before it, whose inverse is the
+    # germ the word arrives along
+    axis = {}  # corner of a -> axis positions just past it
+    for m, corner in enumerate(zip(a, a[-1:] + a[:-1]), 1):
+        axis.setdefault(corner, []).append(m)
+    corners = {}  # corner of b -> phases j
+    for j, corner in enumerate(zip(b, b[-1:] + b[:-1])):
+        corners.setdefault(corner, []).append(j)
+    codes_a = codes_b = codes_inv = None  # turn codes, built on first use
+    count = signed = 0
+    for (f, prev), xs in axis.items():
+        back = -prev
+        pf = pos[f]
+        db = (pos[back] - pf) % n
+        ups, downs, ups_inv, downs_inv = [], [], [], []
+        for (x, before), js in corners.items():
+            y = -before  # the backward ray's first letter
+            if x == back or y == back:
+                continue  # the lift also passes the previous axis vertex
+            if x == f:  # the forward ray coasts, the backward one branches
+                (ups if (pos[y] - pf) % n > db else downs).extend(js)
+            elif y == f:  # the backward ray coasts along b's inverse
+                (ups_inv if (pos[x] - pf) % n > db else downs_inv).extend(js)
+            else:
+                above = (pos[x] - pf) % n < db  # the forward ray's side
+                if above != ((pos[y] - pf) % n < db):
+                    c = len(xs) * len(js)
+                    count += c
+                    signed += c if above else -c
+        if codes_a is None and (ups or downs or ups_inv or downs_inv):
+            codes_a = _turn_codes(surface, a)
+        if ups or downs:
+            if codes_b is None:
+                codes_b = _turn_codes(surface, b)
+            plus, minus = _count_coasting(
+                codes_a, codes_b, xs, [j + 1 for j in ups], [j + 1 for j in downs], cap
+            )
+            count += plus + minus
+            signed += plus - minus  # the coasting ray is the forward one
+        if ups_inv or downs_inv:
+            if codes_inv is None:
+                codes_inv = _turn_codes(surface, inverse_word(b))
+            # b's backward ray from phase j reads b's inverse from q - j
+            plus, minus = _count_coasting(
+                codes_a, codes_inv, xs, [q + 1 - j for j in ups_inv],
+                [q + 1 - j for j in downs_inv], cap
+            )
+            count += plus + minus
+            signed += minus - plus  # the forward ray leaves opposite
+    return count, signed
+
+
 def _phase_at(x, t, q):
     """Phase of a crossing lift at axis vertex t inside its interval."""
     steps = t - x.m
@@ -261,15 +424,15 @@ def _crossing_order(surface, a, b):
 # simplicity
 
 def _has_self_crossing(surface, word):
-    """Whether two lifts of a primitive word cross: its walk against itself."""
-    return bool(_crossings(surface, word, word))
+    """Whether two lifts of a primitive word cross: its count against itself."""
+    return _crossing_count(surface, word, word)[0] > 0
 
 
 def _validate_word(surface, word):
     """The reduced word of an embedded essential curve, else a typed error.
 
     A primitive word embeds exactly when no two of its lifts cross, which
-    is the crossing walk of the word against itself.
+    is the crossing count of the word against itself.
     """
     for x in word:
         if not isinstance(x, int) or x == 0 or abs(x) > surface.arc_count:
@@ -397,27 +560,28 @@ def is_isotopic(a, b):
     return a._canon == b._canon
 
 
-def crossing_signs(a, b):
-    """Signs of the crossings of b through a in minimal position.
+def crossing_count(a, b):
+    """Geometric and algebraic intersection numbers of two normalized curves.
 
-    One entry per geometric crossing, +1 when b's forward end departs on
-    the positive side of a's axis for the stored orientations.  Empty on
-    isotopic pairs since a curve can be isotoped off itself.
+    Counts the crossings of b through a in minimal position, each signed
+    +1 when b's forward end departs on the positive side of a's axis for
+    the stored orientations.  Both are zero on isotopic pairs since a
+    curve can be isotoped off itself.
     """
     _check_same_surface(a, b)
     if a._canon == b._canon:
-        return ()
-    return tuple(x.eps for x in _crossings(a.surface, a.word, b.word))
+        return 0, 0
+    return _crossing_count(a.surface, a.word, b.word)
 
 
 def intersection_number(a, b):
     """Geometric intersection number of two normalized curves; symmetric."""
-    return len(crossing_signs(a, b))
+    return crossing_count(a, b)[0]
 
 
 def algebraic_intersection_number(a, b):
     """Signed count of crossings of b through a, for the stored orientations."""
-    return sum(crossing_signs(a, b))
+    return crossing_count(a, b)[1]
 
 
 def dehn_twist(target, about, power=1):

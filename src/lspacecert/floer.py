@@ -36,9 +36,6 @@ class RankInterval:
     def contains(self, v):
         return self.lo <= v and (self.hi is None or v <= self.hi)
 
-    def is_point(self):
-        return self.hi == self.lo
-
     def __str__(self):
         top = "inf" if self.hi is None else str(self.hi)
         return f"[{self.lo}, {top}]"

@@ -16,7 +16,7 @@ from functools import lru_cache
 from .curves import (
     Curve,
     algebraic_intersection_number,
-    crossing_signs,
+    crossing_count,
     dehn_twist,
     homology_class,
     intersection_number,
@@ -75,11 +75,11 @@ def standard_curve_system(g):
     chain = system.chain()
     for i, x in enumerate(chain):
         for j in range(i + 1, 2 * g):
-            signs = crossing_signs(x, chain[j])
-            _require(f"iota(chain_{i + 1}, chain_{j + 1})", int(j == i + 1), len(signs))
+            iota, pairing = crossing_count(x, chain[j])
+            _require(f"iota(chain_{i + 1}, chain_{j + 1})", int(j == i + 1), iota)
             if j == i + 1:
                 # consecutive chain curves cross once positively, in this order
-                _require(f"pairing(chain_{i + 1}, chain_{j + 1})", 1, sum(signs))
+                _require(f"pairing(chain_{i + 1}, chain_{j + 1})", 1, pairing)
                 _require(f"pairing(chain_{j + 1}, chain_{i + 1})", -1,
                          algebraic_intersection_number(chain[j], x))
     for name, x in system.named()[:-1]:

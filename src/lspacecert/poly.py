@@ -88,12 +88,15 @@ class LaurentPoly:
 def parse_poly(text):
     """Parse a signed sum of monomials in t, e.g. ``t^4 - t^3 + t^2 - t + 1``.
 
-    Exponents may be negative (``t^-2``).  Digits are ASCII only.  Raises
-    ValueError on malformed input.
+    Exponents may be negative (``t^-2``).  Digits are ASCII only, and
+    spaces are ignored everywhere.  Raises ValueError on malformed input,
+    with the offset into ``text`` as given.
     """
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial")
+    # s[i] is text[at[i]], so errors report offsets into the text as given
+    at = [k for k, ch in enumerate(text) if ch != " "] + [len(text)]
     coeffs = {}
     i = 0
     n = len(s)
@@ -104,7 +107,7 @@ def parse_poly(text):
                 sign = -sign
             i += 1
         if i >= n:
-            raise ValueError(f"dangling sign at byte {i}")
+            raise ValueError(f"dangling sign at byte {at[i]}")
         mag = None
         start = i
         # ASCII only: str.isdigit also accepts "²" and "٢"
@@ -126,10 +129,10 @@ def parse_poly(text):
                 while i < n and "0" <= s[i] <= "9":
                     i += 1
                 if i == estart or s[estart:i] == "-":
-                    raise ValueError(f"bad exponent at byte {estart}")
+                    raise ValueError(f"bad exponent at byte {at[estart]}")
                 exp = int(s[estart:i])
         elif mag is None:
-            raise ValueError(f"expected coefficient or t at byte {start}")
+            raise ValueError(f"expected coefficient or t at byte {at[start]}")
         coeff = sign * (1 if mag is None else mag)
         coeffs[exp] = coeffs.get(exp, 0) + coeff
     return LaurentPoly.from_dict(coeffs)

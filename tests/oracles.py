@@ -4,7 +4,8 @@ Each oracle recomputes something the package also computes, by a method
 that shares no code with it: least rotations and primitivity by
 comparing every rotation, intersection numbers by exhaustive search
 over chord diagram placements, ray sides in the dual tree by one
-coasting loop per direction over a letter closure, Alexander polynomials
+coasting loop per direction over a letter closure, crossing signs by
+listing every crossing with the walk, Alexander polynomials
 from a Seifert matrix by permutation expansion, homological actions as
 dense products of transvection matrices, matrix products as triple sums,
 characteristic polynomials by permutation expansion, exact triangles as
@@ -15,6 +16,7 @@ import itertools
 import json
 import random
 
+from lspacecert import curves
 from lspacecert.certify import SCHEMA_VERSION
 from lspacecert.errors import WalkBoundExceeded
 from lspacecert.floer import RankInterval, Verdict
@@ -196,6 +198,22 @@ def oracle_ray_side(surface, line, phase, ray, cap):
     db = (pos[b] - pos[f]) % n
     side = 1 if 0 < df < db else -1
     return side, followed
+
+
+# ---------------------------------------------------------------------------
+# crossing signs, one listed crossing at a time
+
+def crossing_signs(a, b):
+    """Signs of the crossings of b through a in minimal position.
+
+    One entry per crossing lift listed by the walk ``curves._crossings``,
+    +1 when b's forward end departs on the positive side of a's axis.
+    Empty on isotopic pairs since a curve can be isotoped off itself.  The
+    count form ``curves.crossing_count`` must equal its length and sum.
+    """
+    if a._canon == b._canon:
+        return ()
+    return tuple(x.eps for x in curves._crossings(a.surface, a.word, b.word))
 
 
 # ---------------------------------------------------------------------------

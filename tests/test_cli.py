@@ -69,6 +69,17 @@ def test_staircase_of_non_ascii_digits_exits_one(poly, capsys):
     assert capsys.readouterr().err == "error: bad exponent at byte 2\n"
 
 
+@pytest.mark.parametrize("poly, message", [
+    ("t^4 - t^3 + t^2 - t + x", "expected coefficient or t at byte 22"),
+    ("t ^ x", "bad exponent at byte 4"),
+    ("t -  ", "dangling sign at byte 5"),
+])
+def test_staircase_error_offsets_index_the_text_as_given(poly, message, capsys):
+    code, out = run("staircase", poly)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_certify_text_final_line():
     code, out = run("certify", "-g", "2", "-n", "1")
     assert code == 0

@@ -29,6 +29,7 @@ from lspacecert.surface import standard_surface
 
 from conftest import random_curve, raises_under_python_O
 from oracles import (
+    crossing_signs,
     oracle_canonical_form,
     oracle_is_primitive,
     oracle_is_simple,
@@ -379,6 +380,122 @@ def test_twisted_family_against_oracle(sys2):
     bn = beta_gn(2, 1)
     assert intersection_number(bn, a2) == 1
     assert oracle_min_crossings(bn.word, a2.word, S2) == 1
+
+
+# ---------------------------------------------------------------------------
+# the count form of the crossing kernel
+
+def _listed(surface, a, b):
+    """len and signed sum of the crossings the walk lists, or "bound"."""
+    try:
+        xs = curves._crossings(surface, a, b)
+    except WalkBoundExceeded:
+        return "bound"
+    return len(xs), sum(x.eps for x in xs)
+
+
+def _counted(surface, a, b):
+    try:
+        return curves._crossing_count(surface, a, b)
+    except WalkBoundExceeded:
+        return "bound"
+
+
+def _random_primitive_word(rng, g, length):
+    while True:
+        word = reduce_cyclic(
+            tuple(rng.choice((1, -1)) * rng.randint(1, 2 * g) for _ in range(length))
+        )
+        if word and is_primitive(word):
+            return word
+
+
+def test_crossing_count_equals_the_walk_on_random_pairs():
+    rng = random.Random(1187)
+    for g in (2, 3, 4):
+        surface = standard_surface(g)
+        for trial in range(40):
+            a = random_curve(rng, g).word
+            b = a if trial % 4 == 0 else random_curve(rng, g).word
+            for x, y in ((a, b), (b, a)):
+                assert _counted(surface, x, y) == _listed(surface, x, y), (g, x, y)
+
+
+def test_curve_crossing_count_matches_the_listed_signs():
+    rng = random.Random(1188)
+    for g in (2, 3):
+        for _ in range(15):
+            a, b = random_curve(rng, g), random_curve(rng, g)
+            signs = crossing_signs(a, b)
+            assert curves.crossing_count(a, b) == (len(signs), sum(signs))
+    system = standard_curve_system(2)
+    assert curves.crossing_count(system.c, system.c) == (0, 0)
+
+
+def test_crossing_count_equals_the_walk_on_primitive_self_walks():
+    rng = random.Random(1189)
+    simple = crossing = 0
+    for _ in range(300):
+        word = _random_primitive_word(rng, 2, rng.randint(2, 14))
+        got = _counted(S2, word, word)
+        assert got == _listed(S2, word, word), word
+        simple += got == (0, 0)
+        crossing += got != (0, 0)
+    assert simple >= 20 and crossing >= 100
+    # a long non-simple word: twisted runs with a crossing tail
+    word = reduce_cyclic(beta_gn(2, 100).word + (1, 2, 1, 2))
+    assert _counted(S2, word, word) == _listed(S2, word, word) == (1602, 0)
+    assert not validate_simple(word, S2)
+
+
+def test_crossing_count_equals_the_walk_on_the_validate_long_pairs():
+    for n in range(4, 41, 4):
+        bn = beta_gn(2, n)
+        image = apply_word(monodromy_psi(2), bn)
+        got = _counted(S2, bn.word, image.word)
+        assert got == _listed(S2, bn.word, image.word), n
+        assert got[0] >= 16 * n * n - 3
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_crossing_count_equals_the_walk_on_long_words_against_the_system(g):
+    surface = standard_surface(g)
+    bn = beta_gn(g, 400).word
+    for name, curve in standard_curve_system(g).named():
+        for a, b in ((bn, curve.word), (curve.word, bn)):
+            assert _counted(surface, a, b) == _listed(surface, a, b), name
+
+
+def test_crossing_count_raises_on_a_tie_at_the_cap(monkeypatch):
+    # c's lifts coast along the twisted runs of B[2,5]; find the least
+    # margin the walk survives and hold the count form to it on both sides
+    bn, c = beta_gn(2, 5).word, standard_curve_system(2).c.word
+    cap0 = len(bn) + len(c)
+    for a, b in ((bn, c), (c, bn)):
+        margin = -cap0
+        monkeypatch.setattr(curves, "_WALK_MARGIN", margin)
+        while _listed(S2, a, b) == "bound":
+            margin += 1
+            monkeypatch.setattr(curves, "_WALK_MARGIN", margin)
+        assert margin > -cap0 + 1  # some ray coasts for more than a step
+        assert _counted(S2, a, b) == _listed(S2, a, b) != "bound"
+        monkeypatch.setattr(curves, "_WALK_MARGIN", margin - 1)
+        with pytest.raises(WalkBoundExceeded):
+            curves._crossing_count(S2, a, b)
+
+
+def test_crossing_count_cap_is_a_typed_error_even_under_python_O():
+    # with the margin far below zero, the first coasting ray is past the cap
+    assert raises_under_python_O(
+        """
+        from lspacecert import curves
+        from lspacecert.mcg import beta_gn, standard_curve_system
+        curves._WALK_MARGIN = -10**6
+        c = standard_curve_system(2).c
+        curves._crossing_count(c.surface, beta_gn(2, 5).word, c.word)
+        """,
+        "WalkBoundExceeded",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -235,7 +235,7 @@ def test_symplectic_form_matches_the_kernel_on_every_ordered_pair(g):
 
 @pytest.mark.parametrize("name, flip, fact", [
     ("algebraic_intersection_number", lambda n: -n, "pairing(chain_2, chain_1)"),
-    ("crossing_signs", lambda xs: tuple(-e for e in xs), "pairing(chain_1, chain_2)"),
+    ("crossing_count", lambda r: (r[0], -r[1]), "pairing(chain_1, chain_2)"),
 ])
 def test_chain_pairing_check_is_live(
     monkeypatch, fresh_system_caches, name, flip, fact
@@ -248,11 +248,15 @@ def test_chain_pairing_check_is_live(
 
 
 def _count_walks(monkeypatch):
+    """Record the words of every call to either crossing kernel, the list
+    form and the count form."""
     walks = []
-    inner = curves._crossings
-    monkeypatch.setattr(
-        curves, "_crossings", lambda *args: walks.append(args[1:]) or inner(*args)
-    )
+    for name in ("_crossings", "_crossing_count"):
+        inner = getattr(curves, name)
+        monkeypatch.setattr(
+            curves, name,
+            lambda *args, inner=inner: walks.append(args[1:]) or inner(*args),
+        )
     return walks
 
 
