@@ -10,8 +10,9 @@ Grammar (LL(1), whitespace between tokens is ignored):
     power := "^" int
 
 ``T(x)^k(y)`` is the k-th twist of y about x, ``psi`` and ``phi[n]`` apply
-the named monodromies.  Every failure carries the byte offset where the
-parse stopped and the tokens that would have been accepted there.
+the named monodromies.  Every failure carries the UTF-8 byte offset
+where the parse stopped and the tokens that would have been accepted
+there.
 """
 from dataclasses import dataclass
 
@@ -61,9 +62,14 @@ class _Parser:
         self.i = 0
         self.depth = 0
 
+    def byte(self, i):
+        """UTF-8 byte offset of character i; surrogateescape gives back the
+        bytes of a command-line argument that was not valid UTF-8."""
+        return len(self.text[:i].encode("utf-8", "surrogateescape"))
+
     def error(self, expected):
         found = self.text[self.i] if self.i < len(self.text) else None
-        raise ExprSyntaxError(self.i, expected, found)
+        raise ExprSyntaxError(self.byte(self.i), expected, found)
 
     def skip_ws(self):
         while self.i < len(self.text) and self.text[self.i].isspace():
@@ -106,7 +112,8 @@ class _Parser:
         idx = self.integer()
         if not 1 <= idx <= self.g:
             raise IndexOutOfRange(
-                f"at byte {offset}: {family}{idx} needs 1 <= index <= genus {self.g}"
+                f"at byte {self.byte(offset)}: "
+                f"{family}{idx} needs 1 <= index <= genus {self.g}"
             )
         return idx
 
@@ -156,7 +163,7 @@ class _Parser:
             gg = self.integer()
             if gg != self.g:
                 raise IndexOutOfRange(
-                    f"at byte {offset}: B[{gg},_] does not match genus {self.g}"
+                    f"at byte {self.byte(offset)}: B[{gg},_] does not match genus {self.g}"
                 )
             self.expect(",")
             n = self.integer(allow_negative=True)

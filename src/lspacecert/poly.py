@@ -6,7 +6,7 @@ palindrome tests, parsing and printing in the usual knot-table style.
 """
 from dataclasses import dataclass
 
-from .errors import WorkbenchError
+from .errors import MalformedInput, WorkbenchError
 
 
 @dataclass(frozen=True)
@@ -139,31 +139,93 @@ def parse_poly(text):
 
 
 def charpoly(matrix):
-    """det(t I - M) of an integer matrix, by the Faddeev-LeVerrier scheme.
+    """det(t I - M) of a square int matrix, by the Faddeev-LeVerrier scheme.
 
-    All arithmetic is exact; the divisions in the recurrence are exact on
-    integer matrices.  Each of the n steps is one product M . M_k with M
-    on the left, so it costs O(nnz(M) n).  Returns the monic LaurentPoly
-    of degree n.
+    M_1 = M and M_k = M (M_{k-1} + c_{n-k+1} I), with c_n = 1 and
+    c_{n-k} = -tr(M_k) / k; on an integer matrix every division is exact,
+    and each one is checked.  Each row of the running matrix is held as one
+    Python int, sum_j a_j 2^(j w) with w-bit signed slots, so row i of
+    M X is one big-int sum over the nonzeros of row i of M; a step costs
+    O(nnz(M)) big-int operations of n w bits.  The slot width is proved,
+    not guessed: see ``_packed_fl``.  If an entry outgrows the bound the
+    width was chosen for, the scheme restarts with the bound doubled.
+
+    Raises MalformedInput, before any arithmetic, for a ragged or
+    non-square matrix, for rows that are not lists or tuples, and for an
+    entry whose type is not int.  Returns the monic LaurentPoly of
+    degree n.
     """
+    if not isinstance(matrix, (list, tuple)):
+        raise MalformedInput("charpoly: the matrix must be a list or tuple of rows")
     n = len(matrix)
+    rows = []
+    for i, row in enumerate(matrix):
+        if not isinstance(row, (list, tuple)) or len(row) != n:
+            raise MalformedInput(
+                f"charpoly: row {i} is not a list or tuple of {n} entries; "
+                "the matrix must be square"
+            )
+        for j, x in enumerate(row):
+            if type(x) is not int:
+                raise MalformedInput(
+                    f"charpoly: entry ({i}, {j}) is a {type(x).__name__}, not an int"
+                )
+        rows.append([(x, j) for j, x in enumerate(row) if x])
+    h = max(16, max((abs(x) for row in rows for x, _ in row), default=0).bit_length())
+    while True:
+        coeffs = _packed_fl(rows, n, h)
+        if coeffs is not None:
+            return LaurentPoly.from_dict(coeffs)
+        h *= 2
+
+
+def _slot_width(h, r, n):
+    """Bits per slot that hold every value a step can make from entries
+    in [-2^h, 2^h), for an n x n matrix of largest absolute row sum r.
+
+    M X then has entries of size at most r 2^h, c at most n r 2^h, and
+    M X + c I at most (n + 1) r 2^h, which is below 2^(w - 1).
+    """
+    return h + (r * (n + 1)).bit_length() + 1
+
+
+def _packed_fl(rows, n, h):
+    """The Faddeev-LeVerrier coefficients as a dict exponent -> coefficient,
+    or None once some X = M_{k-1} + c I has an entry outside [-2^h, 2^h).
+
+    ``rows`` lists the nonzeros of each row of M as (value, column) pairs.
+    Packing is linear, so each packed row is exactly the packing of the
+    true row.  By induction every X is checked in [-2^h, 2^h), so M X and
+    the next X lie in the balanced slot range (``_slot_width``) and
+    decode uniquely: the trace reads slot i of row i of M X, and the
+    bound check on X is exact.
+    """
+    w = _slot_width(h, max((sum(abs(x) for x, _ in row) for row in rows), default=0), n)
+    ones = sum(1 << (j * w) for j in range(n))  # 1 in every slot
+    lo = ones << h  # 2^h in every slot
+    hi = ones * ((1 << w) - (1 << (h + 1)))  # bits h+1 .. w-1 of every slot
+    bias = ones << (w - 1)  # 2^(w-1) in every slot, for balanced decoding
+    mask = (1 << w) - 1
     coeffs = {n: 1}
-    mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    x = [0] * n
     c = 1
     for k in range(1, n + 1):
-        if k > 1:
-            for i in range(n):
-                mk[i][i] += c
-        mk = _mat_mul(matrix, mk)
-        trace = sum(mk[i][i] for i in range(n))
+        x = [xi + (c << (i * w)) for i, xi in enumerate(x)]
+        for xi in x:
+            # slots in [-2^h, 2^h) iff the slots of xi + lo are in [0, 2^(h+1))
+            z = xi + lo
+            if z < 0 or z & hi:
+                return None
+        x = [sum(v * x[j] for v, j in row) for row in rows]
+        trace = sum(((xi + bias) >> (i * w)) & mask for i, xi in enumerate(x))
+        trace -= n << (w - 1)
         if trace % k != 0:
             raise WorkbenchError(
-                f"charpoly: trace {trace} at step {k} is not divisible by {k}; "
-                "the matrix is not an integer matrix"
+                f"charpoly: trace {trace} at step {k} is not divisible by {k}"
             )
         c = -trace // k
         coeffs[n - k] = c
-    return LaurentPoly.from_dict(coeffs)
+    return coeffs
 
 
 def _mat_mul(a, b):

@@ -8,7 +8,8 @@ coasting loop per direction over a letter closure, crossing signs by
 listing every crossing with the walk, Alexander polynomials
 from a Seifert matrix by permutation expansion, homological actions as
 dense products of transvection matrices, matrix products as triple sums,
-characteristic polynomials by permutation expansion, exact triangles as
+characteristic polynomials by permutation expansion and by the
+Faddeev-LeVerrier loop over lists of rows, exact triangles as
 explicit matrices over GF(2), certificate JSON through json.dumps of a
 dict.  Keep these slow and obvious.
 """
@@ -333,6 +334,32 @@ def oracle_charpoly(m):
         for e, c in term.items():
             det[e] = det.get(e, 0) + c
     return {e: c for e, c in det.items() if c}
+
+
+def oracle_charpoly_fl(m):
+    """det(t I - M) by the Faddeev-LeVerrier recurrence on lists of rows:
+    M_k = M (M_{k-1} + c I), c = -tr(M_k) / k.  Any n; exact on integer
+    matrices.  Returns a dict exponent -> nonzero coefficient."""
+    n = len(m)
+    coeffs = {n: 1}
+    mk = [[0] * n for _ in range(n)]
+    c = 1
+    for k in range(1, n + 1):
+        for i in range(n):
+            mk[i][i] += c
+        prod = []
+        for arow in m:
+            row = [0] * n
+            for x, brow in zip(arow, mk):
+                if x:
+                    row = [r + x * y for r, y in zip(row, brow)]
+            prod.append(row)
+        mk = prod
+        trace = sum(mk[i][i] for i in range(n))
+        assert trace % k == 0, "integer matrices have exact Faddeev-LeVerrier steps"
+        c = -trace // k
+        coeffs[n - k] = c
+    return {e: x for e, x in coeffs.items() if x}
 
 
 def oracle_staircase_polynomial(stair):

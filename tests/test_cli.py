@@ -73,6 +73,11 @@ def test_staircase_of_non_ascii_digits_exits_one(poly, capsys):
     ("t^4 - t^3 + t^2 - t + x", "expected coefficient or t at byte 22"),
     ("t ^ x", "bad exponent at byte 4"),
     ("t -  ", "dangling sign at byte 5"),
+    # the parse stops at the first non-ASCII character, so the offsets
+    # before it count bytes and characters alike
+    ("t^4 - t\u00e9", "expected coefficient or t at byte 7"),
+    ("t\u00a0- 1", "expected coefficient or t at byte 1"),
+    ("t - \u00b2\u00b2", "expected coefficient or t at byte 4"),
 ])
 def test_staircase_error_offsets_index_the_text_as_given(poly, message, capsys):
     code, out = run("staircase", poly)
@@ -307,6 +312,18 @@ def test_expression_errors_exit_one(capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "byte 3" in err
+
+
+@pytest.mark.parametrize("expr, message", [
+    # a no-break space is two UTF-8 bytes and an ideographic space three
+    ("\u00a0\u00a0T(c)(q9)", "ExprSyntaxError: at byte 9: found 'q'"),
+    ("\u00a0a9", "IndexOutOfRange: at byte 3: a9 needs"),
+    ("\u3000B[3,1]", "IndexOutOfRange: at byte 5: B[3,_] does not match"),
+])
+def test_expression_error_offsets_count_utf8_bytes(expr, message, capsys):
+    code, out = run("twist", "-g", "2", expr)
+    assert code == 1 and out == ""
+    assert message in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

@@ -88,11 +88,12 @@ def test_intersect_symmetry_through_expressions():
 @settings(max_examples=400, deadline=None)
 @given(st.text(max_size=24))
 def test_parser_totality_fuzz(text):
-    # every input either parses or raises a positioned domain error
+    # every input either parses or raises a positioned domain error, whose
+    # offset is the UTF-8 byte offset of a character boundary
     try:
         parse_expression(text, 2)
     except ExprSyntaxError as e:
-        assert 0 <= e.offset <= len(text)
+        assert e.offset in {len(text[:k].encode("utf-8")) for k in range(len(text) + 1)}
     except WorkbenchError:
         pass
 

@@ -12,7 +12,14 @@ from lspacecert.curves import (
     is_isotopic,
     oriented_class,
 )
-from lspacecert.errors import AnchorViolation, GenusTooSmall, NegativePower, WorkbenchError
+from lspacecert import poly as poly_module
+from lspacecert.errors import (
+    AnchorViolation,
+    GenusTooSmall,
+    MalformedInput,
+    NegativePower,
+    WorkbenchError,
+)
 from lspacecert.mcg import (
     TwistWord,
     alexander_polynomial,
@@ -29,6 +36,7 @@ from lspacecert.poly import LaurentPoly, _mat_mul, charpoly
 from conftest import random_curve, random_twist_word, raises_under_python_O
 from oracles import (
     oracle_charpoly,
+    oracle_charpoly_fl,
     oracle_homology_action,
     oracle_mat_mul,
     seifert_torus_alexander,
@@ -313,6 +321,12 @@ def test_alexander_at_genus_forty_is_the_torus_knot_polynomial():
     assert poly == LaurentPoly.from_dict({e: (-1) ** e for e in range(81)})
 
 
+def test_alexander_at_genus_eighty_is_the_torus_knot_polynomial():
+    # T(2, 161): a 160 x 160 action, 160 Faddeev-LeVerrier steps
+    poly = alexander_polynomial(monodromy_phi(80, 0))
+    assert poly == LaurentPoly.from_dict({e: (-1) ** e for e in range(161)})
+
+
 def test_charpoly_rejects_inexact_division_even_under_python_O():
     with pytest.raises(WorkbenchError):
         charpoly([[Fraction(1, 2)]])
@@ -324,6 +338,43 @@ def test_charpoly_rejects_inexact_division_even_under_python_O():
         """,
         "WorkbenchError",
     )
+
+
+MALFORMED_MATRICES = [
+    [[1, 2], [3]],  # ragged
+    [[1, 2]],  # not square
+    [[1], [2]],
+    [[1, 2], [3, 4], [5, 6]],
+    [[1, 2.0], [3, 4]],
+    [[True, 0], [0, 1]],
+    [[1, 0], [0, Fraction(2)]],
+    ["ab", "cd"],
+    [1, 2],
+    [[1, 2], 3],
+    5,
+    None,
+]
+
+
+@pytest.mark.parametrize("matrix", MALFORMED_MATRICES)
+def test_charpoly_rejects_a_malformed_matrix_before_any_arithmetic(matrix, monkeypatch):
+    def no_arithmetic(*args):
+        raise AssertionError("charpoly ran the recurrence on a malformed matrix")
+
+    monkeypatch.setattr(poly_module, "_packed_fl", no_arithmetic)
+    with pytest.raises(MalformedInput):
+        charpoly(matrix)
+
+
+def test_charpoly_rejects_a_malformed_matrix_even_under_python_O():
+    for matrix in MALFORMED_MATRICES[:2] + MALFORMED_MATRICES[4:5]:
+        assert raises_under_python_O(
+            f"""
+            from lspacecert.poly import charpoly
+            charpoly({matrix!r})
+            """,
+            "MalformedInput",
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -359,3 +410,61 @@ def test_charpoly_matches_permutation_expansion_oracle():
         assert poly.max_exp == len(m) and poly.coefficient(len(m)) == 1
     assert charpoly([[0]]) == LaurentPoly.from_dict({1: 1})
     assert charpoly([[-3]]) == LaurentPoly.from_dict({1: 1, 0: 3})
+    assert charpoly([]) == LaurentPoly.from_dict({0: 1})
+
+
+@pytest.mark.parametrize("g", [2, 3, 5, 8, 13, 20, 40])
+def test_charpoly_of_the_monodromy_action_matches_the_list_loop_oracle(g):
+    for n in (0, 3):
+        m = homology_action(monodromy_phi(g, n))
+        assert charpoly(m).as_dict() == oracle_charpoly_fl(m)
+
+
+def _large_random_matrices(seed):
+    """Seeded integer matrices up to 24 x 24 with entries up to 10^6 in
+    size, dense and sparse, including one all-zero and one diagonal."""
+    rng = random.Random(seed)
+    for n in (1, 2, 3, 5, 8, 13, 17, 24):
+        for big in (1, 10**3, 10**6):
+            yield [[rng.randint(-big, big) for _ in range(n)] for _ in range(n)]
+            yield [[rng.randint(-big, big) if rng.random() < 0.2 else 0
+                    for _ in range(n)] for _ in range(n)]
+    yield [[0] * 24 for _ in range(24)]
+    yield [[10**6 * (i == j) for j in range(24)] for i in range(24)]
+
+
+def test_charpoly_matches_the_list_loop_oracle_on_large_random_matrices():
+    for m in _large_random_matrices(12):
+        assert charpoly(m).as_dict() == oracle_charpoly_fl(m)
+
+
+def test_charpoly_restarts_with_a_doubled_bound_until_the_entries_fit(monkeypatch):
+    bounds = []
+    packed_fl = poly_module._packed_fl
+
+    def recording(rows, n, h):
+        bounds.append(h)
+        return packed_fl(rows, n, h)
+
+    monkeypatch.setattr(poly_module, "_packed_fl", recording)
+    rng = random.Random(3)
+    m = [[rng.randint(-10**6, 10**6) for _ in range(24)] for _ in range(24)]
+    assert charpoly(m).as_dict() == oracle_charpoly_fl(m)
+    # entries of M_k grow like (24 10^6)^k, far past 2^20 = 2^bitlen(10^6)
+    assert len(bounds) >= 3
+    assert bounds[0] == 20
+    assert bounds == [bounds[0] << k for k in range(len(bounds))]
+    bounds.clear()
+    charpoly(homology_action(monodromy_phi(20, 2)))
+    assert bounds == [16]
+
+
+def test_slot_width_holds_every_value_of_a_step():
+    # entries of X in [-2^h, 2^h) give entries of M X + c I of size at most
+    # (n + 1) r 2^h; the balanced w-bit slot holds [-2^(w-1), 2^(w-1))
+    for h in (1, 16, 40):
+        for n in (1, 2, 3, 7, 80, 160):
+            for r in (0, 1, 2, 3, 5, 31, 10**6):
+                w = poly_module._slot_width(h, r, n)
+                assert (n + 1) * r * 2**h < 2 ** (w - 1)
+                assert 2**h <= 2 ** (w - 1)
