@@ -18,16 +18,18 @@ words.  No reduction order ever has to be chosen; the counts returned
 are minimal by construction, which is the bigon criterion in this model.
 
 A ray is a position in a cyclic word, and running backward along a word
-is running forward along its inverse, so every walk step is one
-common-extension count (``_coast``) of two words from two positions.
+is running forward along its inverse.  A ray that branches off an axis
+at once is placed by where its first letter sits between the axis's two
+germs.  A ray that runs along the axis is decided by turn codes
+(``_leaves_above``): the code of position i of a word w is
+``(pos[w[i]] - pos[-w[i-1]]) % 4g``, and a ray leaves on the positive
+side exactly when its codes are lexicographically greater than the
+axis's, which is the cyclic order of ends in the dual tree.
 
-The walk ``_crossings`` lists every crossing; only twist surgery needs
-the list.  Callers that need numbers use the count form
-``_crossing_count``, which counts lifts by corner type and decides a ray
-that runs along the axis by turn codes: the code of position i of a
-word w is ``(pos[w[i]] - pos[-w[i-1]]) % 4g``, and a ray leaves on the
-positive side exactly when its codes are lexicographically greater than
-the axis's, which is the cyclic order of ends in the dual tree.
+The list form ``_crossings`` lists every crossing; only twist surgery
+needs the list.  Callers that need numbers use the count form
+``_crossing_count``, which counts lifts by corner type and compares the
+turn codes of coasting rays a bucket at a time.
 """
 from bisect import bisect_left, bisect_right
 from functools import cmp_to_key
@@ -124,44 +126,35 @@ def is_primitive(word):
 # ---------------------------------------------------------------------------
 # walks in the dual tree
 
-def _coast(u, i, v, j, cap):
-    """Number of steps over which cyclic words u (from i) and v (from j) agree."""
-    lu, lv = len(u), len(v)
-    k = 0
-    while u[(i + k) % lu] == v[(j + k) % lv]:
-        k += 1
-        if k > cap:
-            raise WalkBoundExceeded(f"ray follows line beyond {cap} steps")
-    return k
+def _turn_codes(surface, word):
+    """Germ of each letter counted counterclockwise from the edge it follows.
 
-
-def _ray_side(surface, line, line_inv, phase, ray, at, cap):
-    """Side on which a ray leaves a bi-infinite geodesic.
-
-    ``line`` is the cyclic word of the geodesic and ``line_inv`` its
-    inverse word, ``phase`` the position of the shared start vertex
-    (between letters phase-1 and phase), and the ray reads the cyclic word
-    ``ray`` from position ``at``.  The ray may coast along the line in
-    either direction before branching off; coasting backward is coasting
-    forward along ``line_inv``.  Returns (side, followed) where side is +1
-    when the departing germ lies in the counterclockwise arc from the
-    line's forward germ to its backward germ, and followed counts forward
-    steps shared with the line.
+    Position i of a cyclic word leaves its vertex along w[i] after arriving
+    along the edge of -w[i-1]; the code is the number of boundary steps
+    between the two germs, (pos[w[i]] - pos[-w[i-1]]) % 4g.
     """
     pos = surface._pos
     n = len(surface.boundary_order)
-    p, r = len(line), len(ray)
-    first = ray[at % r]
-    # most rays branch off at once: coast only where the first letters agree
-    fwd = _coast(ray, at, line, phase, cap) if first == line[phase % p] else 0
-    rev = p - phase  # the start vertex as a position in line_inv
-    back = _coast(ray, at, line_inv, rev, cap) if first == line_inv[rev % p] else 0
-    i = phase + fwd - back
-    f, b, t = line[i % p], -line[(i - 1) % p], ray[(at + fwd + back) % r]
-    df = (pos[t] - pos[f]) % n
-    db = (pos[b] - pos[f]) % n
-    side = 1 if 0 < df < db else -1
-    return side, fwd
+    return [(pos[x] - pos[-y]) % n for x, y in zip(word, word[-1:] + word[:-1])]
+
+
+def _leaves_above(codes_a, x, codes_w, y, depth, cap):
+    """Whether the ray at y of codes_w leaves the axis ray at x on the + side.
+
+    Both rays have shared ``depth`` letters; the first differing turn code
+    decides, and sharing more than ``cap`` letters raises.  Returns the
+    side and the number of letters shared where the codes first differ.
+    """
+    p, q = len(codes_a), len(codes_w)
+    while True:
+        if depth > cap:
+            raise WalkBoundExceeded(f"ray follows line beyond {cap} steps")
+        ca, cw = codes_a[x % p], codes_w[y % q]
+        if ca != cw:
+            return cw > ca, depth
+        x += 1
+        y += 1
+        depth += 1
 
 
 class _Crossing:
@@ -197,15 +190,16 @@ def _crossings(surface, a, b):
     The lift's two rays leave the vertex along b[j] and -b[j-1].  A ray
     whose first letter is not the axis's forward letter a[m] shares no
     edge with the axis (the skip rules out its backward letter), so its
-    side is where that letter sits between a[m] and -a[m-1], which is
-    the comparison that ends ``_ray_side``.  Only a ray that starts
-    along a[m] walks.
+    side is where that letter sits between a[m] and -a[m-1].  A ray that
+    starts along a[m] is decided by turn codes (``_leaves_above``), the
+    rule ``_crossing_count`` uses, and k is the depth at which its tie
+    with the axis breaks.
     """
     p, q = len(a), len(b)
-    a_inv, b_inv = inverse_word(a), inverse_word(b)
     cap = p + q + _WALK_MARGIN
     pos = surface._pos
     n = len(surface.boundary_order)
+    codes_a = codes_b = codes_inv = None  # turn codes, built on first use
     # phase, forward and backward letter of a lift of b, and their germs
     ends = [(j, b[j], -b[j - 1], pos[b[j]], pos[-b[j - 1]]) for j in range(q)]
     out = []
@@ -220,45 +214,21 @@ def _crossings(surface, a, b):
             side_fwd = 1 if (px - pf) % n < db else -1
             side_back = 1 if (py - pf) % n < db else -1
             if f == x:  # the forward ray starts along the axis
-                side_fwd, k = _ray_side(surface, a, a_inv, m, b, j, cap)
-            elif f == y:  # the backward ray does
-                side_back, k = _ray_side(surface, a, a_inv, m, b_inv, q - j, cap)
+                codes_a = codes_a or _turn_codes(surface, a)
+                codes_b = codes_b or _turn_codes(surface, b)
+                above, k = _leaves_above(codes_a, m + 1, codes_b, j + 1, 1, cap)
+                side_fwd = 1 if above else -1
+            elif f == y:  # the backward ray does, reading b's inverse from q - j
+                codes_a = codes_a or _turn_codes(surface, a)
+                codes_inv = codes_inv or _turn_codes(surface, inverse_word(b))
+                above, k = _leaves_above(codes_a, m + 1, codes_inv, q + 1 - j, 1, cap)
+                side_back = 1 if above else -1
             if side_fwd != side_back:
                 out.append(_Crossing(m, j, k, f == x, side_fwd))
     return out
 
 
-def _turn_codes(surface, word):
-    """Germ of each letter counted counterclockwise from the edge it follows.
-
-    Position i of a cyclic word leaves its vertex along w[i] after arriving
-    along the edge of -w[i-1]; the code is the number of boundary steps
-    between the two germs, (pos[w[i]] - pos[-w[i-1]]) % 4g.
-    """
-    pos = surface._pos
-    n = len(surface.boundary_order)
-    return [(pos[x] - pos[-y]) % n for x, y in zip(word, word[-1:] + word[:-1])]
-
-
-def _leaves_above(codes_a, x, codes_w, y, depth, cap):
-    """Whether the ray at y of codes_w leaves the axis ray at x on the + side.
-
-    Both rays have shared ``depth`` letters; the first differing turn code
-    decides, and sharing more than ``cap`` letters raises, as the walk does.
-    """
-    p, q = len(codes_a), len(codes_w)
-    while True:
-        if depth > cap:
-            raise WalkBoundExceeded(f"ray follows line beyond {cap} steps")
-        ca, cw = codes_a[x % p], codes_w[y % q]
-        if ca != cw:
-            return cw > ca
-        x += 1
-        y += 1
-        depth += 1
-
-
-def _count_coasting(codes_a, codes_w, xs, ups, downs, cap):
+def _count_by_codes(codes_a, codes_w, xs, ups, downs, cap):
     """Decide the coasting rays of one corner class by their turn codes.
 
     ``xs`` are axis positions and ``ups`` and ``downs`` positions of rays
@@ -286,9 +256,9 @@ def _count_coasting(codes_a, codes_w, xs, ups, downs, cap):
             if len(xs) == 1:
                 x = xs[0]
                 for y in ups:
-                    plus += _leaves_above(codes_a, x, codes_w, y, depth, cap)
+                    plus += _leaves_above(codes_a, x, codes_w, y, depth, cap)[0]
                 for y in downs:
-                    minus += not _leaves_above(codes_a, x, codes_w, y, depth, cap)
+                    minus += not _leaves_above(codes_a, x, codes_w, y, depth, cap)[0]
                 continue
             bx = {}
             for x in xs:
@@ -318,12 +288,12 @@ def _crossing_count(surface, a, b):
     """Number and signed sum of the lifts of b crossing the axis of a.
 
     Equal to len and the sum of eps of ``_crossings(surface, a, b)``, and
-    raises WalkBoundExceeded wherever that walk does, without listing a
+    raises WalkBoundExceeded wherever that list does, without listing a
     crossing.  The lift at axis vertex m and phase j sits at two corners,
     (a[m], -a[m-1]) and (b[j], -b[j-1]).  When neither of its rays starts
     along a[m], whether it crosses depends on the two corner types only,
     so those lifts are counted by one product per pair of types.  A ray
-    that starts along a[m] is decided by turn codes (``_count_coasting``),
+    that starts along a[m] is decided by turn codes (``_count_by_codes``),
     one axis corner and one direction of b at a time.
     """
     p, q = len(a), len(b)
@@ -364,7 +334,7 @@ def _crossing_count(surface, a, b):
         if ups or downs:
             if codes_b is None:
                 codes_b = _turn_codes(surface, b)
-            plus, minus = _count_coasting(
+            plus, minus = _count_by_codes(
                 codes_a, codes_b, xs, [j + 1 for j in ups], [j + 1 for j in downs], cap
             )
             count += plus + minus
@@ -373,7 +343,7 @@ def _crossing_count(surface, a, b):
             if codes_inv is None:
                 codes_inv = _turn_codes(surface, inverse_word(b))
             # b's backward ray from phase j reads b's inverse from q - j
-            plus, minus = _count_coasting(
+            plus, minus = _count_by_codes(
                 codes_a, codes_inv, xs, [q + 1 - j for j in ups_inv],
                 [q + 1 - j for j in downs_inv], cap
             )
@@ -400,17 +370,34 @@ def _crossing_order(surface, a, b):
     if len(xs) <= 1:
         return xs
     p, q = len(a), len(b)
-    a_inv, b_inv = inverse_word(a), inverse_word(b)
     cap = 3 * q + p + _WALK_MARGIN
+    pos = surface._pos
+    n = len(surface.boundary_order)
+    codes = []  # turn codes of b, b's inverse and a's inverse, built on first use
+
+    def above(p1, x, codes_w, at):
+        # whether the ray that leaves the lift of b at phase p1 along x, and
+        # reads codes_w from `at`, leaves that lift on its + side
+        codes_b, codes_inv, _ = codes
+        if x == b[p1]:  # the ray coasts along the lift
+            return _leaves_above(codes_b, p1 + 1, codes_w, at + 1, 1, cap)[0]
+        if x == -b[p1 - 1]:  # it coasts backward, along b's inverse from q - p1
+            return not _leaves_above(codes_inv, q + 1 - p1, codes_w, at + 1, 1, cap)[0]
+        pf = pos[b[p1]]
+        return (pos[x] - pf) % n < (pos[-b[p1 - 1]] - pf) % n
 
     def earlier(x2, x1):
-        # True when the axis meets x2's lift before x1's.
+        # True when the axis meets x2's lift before x1's: x2's lift and the
+        # axis's backward ray, which reads a's inverse from p - t, leave
+        # x1's lift on the same side.
+        if not codes:
+            codes.extend(
+                _turn_codes(surface, w) for w in (b, inverse_word(b), inverse_word(a))
+            )
         t = max(x1.m, x2.m)
         p1 = _phase_at(x1, t, q)
         p2 = _phase_at(x2, t, q)
-        side_l2, _ = _ray_side(surface, b, b_inv, p1, b, p2, cap)
-        side_from, _ = _ray_side(surface, b, b_inv, p1, a_inv, p - t, cap)
-        return side_l2 == side_from
+        return above(p1, b[p2], codes[0], p2) == above(p1, -a[t - 1], codes[2], p - t)
 
     def cmp(x1, x2):
         if max(x1.m, x2.m) <= min(x1.m + x1.k, x2.m + x2.k):
@@ -435,7 +422,7 @@ def _validate_word(surface, word):
     is the crossing count of the word against itself.
     """
     for x in word:
-        if not isinstance(x, int) or x == 0 or abs(x) > surface.arc_count:
+        if type(x) is not int or x == 0 or abs(x) > surface.arc_count:
             raise ValueError(f"letter {x!r} does not name an arc of the surface")
     reduced = reduce_cyclic(word)
     if not reduced:

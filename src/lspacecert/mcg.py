@@ -201,11 +201,10 @@ def alexander_polynomial(word):
     """det(t I - M) of the homological action, top coefficient +1.
 
     For the monodromy of a fibred knot this is its Alexander polynomial,
-    normalized to lowest exponent zero and monic top term.
+    normalized to lowest exponent zero.  Its top coefficient is +1 with
+    no sign fix: det(t I - M) is monic, since the Faddeev-LeVerrier
+    scheme in ``charpoly`` starts from c_n = 1.
     """
     poly = charpoly(homology_action(word))
-    poly = poly.shifted(-poly.min_exp)
-    if poly.coeffs[-1][1] < 0:
-        poly = poly.negated()
-    return poly
+    return poly.shifted(-poly.min_exp)
 

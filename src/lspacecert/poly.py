@@ -41,9 +41,6 @@ class LaurentPoly:
         """Multiply by t^k."""
         return LaurentPoly(tuple((e + k, c) for e, c in self.coeffs))
 
-    def negated(self):
-        return LaurentPoly(tuple((e, -c) for e, c in self.coeffs))
-
     def reciprocal(self):
         """Substitute t -> 1/t."""
         return LaurentPoly(tuple(sorted((-e, c) for e, c in self.coeffs)))

@@ -4,12 +4,12 @@ Each oracle recomputes something the package also computes, by a method
 that shares no code with it: least rotations and primitivity by
 comparing every rotation, intersection numbers by exhaustive search
 over chord diagram placements, ray sides in the dual tree by one
-coasting loop per direction over a letter closure, crossing signs by
-listing every crossing with the walk, Alexander polynomials
-from a Seifert matrix by permutation expansion, homological actions as
-dense products of transvection matrices, matrix products as triple sums,
-characteristic polynomials by permutation expansion and by the
-Faddeev-LeVerrier loop over lists of rows, exact triangles as
+coasting loop per direction over a letter closure, crossing lists and
+signs by asking that loop about both rays of every lift, Alexander
+polynomials from a Seifert matrix by permutation expansion, homological
+actions as dense products of transvection matrices, matrix products as
+triple sums, characteristic polynomials by permutation expansion and by
+the Faddeev-LeVerrier loop over lists of rows, exact triangles as
 explicit matrices over GF(2), certificate JSON through json.dumps of a
 dict.  Keep these slow and obvious.
 """
@@ -202,19 +202,44 @@ def oracle_ray_side(surface, line, phase, ray, cap):
 
 
 # ---------------------------------------------------------------------------
-# crossing signs, one listed crossing at a time
+# crossings, both rays of one lift at a time
+
+def oracle_crossings(surface, a, b):
+    """(m, j, k, aligned, eps) of every lift of b crossing the axis of a.
+
+    The list ``curves._crossings`` must return, in the same order: the lift
+    at axis vertex m and phase j is skipped when it also passes the
+    previous vertex, and otherwise crosses when ``oracle_ray_side`` puts
+    its forward and backward rays on opposite sides.  k is how far the
+    ray that starts along a[m] follows the axis, and the cap is read
+    from ``curves._WALK_MARGIN`` at call time.
+    """
+    p, q = len(a), len(b)
+    cap = p + q + curves._WALK_MARGIN
+    out = []
+    for m in range(p):
+        for j in range(q):
+            if -a[m - 1] in (b[j], -b[j - 1]):
+                continue
+            fwd = oracle_ray_side(surface, a, m, lambda r: b[(j + r) % q], cap)
+            back = oracle_ray_side(surface, a, m, lambda r: -b[(j - 1 - r) % q], cap)
+            if fwd[0] != back[0]:
+                aligned = b[j] == a[m]
+                out.append((m, j, (fwd if aligned else back)[1], aligned, fwd[0]))
+    return out
+
 
 def crossing_signs(a, b):
     """Signs of the crossings of b through a in minimal position.
 
-    One entry per crossing lift listed by the walk ``curves._crossings``,
-    +1 when b's forward end departs on the positive side of a's axis.
-    Empty on isotopic pairs since a curve can be isotoped off itself.  The
-    count form ``curves.crossing_count`` must equal its length and sum.
+    One entry per crossing lift of ``oracle_crossings``, +1 when b's
+    forward end departs on the positive side of a's axis.  Empty on
+    isotopic pairs since a curve can be isotoped off itself.  The count
+    form ``curves.crossing_count`` must equal its length and sum.
     """
     if a._canon == b._canon:
         return ()
-    return tuple(x.eps for x in curves._crossings(a.surface, a.word, b.word))
+    return tuple(x[4] for x in oracle_crossings(a.surface, a.word, b.word))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from conftest import random_curve, raises_under_python_O
 from oracles import (
     crossing_signs,
     oracle_canonical_form,
+    oracle_crossings,
     oracle_is_primitive,
     oracle_is_simple,
     oracle_min_crossings,
@@ -97,6 +98,10 @@ def test_normalize_rejects_non_simple():
 def test_normalize_rejects_unknown_arcs():
     with pytest.raises(ValueError):
         normalize((9,), S2)
+    # a bool is an int subclass, not an arc name: True would equal a1
+    for word in ((True,), (True, 2, -1, -2)):
+        with pytest.raises(ValueError):
+            curves.Curve(S2, word)
 
 
 def _normal_form_words(rng):
@@ -232,44 +237,60 @@ def test_inconsistent_crossing_order_is_a_typed_error_even_under_python_O(sys2, 
     )
 
 
-def test_ray_following_the_line_past_the_cap_is_a_typed_error():
-    line = (1, 2, -1, -2)
-    line_inv = curves.inverse_word(line)
-    # the forward ray reads the line itself, the backward ray its inverse
-    for ray in (line, line_inv):
-        with pytest.raises(WalkBoundExceeded):
-            curves._ray_side(S2, line, line_inv, 0, ray, 0, 5)
+def _tuples(xs):
+    return [(x.m, x.j, x.k, x.aligned, x.eps) for x in xs]
+
+
+def test_ray_following_the_line_past_the_cap_is_a_typed_error(monkeypatch):
+    # turn codes that agree on exactly cap letters are a result, one more raises
+    assert curves._leaves_above([0, 1, 2], 1, [3, 1, 3], 1, 1, 2) == (True, 2)
     with pytest.raises(WalkBoundExceeded):
-        curves._coast((1, 2), 1, (1, 2), 1, 6)
-    # a run of exactly cap steps is still a result
-    assert curves._coast((1, 2, 3), 0, (1, 2, 4), 0, 2) == 2
+        curves._leaves_above([0, 1, 2], 1, [3, 1, 3], 1, 1, 1)
+    # c's lifts coast along the twisted runs of B[2,5]; the deepest tie is a
+    # crossing that follows the axis for 21 letters
+    bn, c = beta_gn(2, 5).word, standard_curve_system(2).c.word
+    listed = _tuples(curves._crossings(S2, bn, c))
+    assert max(k for _, _, k, _, _ in listed) == 21
+    monkeypatch.setattr(curves, "_WALK_MARGIN", 21 - len(bn) - len(c))
+    assert _tuples(curves._crossings(S2, bn, c)) == listed
+    monkeypatch.setattr(curves, "_WALK_MARGIN", 20 - len(bn) - len(c))
+    with pytest.raises(WalkBoundExceeded):
+        curves._crossings(S2, bn, c)
+    # no lift of B[2,1] coasts along a1, but the rays that order two of them
+    # share 2 letters with a lift, within _crossing_order's cap 3q + p + margin
+    a1, b = (1,), beta_gn(2, 1).word
+    monkeypatch.undo()
+    order = _tuples(curves._crossing_order(S2, a1, b))
+    assert len(order) == 4
+    monkeypatch.setattr(curves, "_WALK_MARGIN", 2 - 3 * len(b) - len(a1))
+    assert _tuples(curves._crossing_order(S2, a1, b)) == order
+    monkeypatch.setattr(curves, "_WALK_MARGIN", 1 - 3 * len(b) - len(a1))
+    assert _tuples(curves._crossings(S2, a1, b)) == sorted(order)
+    with pytest.raises(WalkBoundExceeded):
+        curves._crossing_order(S2, a1, b)
 
 
-def _side_or_bound(ray_side, *args):
-    try:
-        return ray_side(*args)
-    except WalkBoundExceeded:
-        return "bound"
-
-
-def _oracle_crossing_tuples(surface, a, b):
-    """(m, j, k, aligned, eps) of every crossing lift, from closure rays."""
-    p, q = len(a), len(b)
-    cap = p + q + curves._WALK_MARGIN
+def _listed_or_bound(surface, a, b):
+    """The list form's and the oracle's crossing tuples, or "bound"."""
     out = []
-    for m in range(p):
-        for j in range(q):
-            if -a[m - 1] in (b[j], -b[j - 1]):
-                continue
-            fwd = oracle_ray_side(surface, a, m, lambda r: b[(j + r) % q], cap)
-            back = oracle_ray_side(surface, a, m, lambda r: -b[(j - 1 - r) % q], cap)
-            if fwd[0] != back[0]:
-                aligned = b[j] == a[m]
-                out.append((m, j, (fwd if aligned else back)[1], aligned, fwd[0]))
+    for listed in (lambda: _tuples(curves._crossings(surface, a, b)),
+                   lambda: oracle_crossings(surface, a, b)):
+        try:
+            out.append(listed())
+        except WalkBoundExceeded:
+            out.append("bound")
     return out
 
 
-def test_ray_side_matches_closure_oracle_randomized():
+def _ray_kind(line, phase, letter):
+    """Whether a ray with first letter ``letter`` starts along the line's
+    forward letter, along its backward letter, or branches off at once."""
+    if letter == line[phase % len(line)]:
+        return "forward"
+    return "backward" if letter == -line[phase - 1] else "branch"
+
+
+def test_ray_side_matches_closure_oracle_randomized(monkeypatch):
     rng = random.Random(61)
     seen = set()
     for g in (2, 3):
@@ -278,32 +299,22 @@ def test_ray_side_matches_closure_oracle_randomized():
             a = random_curve(rng, g).word
             b = a if trial % 3 == 0 else random_curve(rng, g).word
             p, q = len(a), len(b)
-            a_inv, b_inv = curves.inverse_word(a), curves.inverse_word(b)
-            cap = p + q + curves._WALK_MARGIN
-            # forward and back ray of b at every (m, j), the skipped pairs too
-            for m in range(p):
-                for j in range(q):
-                    for ray, at, letter in (
-                        (b, j, lambda r, j=j: b[(j + r) % q]),
-                        (b_inv, q - j, lambda r, j=j: -b[(j - 1 - r) % q]),
-                    ):
-                        got = _side_or_bound(
-                            curves._ray_side, surface, a, a_inv, m, ray, at, cap
-                        )
-                        assert got == _side_or_bound(
-                            oracle_ray_side, surface, a, m, letter, cap
-                        ), (g, a, b, m, ray, at)
-                        seen.add("bound" if got == "bound" else
-                                 "forward" if letter(0) == a[m] else
-                                 "backward" if letter(0) == -a[m - 1] else "branch")
-            xs = curves._crossings(surface, a, b)
-            assert [(x.m, x.j, x.k, x.aligned, x.eps) for x in xs] == (
-                _oracle_crossing_tuples(surface, a, b)
-            )
+            # every lift, with how far it coasts, at the default cap and at
+            # a cap of two letters, which deep ties exceed
+            for margin in (curves._WALK_MARGIN, 2 - p - q):
+                monkeypatch.setattr(curves, "_WALK_MARGIN", margin)
+                got, expected = _listed_or_bound(surface, a, b)
+                assert got == expected, (g, a, b, margin)
+                if got == "bound":
+                    seen.add("bound")
+            monkeypatch.undo()
+            for m, j, _, aligned, _ in oracle_crossings(surface, a, b):
+                seen.add(_ray_kind(a, m, b[j] if aligned else -b[j - 1]))
             # the two rays `earlier` reads for each pair of lifts through a
             # common vertex, and the order _crossing_order puts them in
             order = curves._crossing_order(surface, a, b)
-            order_cap = 2 * q + cap
+            assert sorted(_tuples(order)) == oracle_crossings(surface, a, b)
+            order_cap = 3 * q + p + curves._WALK_MARGIN
             for i, x1 in enumerate(order):
                 for x2 in order[i + 1:]:
                     t = max(x1.m, x2.m)
@@ -311,13 +322,9 @@ def test_ray_side_matches_closure_oracle_randomized():
                         continue  # disjoint intervals, ordered by anchors
                     p1, p2 = curves._phase_at(x1, t, q), curves._phase_at(x2, t, q)
                     sides = []
-                    for ray, at, letter in (
-                        (b, p2, lambda r: b[(p2 + r) % q]),
-                        (a_inv, p - t, lambda r: -a[(t - 1 - r) % p]),
-                    ):
-                        got = curves._ray_side(surface, b, b_inv, p1, ray, at, order_cap)
-                        assert got == oracle_ray_side(surface, b, p1, letter, order_cap)
-                        sides.append(got[0])
+                    for letter in (lambda r: b[(p2 + r) % q], lambda r: -a[(t - 1 - r) % p]):
+                        sides.append(oracle_ray_side(surface, b, p1, letter, order_cap)[0])
+                        seen.add(_ray_kind(b, p1, letter(0)))
                     # x1 comes first, so the axis does not meet x2 earlier
                     assert sides[0] != sides[1]
                     seen.add("earlier")
@@ -386,12 +393,12 @@ def test_twisted_family_against_oracle(sys2):
 # the count form of the crossing kernel
 
 def _listed(surface, a, b):
-    """len and signed sum of the crossings the walk lists, or "bound"."""
+    """len and signed sum of the crossings the oracle lists, or "bound"."""
     try:
-        xs = curves._crossings(surface, a, b)
+        xs = oracle_crossings(surface, a, b)
     except WalkBoundExceeded:
         return "bound"
-    return len(xs), sum(x.eps for x in xs)
+    return len(xs), sum(eps for *_, eps in xs)
 
 
 def _counted(surface, a, b):
@@ -468,7 +475,7 @@ def test_crossing_count_equals_the_walk_on_long_words_against_the_system(g):
 
 def test_crossing_count_raises_on_a_tie_at_the_cap(monkeypatch):
     # c's lifts coast along the twisted runs of B[2,5]; find the least
-    # margin the walk survives and hold the count form to it on both sides
+    # margin the oracle survives and hold both forms to it on both sides
     bn, c = beta_gn(2, 5).word, standard_curve_system(2).c.word
     cap0 = len(bn) + len(c)
     for a, b in ((bn, c), (c, bn)):
@@ -479,9 +486,12 @@ def test_crossing_count_raises_on_a_tie_at_the_cap(monkeypatch):
             monkeypatch.setattr(curves, "_WALK_MARGIN", margin)
         assert margin > -cap0 + 1  # some ray coasts for more than a step
         assert _counted(S2, a, b) == _listed(S2, a, b) != "bound"
+        assert _tuples(curves._crossings(S2, a, b)) == oracle_crossings(S2, a, b)
         monkeypatch.setattr(curves, "_WALK_MARGIN", margin - 1)
         with pytest.raises(WalkBoundExceeded):
             curves._crossing_count(S2, a, b)
+        with pytest.raises(WalkBoundExceeded):
+            curves._crossings(S2, a, b)
 
 
 def test_crossing_count_cap_is_a_typed_error_even_under_python_O():
@@ -493,6 +503,21 @@ def test_crossing_count_cap_is_a_typed_error_even_under_python_O():
         curves._WALK_MARGIN = -10**6
         c = standard_curve_system(2).c
         curves._crossing_count(c.surface, beta_gn(2, 5).word, c.word)
+        """,
+        "WalkBoundExceeded",
+    )
+
+
+def test_twist_surgery_cap_is_a_typed_error_even_under_python_O():
+    # B[2,5] is built by twisting at the default margin; twisting it once
+    # more about c lists crossings whose rays coast past any negative cap
+    assert raises_under_python_O(
+        """
+        from lspacecert import curves
+        from lspacecert.mcg import beta_gn, standard_curve_system
+        bn, c = beta_gn(2, 5), standard_curve_system(2).c
+        curves._WALK_MARGIN = -10**6
+        curves.dehn_twist(bn, c)
         """,
         "WalkBoundExceeded",
     )

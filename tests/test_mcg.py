@@ -340,6 +340,32 @@ def test_charpoly_rejects_inexact_division_even_under_python_O():
     )
 
 
+# With one bit per slot and h = 1, entries of M X overflow their slots; the
+# decoded trace at step 2 is 3, which the divisibility check must catch.
+NARROW_SLOT_ROWS = [
+    [(x, j) for j, x in enumerate(row) if x]
+    for row in [[1, 0, -1, -1, 1], [1, 0, 0, -1, -1], [0, -1, -1, 1, 0],
+                [0, -1, -1, 0, 0], [1, 1, 0, -1, 1]]
+]
+
+
+def test_charpoly_trace_check_catches_slots_too_narrow(monkeypatch):
+    monkeypatch.setattr(poly_module, "_slot_width", lambda h, r, n: h + 1)
+    with pytest.raises(WorkbenchError, match="trace 3 at step 2 is not divisible by 2"):
+        poly_module._packed_fl(NARROW_SLOT_ROWS, 5, 1)
+
+
+def test_charpoly_trace_check_catches_slots_too_narrow_even_under_python_O():
+    assert raises_under_python_O(
+        f"""
+        from lspacecert import poly
+        poly._slot_width = lambda h, r, n: h + 1
+        poly._packed_fl({NARROW_SLOT_ROWS!r}, 5, 1)
+        """,
+        "WorkbenchError",
+    )
+
+
 MALFORMED_MATRICES = [
     [[1, 2], [3]],  # ragged
     [[1, 2]],  # not square
