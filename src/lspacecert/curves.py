@@ -32,7 +32,6 @@ needs the list.  Callers that need numbers use the count form
 turn codes of coasting rays a bucket at a time.
 """
 from bisect import bisect_left, bisect_right
-from functools import cmp_to_key
 
 from .errors import (
     AnchorViolation,
@@ -42,7 +41,8 @@ from .errors import (
     WalkBoundExceeded,
 )
 
-_WALK_MARGIN = 8  # two distinct periodic rays must disagree within p+q steps
+# distinct periodic rays part within p + q steps, and crossing ends within q + 1 codes
+_WALK_MARGIN = 8
 
 
 # ---------------------------------------------------------------------------
@@ -361,50 +361,44 @@ def _phase_at(x, t, q):
 def _crossing_order(surface, a, b):
     """Crossing lifts of b along the axis of a, in traversal order.
 
-    Lifts met on disjoint vertex intervals are ordered by their anchors.
-    When intervals share a vertex the lifts pass through a common disk;
-    there the earlier crossing is the one whose lift sits on the side of
-    the other that the axis arrives from.
+    Lifts of a simple curve are disjoint and each crosses the axis once,
+    so they meet it in the order of their ends on its + side.  An end
+    that leaves the axis at an earlier vertex comes first.  Ends that
+    leave at the same vertex come in the cyclic order of ends in the dual
+    tree: by their first germ counted clockwise from the axis's backward
+    germ, then by their turn codes, greatest first.  After its first
+    letter an end reads b or b's inverse, both of period q, so two ends
+    that agree on q more codes are equal, which ends of distinct lifts
+    never are; equal keys raise WalkBoundExceeded.
     """
     xs = _crossings(surface, a, b)
     if len(xs) <= 1:
         return xs
     p, q = len(a), len(b)
-    cap = 3 * q + p + _WALK_MARGIN
     pos = surface._pos
     n = len(surface.boundary_order)
-    codes = []  # turn codes of b, b's inverse and a's inverse, built on first use
-
-    def above(p1, x, codes_w, at):
-        # whether the ray that leaves the lift of b at phase p1 along x, and
-        # reads codes_w from `at`, leaves that lift on its + side
-        codes_b, codes_inv, _ = codes
-        if x == b[p1]:  # the ray coasts along the lift
-            return _leaves_above(codes_b, p1 + 1, codes_w, at + 1, 1, cap)[0]
-        if x == -b[p1 - 1]:  # it coasts backward, along b's inverse from q - p1
-            return not _leaves_above(codes_inv, q + 1 - p1, codes_w, at + 1, 1, cap)[0]
-        pf = pos[b[p1]]
-        return (pos[x] - pf) % n < (pos[-b[p1 - 1]] - pf) % n
-
-    def earlier(x2, x1):
-        # True when the axis meets x2's lift before x1's: x2's lift and the
-        # axis's backward ray, which reads a's inverse from p - t, leave
-        # x1's lift on the same side.
-        if not codes:
-            codes.extend(
-                _turn_codes(surface, w) for w in (b, inverse_word(b), inverse_word(a))
-            )
-        t = max(x1.m, x2.m)
-        p1 = _phase_at(x1, t, q)
-        p2 = _phase_at(x2, t, q)
-        return above(p1, b[p2], codes[0], p2) == above(p1, -a[t - 1], codes[2], p - t)
-
-    def cmp(x1, x2):
-        if max(x1.m, x2.m) <= min(x1.m + x1.k, x2.m + x2.k):
-            return 1 if earlier(x2, x1) else -1
-        return -1 if x1.m < x2.m else 1
-
-    return sorted(xs, key=cmp_to_key(cmp))
+    depth = max(q + _WALK_MARGIN - 1, 0)  # codes read after the first letter
+    inv = inverse_word(b)
+    # negated codes of b and of its inverse, repeated so no slice wraps
+    reps = depth // q + 2
+    fwd = [-c for c in _turn_codes(surface, b)] * reps
+    bwd = [-c for c in _turn_codes(surface, inv)] * reps
+    keys = []
+    for x in xs:
+        plus = x.eps > 0  # the + end is the forward ray
+        v = x.m + x.k if plus == x.aligned else x.m  # the vertex it leaves at
+        j = _phase_at(x, v, q)
+        if plus:
+            first, codes, at = b[j], fwd, j + 1
+        else:  # the backward ray reads b's inverse from q - j
+            i = (q - j) % q
+            first, codes, at = inv[i], bwd, i + 1
+        keys.append((v, (pos[-a[(v - 1) % p]] - pos[first]) % n, codes[at:at + depth]))
+    order = sorted(range(len(xs)), key=keys.__getitem__)
+    for prev, i in zip(order, order[1:]):
+        if keys[prev] == keys[i]:
+            raise WalkBoundExceeded(f"two crossing ends agree on {depth + 1} codes")
+    return [xs[i] for i in order]
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,6 @@ def apply_word(word, curve):
 # ---------------------------------------------------------------------------
 # homology
 
-@lru_cache(maxsize=None)
 def symplectic_form(g):
     """Intersection pairing of the chain basis classes.
 

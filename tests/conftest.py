@@ -46,11 +46,10 @@ def sys2():
 
 
 def clear_genus_caches():
-    """Empty every per-genus cache of the package: surface, curve system,
-    pairing and base block."""
+    """Empty every per-genus cache of the package: surface, curve system
+    and base block."""
     surface.standard_surface.cache_clear()
     mcg.standard_curve_system.cache_clear()
-    mcg.symplectic_form.cache_clear()
     derive_base_bound.cache_clear()
 
 

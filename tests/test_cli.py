@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -47,6 +48,30 @@ def test_alexander_command():
 def test_twist_command_prints_normalized_word():
     code, out = run("twist", "-g", "2", "T(a1)^1(b2)")
     assert code == 0 and out == "e4+\n"
+
+
+@pytest.mark.parametrize("genus, expr, size, digest", [
+    ("2", "T(B[2,1])^-2(a1)", 292,
+     "aea6f538a2cf7cd02c4b2ed561c6e02df716dc94daa93a30a0c8278aac42a224"),
+    ("3", "phi[1](c)", 368,
+     "ca3a377eeb7875d5b8b00b06f5955b5a6ff18e57e90e7699e6104002788f626a"),
+    ("2", "psi(B[2,5])", 252,
+     "beceb5012635f9c541180e34f6ccee59416c95301788c49f14b387353ef17fe6"),
+    ("2", "T(c)^3(psi(B[2,2]))", 708,
+     "6349bab463f031b73e3514d327a851a3c5e143793c3c3fc42708b60a2c71b66e"),
+    ("3", "T(psi(b3))^2(B[3,2])", 132,
+     "b26a56f92776b591db393225a6c9fc7084113a3f17057d907ff8d983eff86ee5"),
+    ("2", "T(B[2,2])(psi(B[2,2]))", 4416,
+     "a5bc132d79f9b172036c0625576a3b6ea9b29737072abddd5b1e000668f6f4b2"),
+])
+def test_twist_output_is_pinned_where_crossing_intervals_overlap(genus, expr, size, digest):
+    # each twist orders lifts that pass through a common axis vertex; the
+    # sizes and SHA-256 digests of stdout were recorded with the pairwise
+    # comparator that ordered crossings before the sort key
+    code, out = run("twist", "-g", genus, expr)
+    data = out.encode()
+    assert code == 0
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
 def test_curves_command_shows_table():

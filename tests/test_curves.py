@@ -256,18 +256,34 @@ def test_ray_following_the_line_past_the_cap_is_a_typed_error(monkeypatch):
     monkeypatch.setattr(curves, "_WALK_MARGIN", 20 - len(bn) - len(c))
     with pytest.raises(WalkBoundExceeded):
         curves._crossings(S2, bn, c)
-    # no lift of B[2,1] coasts along a1, but the rays that order two of them
-    # share 2 letters with a lift, within _crossing_order's cap 3q + p + margin
-    a1, b = (1,), beta_gn(2, 1).word
+    # no lift of B[2,1] coasts along a1, so the + ends of its 4 crossings
+    # all leave vertex 0, and the first two share their first two codes:
+    # keys of 3 codes order them, keys of 2 tie and raise
     monkeypatch.undo()
-    order = _tuples(curves._crossing_order(S2, a1, b))
-    assert len(order) == 4
-    monkeypatch.setattr(curves, "_WALK_MARGIN", 2 - 3 * len(b) - len(a1))
+    a1, b = (1,), beta_gn(2, 1).word
+    order = [(0, 1, 0, False, 1), (0, 6, 0, False, -1), (0, 4, 0, False, -1),
+             (0, 7, 0, False, 1)]
     assert _tuples(curves._crossing_order(S2, a1, b)) == order
-    monkeypatch.setattr(curves, "_WALK_MARGIN", 1 - 3 * len(b) - len(a1))
+    monkeypatch.setattr(curves, "_WALK_MARGIN", 3 - len(b))
+    assert _tuples(curves._crossing_order(S2, a1, b)) == order
+    monkeypatch.setattr(curves, "_WALK_MARGIN", 2 - len(b))
     assert _tuples(curves._crossings(S2, a1, b)) == sorted(order)
     with pytest.raises(WalkBoundExceeded):
         curves._crossing_order(S2, a1, b)
+
+
+def test_tied_crossing_ends_are_a_typed_error_even_under_python_O():
+    # keys of 2 codes tie on two ends of B[2,1]'s lifts through a1
+    assert raises_under_python_O(
+        """
+        from lspacecert import curves
+        from lspacecert.mcg import beta_gn
+        b = beta_gn(2, 1)
+        curves._WALK_MARGIN = 2 - len(b.word)
+        curves._crossing_order(b.surface, (1,), b.word)
+        """,
+        "WalkBoundExceeded",
+    )
 
 
 def _listed_or_bound(surface, a, b):
@@ -310,25 +326,54 @@ def test_ray_side_matches_closure_oracle_randomized(monkeypatch):
             monkeypatch.undo()
             for m, j, _, aligned, _ in oracle_crossings(surface, a, b):
                 seen.add(_ray_kind(a, m, b[j] if aligned else -b[j - 1]))
-            # the two rays `earlier` reads for each pair of lifts through a
-            # common vertex, and the order _crossing_order puts them in
-            order = curves._crossing_order(surface, a, b)
-            assert sorted(_tuples(order)) == oracle_crossings(surface, a, b)
-            order_cap = 3 * q + p + curves._WALK_MARGIN
-            for i, x1 in enumerate(order):
-                for x2 in order[i + 1:]:
-                    t = max(x1.m, x2.m)
-                    if t > min(x1.m + x1.k, x2.m + x2.k):
-                        continue  # disjoint intervals, ordered by anchors
-                    p1, p2 = curves._phase_at(x1, t, q), curves._phase_at(x2, t, q)
-                    sides = []
-                    for letter in (lambda r: b[(p2 + r) % q], lambda r: -a[(t - 1 - r) % p]):
-                        sides.append(oracle_ray_side(surface, b, p1, letter, order_cap)[0])
-                        seen.add(_ray_kind(b, p1, letter(0)))
-                    # x1 comes first, so the axis does not meet x2 earlier
-                    assert sides[0] != sides[1]
-                    seen.add("earlier")
-    assert seen == {"bound", "forward", "backward", "branch", "earlier"}
+            _order_matches_sides(surface, a, b, seen)
+    # the shapes twist surgery meets: c's lifts along B[2,5], one of which
+    # coasts 21 letters; psi's factors applied to B[2,8] one at a time; and
+    # the pair of T(B[2,2])(psi(B[2,2])), with 224 pairs of lifts through a
+    # common vertex
+    bn, c = beta_gn(2, 5).word, standard_curve_system(2).c.word
+    pairs = [(bn, c), (c, bn)]
+    image = beta_gn(2, 8)
+    for about, power in reversed(monodromy_psi(2).factors):
+        pairs.append((image.word, about.word))
+        image = dehn_twist(image, about, power)
+    b22 = beta_gn(2, 2)
+    pairs.append((apply_word(monodromy_psi(2), b22).word, b22.word))
+    shared = [_order_matches_sides(S2, a, b, seen) for a, b in pairs]
+    assert shared[:2] == [1, 1] and shared[-1] == 224
+    assert seen == {"bound", "forward", "backward", "branch", "shared"}
+
+
+def _order_matches_sides(surface, a, b, seen):
+    """Hold ``_crossing_order`` to the closure oracle, pair by pair.
+
+    Lifts on disjoint vertex intervals must come in the order of their
+    intervals.  For lifts x1 before x2 through a common vertex t, x2's
+    lift and the axis's backward ray must leave x1's lift on opposite
+    sides, as ``oracle_ray_side`` walks them.  Returns the number of
+    pairs through a common vertex.
+    """
+    p, q = len(a), len(b)
+    order = curves._crossing_order(surface, a, b)
+    assert sorted(_tuples(order)) == oracle_crossings(surface, a, b)
+    cap = 3 * q + p + curves._WALK_MARGIN  # the oracle's own bound
+    shared = 0
+    for i, x1 in enumerate(order):
+        for x2 in order[i + 1:]:
+            t = max(x1.m, x2.m)
+            if t > min(x1.m + x1.k, x2.m + x2.k):
+                assert x1.m + x1.k < x2.m
+                continue
+            p1, p2 = curves._phase_at(x1, t, q), curves._phase_at(x2, t, q)
+            sides = []
+            for letter in (lambda r: b[(p2 + r) % q], lambda r: -a[(t - 1 - r) % p]):
+                sides.append(oracle_ray_side(surface, b, p1, letter, cap)[0])
+                seen.add(_ray_kind(b, p1, letter(0)))
+            # x1 comes first, so the axis does not meet x2 earlier
+            assert sides[0] != sides[1]
+            seen.add("shared")
+            shared += 1
+    return shared
 
 
 def test_surface_mismatch_raised(sys2):
