@@ -29,7 +29,15 @@ axis's, which is the cyclic order of ends in the dual tree.
 The list form ``_crossings`` lists every crossing; only twist surgery
 needs the list.  Callers that need numbers use the count form
 ``_crossing_count``, which counts lifts by corner type and compares the
-turn codes of coasting rays a bucket at a time.
+turn codes of coasting rays a bucket at a time.  It reads each word
+through a ``_WordTable``: the word's corner classes and, built on first
+use, its turn codes and those of its inverse.
+
+A ``Curve`` is built from its reduced word alone.  Its normal form, its
+hash and its ``_WordTable`` are computed on first use and kept, so every
+count of one curve shares one table.  Reduced words of isotopic curves
+have equal length, so isotopy tests and equality run Booth's algorithm
+only on curves of equal length.
 """
 from bisect import bisect_left, bisect_right
 
@@ -56,10 +64,12 @@ def reduce_cyclic(word):
             out.pop()
         else:
             out.append(x)
-    while len(out) >= 2 and out[0] == -out[-1]:
-        out.pop()
-        out.pop(0)
-    return tuple(out)
+    # the ends cancel in pairs; count the pairs, then cut them off at once
+    n = len(out)
+    k = 0
+    while 2 * k + 1 < n and out[k] == -out[n - 1 - k]:
+        k += 1
+    return tuple(out[k:n - k])
 
 
 def inverse_word(word):
@@ -284,11 +294,45 @@ def _count_by_codes(codes_a, codes_w, xs, ups, downs, cap):
     return plus, minus
 
 
-def _crossing_count(surface, a, b):
+class _WordTable:
+    """What every crossing count reads off one cyclic word.
+
+    ``corners`` maps each corner of the word, a letter and the one before
+    it (whose inverse is the germ the word arrives along), to the
+    positions just past it.  The turn codes of the word and of its
+    inverse are built on first use.  Only facts about the word itself are
+    kept: the walk cap and whatever depends on the other word are
+    computed by each count.
+    """
+
+    __slots__ = ("surface", "word", "corners", "_codes", "_codes_inv")
+
+    def __init__(self, surface, word):
+        self.surface = surface
+        self.word = word
+        corners = {}
+        for t, corner in enumerate(zip(word, word[-1:] + word[:-1]), 1):
+            corners.setdefault(corner, []).append(t)
+        self.corners = corners
+        self._codes = self._codes_inv = None
+
+    def codes(self):
+        if self._codes is None:
+            self._codes = _turn_codes(self.surface, self.word)
+        return self._codes
+
+    def codes_inv(self):
+        if self._codes_inv is None:
+            self._codes_inv = _turn_codes(self.surface, inverse_word(self.word))
+        return self._codes_inv
+
+
+def _crossing_count(ta, tb):
     """Number and signed sum of the lifts of b crossing the axis of a.
 
-    Equal to len and the sum of eps of ``_crossings(surface, a, b)``, and
-    raises WalkBoundExceeded wherever that list does, without listing a
+    ``ta`` and ``tb`` are the ``_WordTable``s of a and b.  Equal to len
+    and the sum of eps of ``_crossings(surface, a, b)``, and raises
+    WalkBoundExceeded wherever that list does, without listing a
     crossing.  The lift at axis vertex m and phase j sits at two corners,
     (a[m], -a[m-1]) and (b[j], -b[j-1]).  When neither of its rays starts
     along a[m], whether it crosses depends on the two corner types only,
@@ -296,56 +340,40 @@ def _crossing_count(surface, a, b):
     that starts along a[m] is decided by turn codes (``_count_by_codes``),
     one axis corner and one direction of b at a time.
     """
-    p, q = len(a), len(b)
-    cap = p + q + _WALK_MARGIN
+    surface = ta.surface
+    q = len(tb.word)
+    cap = len(ta.word) + q + _WALK_MARGIN
     pos = surface._pos
     n = len(surface.boundary_order)
-    # a corner is a letter and the one before it, whose inverse is the
-    # germ the word arrives along
-    axis = {}  # corner of a -> axis positions just past it
-    for m, corner in enumerate(zip(a, a[-1:] + a[:-1]), 1):
-        axis.setdefault(corner, []).append(m)
-    corners = {}  # corner of b -> phases j
-    for j, corner in enumerate(zip(b, b[-1:] + b[:-1])):
-        corners.setdefault(corner, []).append(j)
-    codes_a = codes_b = codes_inv = None  # turn codes, built on first use
     count = signed = 0
-    for (f, prev), xs in axis.items():
+    for (f, prev), xs in ta.corners.items():
         back = -prev
         pf = pos[f]
         db = (pos[back] - pf) % n
         ups, downs, ups_inv, downs_inv = [], [], [], []
-        for (x, before), js in corners.items():
+        for (x, before), ts in tb.corners.items():
             y = -before  # the backward ray's first letter
             if x == back or y == back:
                 continue  # the lift also passes the previous axis vertex
             if x == f:  # the forward ray coasts, the backward one branches
-                (ups if (pos[y] - pf) % n > db else downs).extend(js)
+                (ups if (pos[y] - pf) % n > db else downs).extend(ts)
             elif y == f:  # the backward ray coasts along b's inverse
-                (ups_inv if (pos[x] - pf) % n > db else downs_inv).extend(js)
+                (ups_inv if (pos[x] - pf) % n > db else downs_inv).extend(ts)
             else:
                 above = (pos[x] - pf) % n < db  # the forward ray's side
                 if above != ((pos[y] - pf) % n < db):
-                    c = len(xs) * len(js)
+                    c = len(xs) * len(ts)
                     count += c
                     signed += c if above else -c
-        if codes_a is None and (ups or downs or ups_inv or downs_inv):
-            codes_a = _turn_codes(surface, a)
         if ups or downs:
-            if codes_b is None:
-                codes_b = _turn_codes(surface, b)
-            plus, minus = _count_by_codes(
-                codes_a, codes_b, xs, [j + 1 for j in ups], [j + 1 for j in downs], cap
-            )
+            plus, minus = _count_by_codes(ta.codes(), tb.codes(), xs, ups, downs, cap)
             count += plus + minus
             signed += plus - minus  # the coasting ray is the forward one
         if ups_inv or downs_inv:
-            if codes_inv is None:
-                codes_inv = _turn_codes(surface, inverse_word(b))
-            # b's backward ray from phase j reads b's inverse from q - j
+            # b's backward ray from phase j = t - 1 reads b's inverse from q - j
             plus, minus = _count_by_codes(
-                codes_a, codes_inv, xs, [q + 1 - j for j in ups_inv],
-                [q + 1 - j for j in downs_inv], cap
+                ta.codes(), tb.codes_inv(), xs, [q + 2 - t for t in ups_inv],
+                [q + 2 - t for t in downs_inv], cap
             )
             count += plus + minus
             signed += minus - plus  # the forward ray leaves opposite
@@ -406,7 +434,8 @@ def _crossing_order(surface, a, b):
 
 def _has_self_crossing(surface, word):
     """Whether two lifts of a primitive word cross: its count against itself."""
-    return _crossing_count(surface, word, word)[0] > 0
+    table = _WordTable(surface, word)
+    return _crossing_count(table, table)[0] > 0
 
 
 def _validate_word(surface, word):
@@ -455,9 +484,15 @@ class Curve:
     Instances are immutable and compared as unoriented curves, that is
     up to rotation and reversal of the crossing word.  Use ``normalize``
     to build one from a raw word.
+
+    The reduced word is all a curve is built from.  Its normal form
+    (``canonical_form``), its hash and its crossing table
+    (``_WordTable``) are computed on first use and kept.  Equality is
+    ``is_isotopic`` on one surface, which reads the normal forms only of
+    words of equal length.
     """
 
-    __slots__ = ("surface", "word", "_canon", "_hash")
+    __slots__ = ("surface", "word", "_canon", "_hash", "_table")
 
     def __init__(self, surface, word):
         self._set(surface, _validate_word(surface, tuple(word)))
@@ -465,18 +500,34 @@ class Curve:
     def _set(self, surface, reduced):
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "word", reduced)
-        object.__setattr__(self, "_canon", canonical_form(reduced))
-        object.__setattr__(self, "_hash", hash((surface.genus, self._canon)))
+        object.__setattr__(self, "_canon", None)
+        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_table", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Curve is immutable")
 
+    def _canonical(self):
+        """The normal form of the word, ``canonical_form(self.word)``."""
+        if self._canon is None:
+            object.__setattr__(self, "_canon", canonical_form(self.word))
+        return self._canon
+
+    def _crossing_table(self):
+        """The crossing table of the word, shared by every count of this curve."""
+        if self._table is None:
+            object.__setattr__(self, "_table", _WordTable(self.surface, self.word))
+        return self._table
+
     def __eq__(self, other):
         if not isinstance(other, Curve):
             return NotImplemented
-        return self.surface == other.surface and self._canon == other._canon
+        return self.surface == other.surface and is_isotopic(self, other)
 
     def __hash__(self):
+        if self._hash is None:
+            value = hash((self.surface.genus, self._canonical()))
+            object.__setattr__(self, "_hash", value)
         return self._hash
 
     def __len__(self):
@@ -536,9 +587,13 @@ def _check_same_surface(a, b):
 
 
 def is_isotopic(a, b):
-    """Whether two normalized curves are isotopic (as unoriented curves)."""
+    """Whether two normalized curves are isotopic (as unoriented curves).
+
+    Reduced words of isotopic curves have equal length, so normal forms
+    are compared only for words of equal length.
+    """
     _check_same_surface(a, b)
-    return a._canon == b._canon
+    return a is b or (len(a.word) == len(b.word) and a._canonical() == b._canonical())
 
 
 def crossing_count(a, b):
@@ -549,10 +604,9 @@ def crossing_count(a, b):
     the stored orientations.  Both are zero on isotopic pairs since a
     curve can be isotoped off itself.
     """
-    _check_same_surface(a, b)
-    if a._canon == b._canon:
+    if is_isotopic(a, b):
         return 0, 0
-    return _crossing_count(a.surface, a.word, b.word)
+    return _crossing_count(a._crossing_table(), b._crossing_table())
 
 
 def intersection_number(a, b):

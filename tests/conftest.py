@@ -7,7 +7,7 @@ import textwrap
 import pytest
 
 import lspacecert
-from lspacecert import mcg, surface
+from lspacecert import curves, mcg, surface
 from lspacecert.certify import derive_base_bound
 from lspacecert.mcg import TwistWord, apply_word, standard_curve_system
 
@@ -60,6 +60,16 @@ def fresh_system_caches():
     clear_genus_caches()
     yield
     clear_genus_caches()
+
+
+def count_normal_forms(monkeypatch):
+    """Record the length of every word ``curves.canonical_form`` is called on."""
+    calls = []
+    inner = curves.canonical_form
+    monkeypatch.setattr(
+        curves, "canonical_form", lambda word: calls.append(len(word)) or inner(word)
+    )
+    return calls
 
 
 def raises_under_python_O(body, error):

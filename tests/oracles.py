@@ -2,7 +2,8 @@
 
 Each oracle recomputes something the package also computes, by a method
 that shares no code with it: least rotations and primitivity by
-comparing every rotation, intersection numbers by exhaustive search
+comparing every rotation, cyclic reduction by rotating and cancelling
+one end pair at a time, intersection numbers by exhaustive search
 over chord diagram placements, ray sides in the dual tree by one
 coasting loop per direction over a letter closure, crossing lists and
 signs by asking that loop about both rays of every lift, Alexander
@@ -156,6 +157,25 @@ def oracle_reduce(word):
     return tuple(w)
 
 
+def oracle_reduce_cyclic(word):
+    """Free reduction by repeated scanning, then rotate and cancel: while
+    the two ends cancel, move the last letter to the front and delete it
+    with the letter it now meets."""
+    w = list(word)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(w) - 1):
+            if w[i] == -w[i + 1]:
+                del w[i:i + 2]
+                changed = True
+                break
+    while len(w) >= 2 and w[0] == -w[-1]:
+        w = w[-1:] + w[:-1]
+        del w[:2]
+    return tuple(w)
+
+
 # ---------------------------------------------------------------------------
 # ray sides in the dual tree, one coasting loop per direction
 
@@ -237,7 +257,7 @@ def crossing_signs(a, b):
     isotopic pairs since a curve can be isotoped off itself.  The count
     form ``curves.crossing_count`` must equal its length and sum.
     """
-    if a._canon == b._canon:
+    if oracle_canonical_form(a.word) == oracle_canonical_form(b.word):
         return ()
     return tuple(x[4] for x in oracle_crossings(a.surface, a.word, b.word))
 

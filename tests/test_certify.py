@@ -6,6 +6,7 @@ import io
 import pytest
 
 import lspacecert.cli as cli
+import lspacecert.curves as curves
 import lspacecert.dsl as dsl
 import lspacecert.mcg as mcg
 from lspacecert.certify import (
@@ -28,7 +29,7 @@ from lspacecert.errors import (
 from lspacecert.floer import RankInterval, Verdict, hf_rank, triangle_propagate
 from lspacecert.poly import parse_poly
 
-from conftest import clear_genus_caches, raises_under_python_O
+from conftest import clear_genus_caches, count_normal_forms, raises_under_python_O
 
 # the package re-exports the function certify, which shadows the module
 certify_module = importlib.import_module("lspacecert.certify")
@@ -373,3 +374,39 @@ def test_final_bound_outside_target_interval_is_a_typed_error_even_under_python_
         """,
         "AnchorViolation",
     )
+
+
+# ---------------------------------------------------------------------------
+# derived forms of curves, computed on demand
+
+
+def test_certify_validate_and_replay_compute_no_normal_form(monkeypatch):
+    # certificates cite curves by expression and compare curves only with
+    # curves of another length or with themselves, so Booth never runs
+    for g in (2, 3):
+        mcg.standard_curve_system(g)
+    calls = count_normal_forms(monkeypatch)
+    certify(3, 400)
+    cross_validate(2, 40, 200_000)
+    out = io.StringIO()
+    assert cli.main(["certify", "-g", "2", "-n", "7", "--json"], out) == 0
+    assert verify_certificate(cli.replay_json(out.getvalue()))
+    assert calls == []
+
+
+def test_certify_builds_the_table_of_the_twisted_curve_once(monkeypatch):
+    for g in (2, 3):
+        mcg.standard_curve_system(g)
+    built = []
+    inner = curves._WordTable
+
+    def counting(surface, word):
+        built.append(word)
+        return inner(surface, word)
+
+    monkeypatch.setattr(curves, "_WordTable", counting)
+    for g, n in ((2, 9), (3, 400), (2, 9)):
+        built.clear()
+        certify(g, n)
+        # B[g,n] is counted against a_{g-1}, a_g, b_{g-1} and itself
+        assert built.count(mcg.beta_gn(g, n).word) == 1, (g, n)

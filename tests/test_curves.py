@@ -27,7 +27,7 @@ from lspacecert.errors import (
 from lspacecert.mcg import apply_word, beta_gn, monodromy_psi, standard_curve_system
 from lspacecert.surface import standard_surface
 
-from conftest import random_curve, raises_under_python_O
+from conftest import count_normal_forms, random_curve, raises_under_python_O
 from oracles import (
     crossing_signs,
     oracle_canonical_form,
@@ -37,6 +37,7 @@ from oracles import (
     oracle_min_crossings,
     oracle_ray_side,
     oracle_reduce,
+    oracle_reduce_cyclic,
 )
 
 S2 = standard_surface(2)
@@ -154,6 +155,43 @@ def test_reduction_matches_slow_reducer_up_to_rotation(letters):
     assert reduce_cyclic(fast) == fast
 
 
+def _words_with_cancelling_ends(rng):
+    """Words u w u^-1 whose ends cancel for up to 60 letters, with the
+    cancellation sometimes stopped early or hidden behind free pairs."""
+    letters = [1, -1, 2, -2, 3, -3, 4, -4]
+    for _ in range(150):
+        u = [rng.choice(letters) for _ in range(rng.randint(0, 60))]
+        w = [rng.choice(letters) for _ in range(rng.randint(0, 6))]
+        inv = [-x for x in reversed(u)]
+        if u and rng.random() < 0.3:  # one end pair does not cancel
+            inv[rng.randrange(len(inv))] = rng.choice(letters)
+        word = u + w + inv
+        for _ in range(rng.randint(0, 3)):  # free pairs anywhere
+            i = rng.randint(0, len(word))
+            x = rng.choice(letters)
+            word[i:i] = [x, -x]
+        yield tuple(word)
+
+
+def test_cyclic_reduction_matches_rotate_and_cancel():
+    rng = random.Random(1515)
+    short = 0
+    for word in _words_with_cancelling_ends(rng):
+        got = reduce_cyclic(word)
+        assert got == oracle_reduce_cyclic(word), word
+        short += len(word) - len(got) >= 40
+    assert short >= 30  # many words lose at least 20 end pairs
+
+
+def test_cyclic_reduction_is_linear_in_cancelling_end_pairs():
+    # 200,000 end pairs: one pass and one slice, where popping the front
+    # once per pair would shift the whole word each time
+    k = 200_000
+    assert reduce_cyclic((1,) * k + (2,) + (-1,) * k) == (2,)
+    assert reduce_cyclic((1,) * k + (2, -3) + (-1,) * k) == (2, -3)
+    assert reduce_cyclic((1,) * k + (-1,) * k) == ()
+
+
 def test_surgery_output_normalizes_to_the_pinned_example(sys2):
     a1, _ = sys2.alphas
     _, b2 = sys2.betas
@@ -205,6 +243,61 @@ def test_isotopy_basics(sys2):
     # rotation and reversal are the same unoriented curve
     rotated = normalize((2, -3, -2, 3), S2)
     assert is_isotopic(rotated, c)
+
+
+def test_rotated_and_reversed_words_give_equal_curves():
+    bn = beta_gn(2, 3)
+    w = bn.word
+    for k in (0, 1, 7, len(w) - 1):
+        rotated = curves.rotate_word(w, k)
+        for word in (rotated, curves.inverse_word(rotated)):
+            again = normalize(word, S2)
+            assert again is not bn and again.word == word
+            assert again == bn and bn == again
+            assert hash(again) == hash(bn)
+            assert is_isotopic(again, bn)
+            assert curves.crossing_count(again, bn) == (0, 0)
+    assert len({bn, normalize(curves.inverse_word(w), S2)}) == 1
+
+
+def test_curves_of_different_lengths_differ_without_a_normal_form(sys2, monkeypatch):
+    a1, _ = sys2.alphas
+    c = sys2.c
+    bn = beta_gn(2, 3)
+    calls = count_normal_forms(monkeypatch)
+    assert a1 != c and c != bn and bn != a1
+    assert not is_isotopic(bn, c)
+    assert curves.crossing_count(bn, c) == curves.crossing_count(bn, c)
+    assert bn == bn and is_isotopic(bn, bn)  # the same object
+    assert calls == []
+    x, y = normalize((2, -3, -2, 3), S2), normalize(c.word, S2)
+    assert x == y and y == x and hash(x) == hash(y)
+    assert calls == [4, 4]  # equal lengths: each side's normal form, once
+
+
+def test_is_isotopic_matches_the_rotation_oracle():
+    rng = random.Random(1516)
+    for g in (2, 3):
+        by_length = {}
+        for _ in range(120):
+            curve = random_curve(rng, g)
+            by_length.setdefault(len(curve), []).append(curve)
+            word = curves.rotate_word(curve.word, rng.randrange(len(curve)))
+            if rng.random() < 0.5:
+                word = curves.inverse_word(word)
+            by_length[len(curve)].append(normalize(word, curve.surface))
+        same = differ = 0
+        for group in by_length.values():
+            for a in group:
+                form = oracle_canonical_form(a.word)
+                for b in rng.sample(group, min(len(group), 6)):
+                    want = form == oracle_canonical_form(b.word)
+                    assert is_isotopic(a, b) == (a == b) == want, (a, b)
+                    if want:
+                        assert hash(a) == hash(b)
+                    same += want and a is not b
+                    differ += not want
+        assert same >= 100 and differ >= 100  # non-isotopic pairs of equal length
 
 
 def test_twist_about_disjoint_curve_is_identity(sys2):
@@ -446,9 +539,16 @@ def _listed(surface, a, b):
     return len(xs), sum(eps for *_, eps in xs)
 
 
+def _count(surface, a, b):
+    """The count kernel on two words, through a fresh table for each."""
+    return curves._crossing_count(
+        curves._WordTable(surface, a), curves._WordTable(surface, b)
+    )
+
+
 def _counted(surface, a, b):
     try:
-        return curves._crossing_count(surface, a, b)
+        return _count(surface, a, b)
     except WalkBoundExceeded:
         return "bound"
 
@@ -534,9 +634,49 @@ def test_crossing_count_raises_on_a_tie_at_the_cap(monkeypatch):
         assert _tuples(curves._crossings(S2, a, b)) == oracle_crossings(S2, a, b)
         monkeypatch.setattr(curves, "_WALK_MARGIN", margin - 1)
         with pytest.raises(WalkBoundExceeded):
-            curves._crossing_count(S2, a, b)
+            _count(S2, a, b)
         with pytest.raises(WalkBoundExceeded):
             curves._crossings(S2, a, b)
+
+
+def test_memoized_tables_count_like_the_listing_oracle(sys2):
+    rng = random.Random(1517)
+    pool = [beta_gn(2, 5), apply_word(monodromy_psi(2), beta_gn(2, 2))]
+    pool += [random_curve(rng, 2) for _ in range(6)] + [c for _, c in sys2.named()]
+    tables = [curve._crossing_table() for curve in pool]
+    for _ in range(3):
+        for a in pool:
+            for b in pool:
+                want = _listed(S2, a.word, b.word)
+                assert curves.crossing_count(a, b) == want, (a, b)
+                assert curves.crossing_count(b, a) == _listed(S2, b.word, a.word)
+            table = a._crossing_table()
+            assert curves._crossing_count(table, table) == _listed(S2, a.word, a.word)
+    # one table per curve, kept across every count
+    assert [curve._crossing_table() for curve in pool] == tables
+    assert all(t._codes is not None for t in tables[:2])
+
+
+def test_memoized_table_still_checks_the_walk_cap(monkeypatch):
+    # the cap depends on both words and the margin, so it is not kept in a
+    # table: lowering the margin after the tables are built still raises
+    bn, c = beta_gn(2, 5), standard_curve_system(2).c
+    for a, b in ((bn, c), (c, bn)):
+        want = curves.crossing_count(a, b)
+        ta, tb = a._crossing_table(), b._crossing_table()
+        assert ta._codes is not None or tb._codes is not None  # a ray coasted
+        margin = -len(bn) - len(c)
+        monkeypatch.setattr(curves, "_WALK_MARGIN", margin)
+        while _listed(S2, a.word, b.word) == "bound":
+            margin += 1
+            monkeypatch.setattr(curves, "_WALK_MARGIN", margin)
+        assert curves.crossing_count(a, b) == want
+        monkeypatch.setattr(curves, "_WALK_MARGIN", margin - 1)
+        with pytest.raises(WalkBoundExceeded):
+            curves.crossing_count(a, b)
+        assert a._crossing_table() is ta and b._crossing_table() is tb
+        monkeypatch.undo()
+        assert curves.crossing_count(a, b) == want
 
 
 def test_crossing_count_cap_is_a_typed_error_even_under_python_O():
@@ -545,9 +685,9 @@ def test_crossing_count_cap_is_a_typed_error_even_under_python_O():
         """
         from lspacecert import curves
         from lspacecert.mcg import beta_gn, standard_curve_system
+        bn, c = beta_gn(2, 5), standard_curve_system(2).c
         curves._WALK_MARGIN = -10**6
-        c = standard_curve_system(2).c
-        curves._crossing_count(c.surface, beta_gn(2, 5).word, c.word)
+        curves.crossing_count(bn, c)
         """,
         "WalkBoundExceeded",
     )
