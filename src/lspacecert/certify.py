@@ -241,10 +241,6 @@ def _base_block(g):
     return tuple(builder.steps)
 
 
-# callers that empty the per-genus caches reach this one by its public name
-derive_base_bound.cache_clear = _base_block.cache_clear
-
-
 def certify(g, n):
     """Build the full certificate for the n-twisted genus-g knot.
 

@@ -183,9 +183,7 @@ def _cmd_staircase(args, out):
     profile = lspace_profile(stair)
     out.write("ns:     " + " ".join(str(v) for v in stair.ns) + "\n")
     out.write("deltas: " + " ".join(str(v) for v in stair.deltas) + "\n")
-    ranks = " ".join(
-        f"{j}:{profile.rank_at(j)}" for j in profile.gradings if profile.rank_at(j)
-    )
+    ranks = " ".join(f"{j}:1" for j in sorted(profile.support))
     out.write(f"ranks:  {ranks} (total {profile.total_rank})\n")
     return 0
 

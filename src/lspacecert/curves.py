@@ -35,9 +35,10 @@ use, its turn codes and those of its inverse.
 
 A ``Curve`` is built from its reduced word alone.  Its normal form, its
 hash and its ``_WordTable`` are computed on first use and kept, so every
-count of one curve shares one table.  Reduced words of isotopic curves
-have equal length, so isotopy tests and equality run Booth's algorithm
-only on curves of equal length.
+count of one curve shares one table.  A curve built from a raw word
+keeps the table its validation built for the self-count.  Reduced words
+of isotopic curves have equal length, so isotopy tests and equality run
+Booth's algorithm only on curves of equal length.
 """
 from bisect import bisect_left, bisect_right
 
@@ -432,17 +433,20 @@ def _crossing_order(surface, a, b):
 # ---------------------------------------------------------------------------
 # simplicity
 
-def _has_self_crossing(surface, word):
-    """Whether two lifts of a primitive word cross: its count against itself."""
-    table = _WordTable(surface, word)
+def _has_self_crossing(table):
+    """Whether two lifts of a primitive word cross: the count of its
+    ``_WordTable`` against itself."""
     return _crossing_count(table, table)[0] > 0
 
 
 def _validate_word(surface, word):
-    """The reduced word of an embedded essential curve, else a typed error.
+    """The ``_WordTable`` of the reduced word of an embedded essential
+    curve, else a typed error.
 
     A primitive word embeds exactly when no two of its lifts cross, which
-    is the crossing count of the word against itself.
+    is the crossing count of the word against itself.  The table built
+    for that count is returned, so a curve built from the word counts
+    with it too.
     """
     for x in word:
         if type(x) is not int or x == 0 or abs(x) > surface.arc_count:
@@ -452,13 +456,14 @@ def _validate_word(surface, word):
         raise Inessential("word reduces to a contractible loop")
     if not is_primitive(reduced):
         raise NotSimple("word is a proper power")
-    if _has_self_crossing(surface, reduced):
+    table = _WordTable(surface, reduced)
+    if _has_self_crossing(table):
         raise NotSimple("chord diagram admits no disjoint realization")
     if len(reduced) == len(surface.boundary_order) and (
         canonical_form(reduced) == canonical_form(surface.boundary_word())
     ):
         raise Inessential("word is parallel to the boundary")
-    return reduced
+    return table
 
 
 def validate_simple(word, surface):
@@ -487,7 +492,8 @@ class Curve:
 
     The reduced word is all a curve is built from.  Its normal form
     (``canonical_form``), its hash and its crossing table
-    (``_WordTable``) are computed on first use and kept.  Equality is
+    (``_WordTable``) are computed on first use and kept; a curve built
+    from a raw word keeps the table its validation built.  Equality is
     ``is_isotopic`` on one surface, which reads the normal forms only of
     words of equal length.
     """
@@ -495,14 +501,15 @@ class Curve:
     __slots__ = ("surface", "word", "_canon", "_hash", "_table")
 
     def __init__(self, surface, word):
-        self._set(surface, _validate_word(surface, tuple(word)))
+        table = _validate_word(surface, tuple(word))
+        self._set(surface, table.word, table)
 
-    def _set(self, surface, reduced):
+    def _set(self, surface, reduced, table):
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "word", reduced)
         object.__setattr__(self, "_canon", None)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "_table", table)
 
     def __setattr__(self, name, value):
         raise AttributeError("Curve is immutable")
@@ -577,7 +584,7 @@ def _fast_curve(surface, word):
     the expensive simplicity re-check is skipped; reduction still runs.
     """
     curve = Curve.__new__(Curve)
-    curve._set(surface, reduce_cyclic(tuple(word)))
+    curve._set(surface, reduce_cyclic(tuple(word)), None)
     return curve
 
 

@@ -161,41 +161,30 @@ def staircase_from_alexander(poly):
 
 @dataclass(frozen=True)
 class HfkProfile:
-    """Rank-one support positions with their Maslov levels.
+    """The rank-one support of a staircase, with its Maslov levels.
 
-    ranks[j] is 1 exactly at j = +-n_i and 0 elsewhere on the grading
-    range; the recorded Maslov level at both +n_i and -n_i is delta_i.
+    support maps each grading +-n_i to delta_i, the Maslov level of that
+    generator; every other grading has rank zero.  The profile holds one
+    entry per generator, however large the gradings are.
     """
 
-    gradings: tuple
-    ranks: tuple
-    maslov: tuple
+    support: dict
 
     def rank_at(self, j):
-        if j < self.gradings[0] or j > self.gradings[-1]:
-            return 0
-        return self.ranks[j - self.gradings[0]]
+        return 1 if j in self.support else 0
 
     @property
     def total_rank(self):
-        return sum(self.ranks)
+        return len(self.support)
 
 
 def lspace_profile(stair):
-    """Per-grading ranks of the staircase model.
+    """The knot Floer ranks of the staircase model: one at each +-n_i.
 
     Total rank is 2k + 1: one for each of +-n_1, ..., +-n_k and one for
     the central grading.
     """
-    top = stair.genus
-    gradings = tuple(range(-top, top + 1))
-    ranks = [0] * len(gradings)
-    maslov = [None] * len(gradings)
-    for n, d in zip(stair.ns, stair.deltas):
-        for j in (n, -n):
-            ranks[j + top] = 1
-            maslov[j + top] = d
-    return HfkProfile(gradings, tuple(ranks), tuple(maslov))
+    return HfkProfile({j: d for n, d in zip(stair.ns, stair.deltas) for j in (n, -n)})
 
 
 # ---------------------------------------------------------------------------

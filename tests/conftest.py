@@ -8,7 +8,7 @@ import pytest
 
 import lspacecert
 from lspacecert import curves, mcg, surface
-from lspacecert.certify import derive_base_bound
+from lspacecert.certify import _base_block
 from lspacecert.mcg import TwistWord, apply_word, standard_curve_system
 
 
@@ -50,7 +50,7 @@ def clear_genus_caches():
     and base block."""
     surface.standard_surface.cache_clear()
     mcg.standard_curve_system.cache_clear()
-    derive_base_bound.cache_clear()
+    _base_block.cache_clear()
 
 
 @pytest.fixture

@@ -127,11 +127,12 @@ def test_criterion_4_staircase_recursion():
     for g in (2, 3, 4):
         poly = alexander_polynomial(monodromy_phi(g, 0))
         profile = lspace_profile(staircase_from_alexander(poly))
-        assert max(profile.ranks) <= 1
-        assert profile.total_rank == len(poly.coeffs)
+        ranks = [profile.rank_at(j) for j in range(-g, g + 1)]
+        assert set(ranks) <= {0, 1}
+        assert sum(ranks) == profile.total_rank == len(poly.coeffs)
     print(
         "\ncriterion 4 PASS: trefoil deltas (-1, 0), cinquefoil (-2, -1, 0), "
-        "profile ranks <= 1 with total = nonzero coefficient count"
+        "profile ranks in {0, 1} on [-g, g] with total = nonzero coefficient count"
     )
 
 

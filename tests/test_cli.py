@@ -87,6 +87,17 @@ def test_staircase_command():
     assert "total 5" in out
 
 
+def test_staircase_of_a_wide_polynomial_prints_its_three_lines():
+    # the output size follows the three generators, not the exponent
+    code, out = run("staircase", "t^2000000 - t^1000000 + 1")
+    assert code == 0
+    assert out == (
+        "ns:     0 1000000\n"
+        "deltas: -1999999 0\n"
+        "ranks:  -1000000:1 0:1 1000000:1 (total 3)\n"
+    )
+
+
 @pytest.mark.parametrize("poly", ["t^\u00b2", "t^\u0662 - t + \u0661"])
 def test_staircase_of_non_ascii_digits_exits_one(poly, capsys):
     code, out = run("staircase", poly)

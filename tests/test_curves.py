@@ -275,6 +275,23 @@ def test_curves_of_different_lengths_differ_without_a_normal_form(sys2, monkeypa
     assert calls == [4, 4]  # equal lengths: each side's normal form, once
 
 
+def test_a_curve_built_from_a_raw_word_builds_one_table(sys2, monkeypatch):
+    # validation counts the word against itself; the curve keeps that table
+    a1 = sys2.alphas[0]
+    word = beta_gn(2, 400).word
+    built = []
+    inner = curves._WordTable
+
+    def counting(surface, w):
+        built.append(w)
+        return inner(surface, w)
+
+    monkeypatch.setattr(curves, "_WordTable", counting)
+    curve = normalize(word, S2)
+    assert intersection_number(curve, a1) == 4 * 400
+    assert built.count(word) == 1
+
+
 def test_is_isotopic_matches_the_rotation_oracle():
     rng = random.Random(1516)
     for g in (2, 3):

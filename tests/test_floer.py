@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -222,17 +224,31 @@ def test_cinquefoil_profile_total_rank():
         staircase_from_alexander(parse_poly("t^4 - t^3 + t^2 - t + 1"))
     )
     assert profile.total_rank == 5
-    maslov = dict(zip(profile.gradings, profile.maslov))
-    assert maslov[2] == 0 and maslov[0] == -2
+    assert profile.support[2] == 0 and profile.support[0] == -2
 
 
 def test_profile_ranks_capped_at_one_and_count_coefficients():
     for g in (2, 3, 4):
         poly = alexander_polynomial(monodromy_phi(g, 1))
         profile = lspace_profile(staircase_from_alexander(poly))
-        assert max(profile.ranks) == 1
-        assert profile.total_rank == len(poly.coeffs)
+        ranks = [profile.rank_at(j) for j in range(-g, g + 1)]
+        assert set(ranks) <= {0, 1}
+        assert sum(ranks) == profile.total_rank == len(poly.coeffs)
         assert profile.rank_at(g) == 1 and profile.rank_at(g - 1) == 1
+
+
+def test_profile_memory_does_not_grow_with_the_exponent():
+    # three generators spread over two million gradings: the profile's
+    # size follows the generators, not the width of the grading range
+    stair = staircase_from_alexander(parse_poly("t^2000000 - t^1000000 + 1"))
+    tracemalloc.start()
+    try:
+        profile = lspace_profile(stair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert profile.support == {-1000000: 0, 0: -1999999, 1000000: 0}
 
 
 # ---------------------------------------------------------------------------
