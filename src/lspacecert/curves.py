@@ -29,16 +29,15 @@ axis's, which is the cyclic order of ends in the dual tree.
 The list form ``_crossings`` lists every crossing; only twist surgery
 needs the list.  Callers that need numbers use the count form
 ``_crossing_count``, which counts lifts by corner type and compares the
-turn codes of coasting rays a bucket at a time.  It reads each word
-through a ``_WordTable``: the word's corner classes and, built on first
-use, its turn codes and those of its inverse.
+turn codes of coasting rays a bucket at a time.
 
-A ``Curve`` is built from its reduced word alone.  Its normal form, its
-hash and its ``_WordTable`` are computed on first use and kept, so every
-count of one curve shares one table.  A curve built from a raw word
-keeps the table its validation built for the self-count.  Reduced words
-of isotopic curves have equal length, so isotopy tests and equality run
-Booth's algorithm only on curves of equal length.
+A ``Curve`` is built from its reduced word alone and holds everything
+derived from it: its normal form, its hash, its corner classes and the
+turn codes of its word and of its inverse are computed on first use and
+kept.  Every count of one curve and every twist about it reads the same
+kept fields, and validation runs its self-count on the curve it returns.
+Reduced words of isotopic curves have equal length, so isotopy tests and
+equality run Booth's algorithm only on curves of equal length.
 """
 from bisect import bisect_left, bisect_right
 
@@ -252,8 +251,7 @@ def _count_by_codes(codes_a, codes_w, xs, ups, downs, cap):
 
     Codes are compared a depth at a time for whole buckets: pairs whose
     codes differ are counted by products, and only rays tied with some
-    axis ray go one letter deeper.  A bucket down to one axis ray is
-    finished ray by ray.
+    axis ray go one letter deeper.
     """
     p, q = len(codes_a), len(codes_w)
     plus = minus = 0
@@ -264,13 +262,6 @@ def _count_by_codes(codes_a, codes_w, xs, ups, downs, cap):
             raise WalkBoundExceeded(f"ray follows line beyond {cap} steps")
         ties = []
         for xs, ups, downs in groups:
-            if len(xs) == 1:
-                x = xs[0]
-                for y in ups:
-                    plus += _leaves_above(codes_a, x, codes_w, y, depth, cap)[0]
-                for y in downs:
-                    minus += not _leaves_above(codes_a, x, codes_w, y, depth, cap)[0]
-                continue
             bx = {}
             for x in xs:
                 bx.setdefault(codes_a[x % p], []).append(x + 1)
@@ -295,64 +286,42 @@ def _count_by_codes(codes_a, codes_w, xs, ups, downs, cap):
     return plus, minus
 
 
-class _WordTable:
-    """What every crossing count reads off one cyclic word.
+def _corner_classes(word):
+    """Each corner of a cyclic word, a letter and the one before it (whose
+    inverse is the germ the word arrives along), mapped to the positions
+    just past it."""
+    corners = {}
+    for t, corner in enumerate(zip(word, word[-1:] + word[:-1]), 1):
+        corners.setdefault(corner, []).append(t)
+    return corners
 
-    ``corners`` maps each corner of the word, a letter and the one before
-    it (whose inverse is the germ the word arrives along), to the
-    positions just past it.  The turn codes of the word and of its
-    inverse are built on first use.  Only facts about the word itself are
-    kept: the walk cap and whatever depends on the other word are
-    computed by each count.
+
+def _crossing_count(a, b):
+    """Number and signed sum of the lifts of curve b crossing the axis of a.
+
+    Equal to len and the sum of eps of ``_crossings(surface, a.word,
+    b.word)``, and raises WalkBoundExceeded wherever that list does,
+    without listing a crossing.  The lift at axis vertex m and phase j
+    sits at two corners, (a[m], -a[m-1]) and (b[j], -b[j-1]).  When
+    neither of its rays starts along a[m], whether it crosses depends on
+    the two corner types only, so those lifts are counted by one product
+    per pair of types.  A ray that starts along a[m] is decided by turn
+    codes (``_count_by_codes``), one axis corner and one direction of b at
+    a time.  The corner classes and turn codes are the curves' kept ones;
+    the cap depends on both words and is computed by each count.
     """
-
-    __slots__ = ("surface", "word", "corners", "_codes", "_codes_inv")
-
-    def __init__(self, surface, word):
-        self.surface = surface
-        self.word = word
-        corners = {}
-        for t, corner in enumerate(zip(word, word[-1:] + word[:-1]), 1):
-            corners.setdefault(corner, []).append(t)
-        self.corners = corners
-        self._codes = self._codes_inv = None
-
-    def codes(self):
-        if self._codes is None:
-            self._codes = _turn_codes(self.surface, self.word)
-        return self._codes
-
-    def codes_inv(self):
-        if self._codes_inv is None:
-            self._codes_inv = _turn_codes(self.surface, inverse_word(self.word))
-        return self._codes_inv
-
-
-def _crossing_count(ta, tb):
-    """Number and signed sum of the lifts of b crossing the axis of a.
-
-    ``ta`` and ``tb`` are the ``_WordTable``s of a and b.  Equal to len
-    and the sum of eps of ``_crossings(surface, a, b)``, and raises
-    WalkBoundExceeded wherever that list does, without listing a
-    crossing.  The lift at axis vertex m and phase j sits at two corners,
-    (a[m], -a[m-1]) and (b[j], -b[j-1]).  When neither of its rays starts
-    along a[m], whether it crosses depends on the two corner types only,
-    so those lifts are counted by one product per pair of types.  A ray
-    that starts along a[m] is decided by turn codes (``_count_by_codes``),
-    one axis corner and one direction of b at a time.
-    """
-    surface = ta.surface
-    q = len(tb.word)
-    cap = len(ta.word) + q + _WALK_MARGIN
+    surface = a.surface
+    q = len(b.word)
+    cap = len(a.word) + q + _WALK_MARGIN
     pos = surface._pos
     n = len(surface.boundary_order)
     count = signed = 0
-    for (f, prev), xs in ta.corners.items():
+    for (f, prev), xs in a._kept_corners().items():
         back = -prev
         pf = pos[f]
         db = (pos[back] - pf) % n
         ups, downs, ups_inv, downs_inv = [], [], [], []
-        for (x, before), ts in tb.corners.items():
+        for (x, before), ts in b._kept_corners().items():
             y = -before  # the backward ray's first letter
             if x == back or y == back:
                 continue  # the lift also passes the previous axis vertex
@@ -367,13 +336,13 @@ def _crossing_count(ta, tb):
                     count += c
                     signed += c if above else -c
         if ups or downs:
-            plus, minus = _count_by_codes(ta.codes(), tb.codes(), xs, ups, downs, cap)
+            plus, minus = _count_by_codes(a._kept_codes(), b._kept_codes(), xs, ups, downs, cap)
             count += plus + minus
             signed += plus - minus  # the coasting ray is the forward one
         if ups_inv or downs_inv:
             # b's backward ray from phase j = t - 1 reads b's inverse from q - j
             plus, minus = _count_by_codes(
-                ta.codes(), tb.codes_inv(), xs, [q + 2 - t for t in ups_inv],
+                a._kept_codes(), b._kept_inverse_codes(), xs, [q + 2 - t for t in ups_inv],
                 [q + 2 - t for t in downs_inv], cap
             )
             count += plus + minus
@@ -387,8 +356,9 @@ def _phase_at(x, t, q):
     return (x.j + steps) % q if x.aligned else (x.j - steps) % q
 
 
-def _crossing_order(surface, a, b):
-    """Crossing lifts of b along the axis of a, in traversal order.
+def _crossing_order(target, about):
+    """Crossing lifts of curve ``about`` along the axis of ``target``, in
+    traversal order.
 
     Lifts of a simple curve are disjoint and each crosses the axis once,
     so they meet it in the order of their ends on its + side.  An end
@@ -398,8 +368,10 @@ def _crossing_order(surface, a, b):
     germ, then by their turn codes, greatest first.  After its first
     letter an end reads b or b's inverse, both of period q, so two ends
     that agree on q more codes are equal, which ends of distinct lifts
-    never are; equal keys raise WalkBoundExceeded.
+    never are; equal keys raise WalkBoundExceeded.  The codes are the
+    kept ones of ``about``, so twisting about one curve again builds none.
     """
+    surface, a, b = target.surface, target.word, about.word
     xs = _crossings(surface, a, b)
     if len(xs) <= 1:
         return xs
@@ -408,10 +380,10 @@ def _crossing_order(surface, a, b):
     n = len(surface.boundary_order)
     depth = max(q + _WALK_MARGIN - 1, 0)  # codes read after the first letter
     inv = inverse_word(b)
-    # negated codes of b and of its inverse, repeated so no slice wraps
+    # codes of b and of its inverse, repeated so no slice wraps
     reps = depth // q + 2
-    fwd = [-c for c in _turn_codes(surface, b)] * reps
-    bwd = [-c for c in _turn_codes(surface, inv)] * reps
+    fwd = about._kept_codes() * reps
+    bwd = about._kept_inverse_codes() * reps
     keys = []
     for x in xs:
         plus = x.eps > 0  # the + end is the forward ray
@@ -422,8 +394,10 @@ def _crossing_order(surface, a, b):
         else:  # the backward ray reads b's inverse from q - j
             i = (q - j) % q
             first, codes, at = inv[i], bwd, i + 1
-        keys.append((v, (pos[-a[(v - 1) % p]] - pos[first]) % n, codes[at:at + depth]))
-    order = sorted(range(len(xs)), key=keys.__getitem__)
+        # sorted greatest first, so the vertex and the germ are negated
+        germ = (pos[-a[(v - 1) % p]] - pos[first]) % n
+        keys.append((-v, -germ, codes[at:at + depth]))
+    order = sorted(range(len(xs)), key=keys.__getitem__, reverse=True)
     for prev, i in zip(order, order[1:]):
         if keys[prev] == keys[i]:
             raise WalkBoundExceeded(f"two crossing ends agree on {depth + 1} codes")
@@ -433,48 +407,46 @@ def _crossing_order(surface, a, b):
 # ---------------------------------------------------------------------------
 # simplicity
 
-def _has_self_crossing(table):
-    """Whether two lifts of a primitive word cross: the count of its
-    ``_WordTable`` against itself."""
-    return _crossing_count(table, table)[0] > 0
+def _has_self_crossing(curve):
+    """Whether two lifts of a primitive curve cross: its count against itself."""
+    return _crossing_count(curve, curve)[0] > 0
 
 
 def _validate_word(surface, word):
-    """The ``_WordTable`` of the reduced word of an embedded essential
-    curve, else a typed error.
+    """The curve of an embedded essential word, else a typed error.
 
-    A primitive word embeds exactly when no two of its lifts cross, which
-    is the crossing count of the word against itself.  The table built
-    for that count is returned, so a curve built from the word counts
-    with it too.
+    The curve is built from the reduced word by ``_fast_curve`` and
+    checked: a primitive word embeds exactly when no two of its lifts
+    cross, which is the crossing count of the curve against itself.  The
+    corner classes and codes that count builds stay with the curve.
     """
     for x in word:
         if type(x) is not int or x == 0 or abs(x) > surface.arc_count:
             raise ValueError(f"letter {x!r} does not name an arc of the surface")
-    reduced = reduce_cyclic(word)
+    curve = _fast_curve(surface, word)
+    reduced = curve.word
     if not reduced:
         raise Inessential("word reduces to a contractible loop")
     if not is_primitive(reduced):
         raise NotSimple("word is a proper power")
-    table = _WordTable(surface, reduced)
-    if _has_self_crossing(table):
+    if _has_self_crossing(curve):
         raise NotSimple("chord diagram admits no disjoint realization")
     if len(reduced) == len(surface.boundary_order) and (
         canonical_form(reduced) == canonical_form(surface.boundary_word())
     ):
         raise Inessential("word is parallel to the boundary")
-    return table
+    return curve
 
 
 def validate_simple(word, surface):
     """Whether a raw crossing word yields an embedded essential curve.
 
-    Runs the same checks as building a Curve: the reduced word must be
-    nonempty, primitive, free of self-crossing lifts and not parallel to
-    the boundary.  Letters that name no arc raise ValueError.
+    Builds the Curve and reports its typed refusals as False: the reduced
+    word must be nonempty, primitive, free of self-crossing lifts and not
+    parallel to the boundary.  Letters that name no arc raise ValueError.
     """
     try:
-        _validate_word(surface, tuple(word))
+        Curve(surface, word)
     except (Inessential, NotSimple):
         return False
     return True
@@ -487,29 +459,24 @@ class Curve:
     """An essential simple closed curve in normalized position.
 
     Instances are immutable and compared as unoriented curves, that is
-    up to rotation and reversal of the crossing word.  Use ``normalize``
-    to build one from a raw word.
+    up to rotation and reversal of the crossing word.  ``Curve(surface,
+    word)`` and ``normalize`` build one from a raw word through
+    ``_validate_word``, which refuses a word that is not an embedded
+    essential curve with a typed error.
 
-    The reduced word is all a curve is built from.  Its normal form
-    (``canonical_form``), its hash and its crossing table
-    (``_WordTable``) are computed on first use and kept; a curve built
-    from a raw word keeps the table its validation built.  Equality is
+    The reduced word is all a curve is built from, and the curve holds
+    what is derived from it: its normal form (``canonical_form``), its
+    hash, its corner classes and the turn codes of its word and of its
+    inverse are computed on first use and kept.  A curve built from a raw
+    word keeps what its validation's self-count built.  Equality is
     ``is_isotopic`` on one surface, which reads the normal forms only of
     words of equal length.
     """
 
-    __slots__ = ("surface", "word", "_canon", "_hash", "_table")
+    __slots__ = ("surface", "word", "_canon", "_hash", "_corners", "_codes", "_codes_inv")
 
-    def __init__(self, surface, word):
-        table = _validate_word(surface, tuple(word))
-        self._set(surface, table.word, table)
-
-    def _set(self, surface, reduced, table):
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "word", reduced)
-        object.__setattr__(self, "_canon", None)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_table", table)
+    def __new__(cls, surface, word):
+        return _validate_word(surface, tuple(word))
 
     def __setattr__(self, name, value):
         raise AttributeError("Curve is immutable")
@@ -520,11 +487,24 @@ class Curve:
             object.__setattr__(self, "_canon", canonical_form(self.word))
         return self._canon
 
-    def _crossing_table(self):
-        """The crossing table of the word, shared by every count of this curve."""
-        if self._table is None:
-            object.__setattr__(self, "_table", _WordTable(self.surface, self.word))
-        return self._table
+    def _kept_corners(self):
+        """The corner classes of the word, ``_corner_classes(self.word)``."""
+        if self._corners is None:
+            object.__setattr__(self, "_corners", _corner_classes(self.word))
+        return self._corners
+
+    def _kept_codes(self):
+        """The turn codes of the word."""
+        if self._codes is None:
+            object.__setattr__(self, "_codes", _turn_codes(self.surface, self.word))
+        return self._codes
+
+    def _kept_inverse_codes(self):
+        """The turn codes of the inverse word."""
+        if self._codes_inv is None:
+            codes = _turn_codes(self.surface, inverse_word(self.word))
+            object.__setattr__(self, "_codes_inv", codes)
+        return self._codes_inv
 
     def __eq__(self, other):
         if not isinstance(other, Curve):
@@ -578,13 +558,17 @@ def parse_tokens(text, surface):
 
 
 def _fast_curve(surface, word):
-    """Trusted constructor for words already known to be embedded.
+    """The curve of the reduced word, unchecked.
 
     Twist surgery outputs are homeomorphic images of embedded curves, so
-    the expensive simplicity re-check is skipped; reduction still runs.
+    they skip the simplicity check; ``_validate_word`` runs its checks on
+    the curve this builds.  Reduction always runs.
     """
-    curve = Curve.__new__(Curve)
-    curve._set(surface, reduce_cyclic(tuple(word)), None)
+    curve = object.__new__(Curve)
+    object.__setattr__(curve, "surface", surface)
+    object.__setattr__(curve, "word", reduce_cyclic(word))
+    for name in Curve.__slots__[2:]:  # derived fields, computed on first use
+        object.__setattr__(curve, name, None)
     return curve
 
 
@@ -613,7 +597,7 @@ def crossing_count(a, b):
     """
     if is_isotopic(a, b):
         return 0, 0
-    return _crossing_count(a._crossing_table(), b._crossing_table())
+    return _crossing_count(a, b)
 
 
 def intersection_number(a, b):
@@ -639,10 +623,9 @@ def dehn_twist(target, about, power=1):
     _check_same_surface(target, about)
     if power == 0 or is_isotopic(target, about):
         return target
-    surface = target.surface
     d, c = target.word, about.word
     q = len(c)
-    xs = _crossing_order(surface, d, c)
+    xs = _crossing_order(target, about)
     if not xs:
         return target
     inserts = {}
@@ -663,7 +646,7 @@ def dehn_twist(target, about, power=1):
         for piece in inserts.get(i, ()):
             word.extend(piece)
         word.append(d[i])
-    return _fast_curve(surface, word)
+    return _fast_curve(target.surface, word)
 
 
 def homology_class(a):

@@ -72,6 +72,17 @@ def count_normal_forms(monkeypatch):
     return calls
 
 
+def count_corner_classes(monkeypatch):
+    """Record the word of every corner-class build, which a curve does once
+    when a count first reads it."""
+    built = []
+    inner = curves._corner_classes
+    monkeypatch.setattr(
+        curves, "_corner_classes", lambda word: built.append(word) or inner(word)
+    )
+    return built
+
+
 def raises_under_python_O(body, error):
     """Whether ``body`` raises lspacecert.errors.<error> in a fresh ``python -O``,
     where assert statements are stripped."""

@@ -6,7 +6,6 @@ import io
 import pytest
 
 import lspacecert.cli as cli
-import lspacecert.curves as curves
 import lspacecert.dsl as dsl
 import lspacecert.mcg as mcg
 from lspacecert.certify import (
@@ -29,7 +28,12 @@ from lspacecert.errors import (
 from lspacecert.floer import RankInterval, Verdict, hf_rank, triangle_propagate
 from lspacecert.poly import parse_poly
 
-from conftest import clear_genus_caches, count_normal_forms, raises_under_python_O
+from conftest import (
+    clear_genus_caches,
+    count_corner_classes,
+    count_normal_forms,
+    raises_under_python_O,
+)
 
 # the package re-exports the function certify, which shadows the module
 certify_module = importlib.import_module("lspacecert.certify")
@@ -397,14 +401,7 @@ def test_certify_validate_and_replay_compute_no_normal_form(monkeypatch):
 def test_certify_builds_the_table_of_the_twisted_curve_once(monkeypatch):
     for g in (2, 3):
         mcg.standard_curve_system(g)
-    built = []
-    inner = curves._WordTable
-
-    def counting(surface, word):
-        built.append(word)
-        return inner(surface, word)
-
-    monkeypatch.setattr(curves, "_WordTable", counting)
+    built = count_corner_classes(monkeypatch)
     for g, n in ((2, 9), (3, 400), (2, 9)):
         built.clear()
         certify(g, n)

@@ -27,7 +27,12 @@ from lspacecert.errors import (
 from lspacecert.mcg import apply_word, beta_gn, monodromy_psi, standard_curve_system
 from lspacecert.surface import standard_surface
 
-from conftest import count_normal_forms, random_curve, raises_under_python_O
+from conftest import (
+    count_corner_classes,
+    count_normal_forms,
+    random_curve,
+    raises_under_python_O,
+)
 from oracles import (
     crossing_signs,
     oracle_canonical_form,
@@ -208,15 +213,41 @@ def test_surgery_output_normalizes_to_the_pinned_example(sys2):
 # ---------------------------------------------------------------------------
 # simplicity
 
+def _built(build, word):
+    """The reduced word of what ``build`` returns, else the type it raises."""
+    try:
+        out = build(word)
+    except (ValueError, Inessential, NotSimple) as exc:
+        return type(exc)
+    return out.word if isinstance(out, curves.Curve) else out
+
+
 def test_validate_simple_examples(sys2):
+    # Curve, normalize and validate_simple run one validation: the same
+    # reduced word or the same typed error, where validate_simple says False
     _, b2 = sys2.betas
     c = sys2.c
-    assert validate_simple(b2.word, S2)
-    assert validate_simple(c.word, S2)
-    assert not validate_simple((), S2)
-    assert not validate_simple((1, 2, 1, 2), S2)  # interleaved returns
-    assert not validate_simple((1, 1), S2)  # proper power
-    assert not validate_simple(S2.boundary_word(), S2)  # boundary parallel
+    cases = [
+        (b2.word, b2.word),
+        (c.word, c.word),
+        ((1,) + c.word + (-1,), c.word),  # not cyclically reduced
+        ((4, 1, -1), b2.word),  # not freely reduced
+        ((1, 1), NotSimple),  # proper power
+        ((1, 2, 1, 2), NotSimple),  # interleaved returns
+        (S2.boundary_word(), Inessential),  # boundary parallel
+        ((), Inessential),
+        ((1, -1), Inessential),  # contractible
+        ((0,), ValueError),
+        ((9,), ValueError),
+        ((-5, 1), ValueError),
+        ((True,), ValueError),
+        ((1, "1"), ValueError),
+    ]
+    for word, want in cases:
+        assert _built(lambda w: curves.Curve(S2, w), word) == want, word
+        assert _built(lambda w: normalize(w, S2), word) == want, word
+        said = want if want is ValueError else isinstance(want, tuple)
+        assert _built(lambda w: validate_simple(w, S2), word) == said, word
 
 
 def test_validate_simple_agrees_with_placement_oracle():
@@ -276,17 +307,11 @@ def test_curves_of_different_lengths_differ_without_a_normal_form(sys2, monkeypa
 
 
 def test_a_curve_built_from_a_raw_word_builds_one_table(sys2, monkeypatch):
-    # validation counts the word against itself; the curve keeps that table
+    # validation counts the curve against itself; the curve keeps the
+    # corner classes that count built
     a1 = sys2.alphas[0]
     word = beta_gn(2, 400).word
-    built = []
-    inner = curves._WordTable
-
-    def counting(surface, w):
-        built.append(w)
-        return inner(surface, w)
-
-    monkeypatch.setattr(curves, "_WordTable", counting)
+    built = count_corner_classes(monkeypatch)
     curve = normalize(word, S2)
     assert intersection_number(curve, a1) == 4 * 400
     assert built.count(word) == 1
@@ -317,6 +342,21 @@ def test_is_isotopic_matches_the_rotation_oracle():
         assert same >= 100 and differ >= 100  # non-isotopic pairs of equal length
 
 
+def test_twisting_about_one_curve_again_builds_none_of_its_codes(sys2, monkeypatch):
+    # B[2,n] twists b2 about c, and ordering the two crossings reads c's
+    # kept turn codes, so n = 1..5 build them at most once
+    c = sys2.c
+    built = []
+    inner = curves._turn_codes
+    monkeypatch.setattr(
+        curves, "_turn_codes", lambda surface, word: built.append(word) or inner(surface, word)
+    )
+    for n in range(1, 6):
+        beta_gn(2, n)
+    assert built.count(c.word) <= 1
+    assert c._codes is not None
+
+
 def test_twist_about_disjoint_curve_is_identity(sys2):
     a1, _ = sys2.alphas
     _, b2 = sys2.betas
@@ -327,7 +367,7 @@ def test_inconsistent_crossing_order_is_a_typed_error_even_under_python_O(sys2, 
     a1, _ = sys2.alphas
     b1, _ = sys2.betas
     # the second crossing's interval [0, 0] ends before the first one's slot 5
-    def bad_order(surface, d, c):
+    def bad_order(target, about):
         return [curves._Crossing(5, 0, 0, True, 1), curves._Crossing(0, 0, 0, True, 1)]
 
     monkeypatch.setattr(curves, "_crossing_order", bad_order)
@@ -337,7 +377,7 @@ def test_inconsistent_crossing_order_is_a_typed_error_even_under_python_O(sys2, 
         """
         import lspacecert.curves as curves
         from lspacecert.mcg import standard_curve_system
-        curves._crossing_order = lambda surface, d, c: [
+        curves._crossing_order = lambda target, about: [
             curves._Crossing(5, 0, 0, True, 1), curves._Crossing(0, 0, 0, True, 1)
         ]
         system = standard_curve_system(2)
@@ -370,16 +410,16 @@ def test_ray_following_the_line_past_the_cap_is_a_typed_error(monkeypatch):
     # all leave vertex 0, and the first two share their first two codes:
     # keys of 3 codes order them, keys of 2 tie and raise
     monkeypatch.undo()
-    a1, b = (1,), beta_gn(2, 1).word
+    a1, b = curves._fast_curve(S2, (1,)), beta_gn(2, 1)
     order = [(0, 1, 0, False, 1), (0, 6, 0, False, -1), (0, 4, 0, False, -1),
              (0, 7, 0, False, 1)]
-    assert _tuples(curves._crossing_order(S2, a1, b)) == order
+    assert _tuples(curves._crossing_order(a1, b)) == order
     monkeypatch.setattr(curves, "_WALK_MARGIN", 3 - len(b))
-    assert _tuples(curves._crossing_order(S2, a1, b)) == order
+    assert _tuples(curves._crossing_order(a1, b)) == order
     monkeypatch.setattr(curves, "_WALK_MARGIN", 2 - len(b))
-    assert _tuples(curves._crossings(S2, a1, b)) == sorted(order)
+    assert _tuples(curves._crossings(S2, a1.word, b.word)) == sorted(order)
     with pytest.raises(WalkBoundExceeded):
-        curves._crossing_order(S2, a1, b)
+        curves._crossing_order(a1, b)
 
 
 def test_tied_crossing_ends_are_a_typed_error_even_under_python_O():
@@ -390,7 +430,7 @@ def test_tied_crossing_ends_are_a_typed_error_even_under_python_O():
         from lspacecert.mcg import beta_gn
         b = beta_gn(2, 1)
         curves._WALK_MARGIN = 2 - len(b.word)
-        curves._crossing_order(b.surface, (1,), b.word)
+        curves._crossing_order(curves._fast_curve(b.surface, (1,)), b)
         """,
         "WalkBoundExceeded",
     )
@@ -464,7 +504,7 @@ def _order_matches_sides(surface, a, b, seen):
     pairs through a common vertex.
     """
     p, q = len(a), len(b)
-    order = curves._crossing_order(surface, a, b)
+    order = curves._crossing_order(curves._fast_curve(surface, a), curves._fast_curve(surface, b))
     assert sorted(_tuples(order)) == oracle_crossings(surface, a, b)
     cap = 3 * q + p + curves._WALK_MARGIN  # the oracle's own bound
     shared = 0
@@ -557,10 +597,10 @@ def _listed(surface, a, b):
 
 
 def _count(surface, a, b):
-    """The count kernel on two words, through a fresh table for each."""
-    return curves._crossing_count(
-        curves._WordTable(surface, a), curves._WordTable(surface, b)
-    )
+    """The count kernel on two reduced words, through a fresh curve for each."""
+    x, y = curves._fast_curve(surface, a), curves._fast_curve(surface, b)
+    assert x.word == a and y.word == b  # already reduced
+    return curves._crossing_count(x, y)
 
 
 def _counted(surface, a, b):
@@ -656,32 +696,42 @@ def test_crossing_count_raises_on_a_tie_at_the_cap(monkeypatch):
             curves._crossings(S2, a, b)
 
 
+def _kept(curve):
+    """The derived fields a curve keeps for its crossing counts."""
+    return curve._corners, curve._codes, curve._codes_inv
+
+
+def _same_objects(xs, ys):
+    return all(x is y for x, y in zip(xs, ys, strict=True))
+
+
 def test_memoized_tables_count_like_the_listing_oracle(sys2):
     rng = random.Random(1517)
     pool = [beta_gn(2, 5), apply_word(monodromy_psi(2), beta_gn(2, 2))]
     pool += [random_curve(rng, 2) for _ in range(6)] + [c for _, c in sys2.named()]
-    tables = [curve._crossing_table() for curve in pool]
-    for _ in range(3):
+    for sweep in range(3):
         for a in pool:
             for b in pool:
                 want = _listed(S2, a.word, b.word)
                 assert curves.crossing_count(a, b) == want, (a, b)
                 assert curves.crossing_count(b, a) == _listed(S2, b.word, a.word)
-            table = a._crossing_table()
-            assert curves._crossing_count(table, table) == _listed(S2, a.word, a.word)
-    # one table per curve, kept across every count
-    assert [curve._crossing_table() for curve in pool] == tables
-    assert all(t._codes is not None for t in tables[:2])
+            assert curves._crossing_count(a, a) == _listed(S2, a.word, a.word)
+        if sweep == 0:
+            kept = [_kept(curve) for curve in pool]
+    # one set of fields per curve, kept across every count
+    assert all(_same_objects(_kept(curve), k) for curve, k in zip(pool, kept))
+    assert all(curve._corners is not None for curve in pool)
+    assert all(curve._codes is not None for curve in pool[:2])
 
 
 def test_memoized_table_still_checks_the_walk_cap(monkeypatch):
-    # the cap depends on both words and the margin, so it is not kept in a
-    # table: lowering the margin after the tables are built still raises
+    # the cap depends on both words and the margin, so no curve keeps it:
+    # lowering the margin after the fields are built still raises
     bn, c = beta_gn(2, 5), standard_curve_system(2).c
     for a, b in ((bn, c), (c, bn)):
         want = curves.crossing_count(a, b)
-        ta, tb = a._crossing_table(), b._crossing_table()
-        assert ta._codes is not None or tb._codes is not None  # a ray coasted
+        kept = _kept(a), _kept(b)
+        assert a._codes is not None or b._codes is not None  # a ray coasted
         margin = -len(bn) - len(c)
         monkeypatch.setattr(curves, "_WALK_MARGIN", margin)
         while _listed(S2, a.word, b.word) == "bound":
@@ -691,7 +741,7 @@ def test_memoized_table_still_checks_the_walk_cap(monkeypatch):
         monkeypatch.setattr(curves, "_WALK_MARGIN", margin - 1)
         with pytest.raises(WalkBoundExceeded):
             curves.crossing_count(a, b)
-        assert a._crossing_table() is ta and b._crossing_table() is tb
+        assert _same_objects(_kept(a), kept[0]) and _same_objects(_kept(b), kept[1])
         monkeypatch.undo()
         assert curves.crossing_count(a, b) == want
 

@@ -1,7 +1,11 @@
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 import lspacecert
+from lspacecert import curves
+from lspacecert.mcg import standard_curve_system
 
 
 def test_package_source_has_no_assert_statements():
@@ -13,3 +17,40 @@ def test_package_source_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _perfbench_tracer():
+    """``perfbench/tracer.py``, which wraps package functions by name."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_target_exists():
+    # the benchmark wraps its targets by name, so a refactor that renames
+    # one fails here, not only in the benchmark's own tests
+    missing = []
+    for module, name, _ in _perfbench_tracer().TARGETS:
+        if not callable(getattr(importlib.import_module(f"lspacecert.{module}"), name, None)):
+            missing.append(f"{module}.{name}")
+    assert missing == []
+
+
+def test_benchmark_work_rows_read_the_arguments_they_size():
+    # the benchmark sizes spans from positional arguments; a target whose
+    # arguments move would size them wrong or not at all
+    work = _perfbench_tracer().WORK
+    system = standard_curve_system(2)
+    b, c = system.betas[-1], system.c
+    twisted = curves.dehn_twist(b, c, 3)
+    args = (twisted.word,)
+    assert work["curves.canonical_form"](args, curves.canonical_form(*args)) == (
+        len(twisted), 0
+    )
+    args = (b.surface, twisted.word, c.word)
+    out = curves._crossings(*args)
+    assert out and work["curves._crossings"](args, out) == (len(twisted) * len(c), len(out))
+    args = (b, c, 3)
+    assert work["curves.dehn_twist"](args, curves.dehn_twist(*args)) == (len(b), len(twisted))
