@@ -20,9 +20,14 @@ from .curves import (
     dehn_twist,
     homology_class,
     intersection_number,
-    oriented_class,
 )
-from .errors import AnchorViolation, GenusTooSmall, NegativePower
+from .errors import (
+    AnchorViolation,
+    GenusTooSmall,
+    MalformedInput,
+    NegativePower,
+    SurfaceMismatch,
+)
 from .poly import _mat_mul, charpoly
 from .surface import standard_surface
 
@@ -99,7 +104,7 @@ class TwistWord:
         cleaned = tuple((c, p) for c, p in self.factors if p != 0)
         surfaces = {c.surface for c, _ in cleaned}
         if len(surfaces) > 1:
-            raise ValueError("twist word mixes curves from different surfaces")
+            raise SurfaceMismatch("twist word mixes curves from different surfaces")
         object.__setattr__(self, "factors", cleaned)
 
     def __mul__(self, other):
@@ -158,10 +163,9 @@ def symplectic_form(g):
     """
     standard_curve_system(g)
     n = 2 * g
-    return tuple(
-        tuple(1 if s == r + 1 else -1 if s == r - 1 else 0 for s in range(n))
-        for r in range(n)
-    )
+    # row r is the window of this band that puts its -1, 0, 1 at r - 1, r, r + 1
+    band = (0,) * n + (-1, 0, 1) + (0,) * n
+    return tuple(band[n + 1 - r : 2 * n + 1 - r] for r in range(n))
 
 
 def homology_action(word):
@@ -169,31 +173,71 @@ def homology_action(word):
 
     Factors multiply in word order.  Each is the transvection
     x -> x + p <x, gamma> gamma, applied to the running product as the
-    rank-one update M <- M + p (M gamma)(J gamma)^T.  gamma and J gamma
-    are kept as their nonzero (index, value) pairs, so a factor costs
-    O(n (|gamma| + |J gamma|)).  The pairing M^T J M = J is checked once,
-    on the result.
+    rank-one update M <- M + p (M gamma)(J gamma)^T.  M is kept as its
+    columns, each a dict row -> nonzero entry, and gamma is read off the
+    curve's word as a dict.  M gamma = sum gamma_k col_k and
+    J gamma = sum gamma_k (column k of J), and only the columns s with
+    (J gamma)_s != 0 change, each by p (J gamma)_s (M gamma), so a factor
+    costs O(|gamma| nnz(col) + |J gamma| nnz(M gamma)), not O(n).  Entries
+    that cancel are dropped.  The pairing M^T J M = J is checked once, on
+    the result, as a product of sparse rows; the dense row tuples are
+    built once, at the end.
+
+    Raises MalformedInput for a word with no factors, which names no
+    surface.
     """
     if not word.factors:
-        raise ValueError("empty twist word has no surface attached")
+        raise MalformedInput("homology_action: an empty twist word has no surface")
     g = word.factors[0][0].surface.genus
     n = 2 * g
-    j = symplectic_form(g)
-    m = [[1 if r == s else 0 for s in range(n)] for r in range(n)]
+    j = [{s: x for s, x in enumerate(row) if x} for row in symplectic_form(g)]
+    j_cols = _transpose(j, n)
+    cols = [{k: 1} for k in range(n)]
     for curve, power in word.factors:
-        gamma = [(k, x) for k, x in enumerate(oriented_class(curve.word, n)) if x]
-        jg = [sum(jrow[k] * x for k, x in gamma) for jrow in j]
-        jg = [(s, v) for s, v in enumerate(jg) if v]
-        for row in m:
-            mg = power * sum(row[k] * x for k, x in gamma)
-            if mg:
-                for s, v in jg:
-                    row[s] += mg * v
-    action = tuple(map(tuple, m))
-    mtjm = tuple(map(tuple, _mat_mul(tuple(zip(*action)), _mat_mul(j, action))))
+        gamma = {}
+        for x in curve.word:
+            k = abs(x) - 1
+            gamma[k] = gamma.get(k, 0) + (1 if x > 0 else -1)
+        m_gamma, j_gamma = {}, {}
+        for k, x in gamma.items():
+            if x:
+                for r, v in cols[k].items():
+                    m_gamma[r] = m_gamma.get(r, 0) + x * v
+                for s, v in j_cols[k].items():
+                    j_gamma[s] = j_gamma.get(s, 0) + x * v
+        m_gamma = [(r, v) for r, v in m_gamma.items() if v]
+        for s, y in j_gamma.items():
+            if y:
+                col, c = cols[s], power * y
+                for r, v in m_gamma:
+                    z = col.get(r, 0) + c * v
+                    if z:
+                        col[r] = z
+                    else:
+                        del col[r]
+    rows = _transpose(cols, n)
+    mtjm = _mat_mul(cols, _mat_mul(j, rows))
     if mtjm != j:
-        raise AnchorViolation("pairing(M^T J M)", j, mtjm)
-    return action
+        raise AnchorViolation("pairing(M^T J M)", _dense(j, n), _dense(mtjm, n))
+    return _dense(rows, n)
+
+
+def _transpose(rows, n):
+    """The n sparse columns of a matrix given as sparse rows."""
+    cols = [{} for _ in range(n)]
+    for r, row in enumerate(rows):
+        for s, x in row.items():
+            cols[s][r] = x
+    return cols
+
+
+def _dense(rows, n):
+    """A matrix given as n sparse rows, as a tuple of n row tuples."""
+    out = [[0] * n for _ in rows]
+    for line, row in zip(out, rows):
+        for s, x in row.items():
+            line[s] = x
+    return tuple(map(tuple, out))
 
 
 def alexander_polynomial(word):

@@ -226,18 +226,19 @@ def _packed_fl(rows, n, h):
 
 
 def _mat_mul(a, b):
-    """Product of two square matrices given as sequences of rows.
+    """Product of two matrices given as sparse rows: a list of dicts
+    column -> nonzero entry.
 
-    Row i of a.b is the sum of x . b[k] over the nonzero entries
-    x = a[i][k], so the cost is O(nnz(a) n): zero entries of the left
-    factor cost nothing.  Returns a list of row lists.
+    Row i of a.b is the sum of x . b[k] over the entries k -> x of a[i],
+    so the cost is O(sum over those entries of nnz(b[k])): zeros of
+    either factor cost nothing.  Entries that cancel to zero are dropped,
+    so the result is again a list of sparse rows.
     """
-    n = len(b)
     out = []
     for arow in a:
-        row = [0] * n
-        for x, brow in zip(arow, b):
-            if x:
-                row = [r + x * y for r, y in zip(row, brow)]
-        out.append(row)
+        row = {}
+        for k, x in arow.items():
+            for s, y in b[k].items():
+                row[s] = row.get(s, 0) + x * y
+        out.append({s: v for s, v in row.items() if v})
     return out

@@ -18,6 +18,7 @@ from lspacecert.errors import (
     GenusTooSmall,
     MalformedInput,
     NegativePower,
+    SurfaceMismatch,
     WorkbenchError,
 )
 from lspacecert.mcg import (
@@ -213,13 +214,60 @@ def test_action_matches_dense_transvection_oracle(rng, g):
         assert homology_action(w) == oracle_homology_action(w)
 
 
-def test_pairing_check_is_live(monkeypatch):
-    def identity_form(g):
-        return tuple(tuple(int(r == s) for s in range(2 * g)) for r in range(2 * g))
+def _identity_form(g):
+    return tuple(tuple(int(r == s) for s in range(2 * g)) for r in range(2 * g))
 
-    monkeypatch.setattr(mcg, "symplectic_form", identity_form)
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_action_on_classes_with_several_coordinates_matches_the_oracle(rng, g):
+    # system curves have a single basis vector (or zero) as their class;
+    # dragged curves mostly have several nonzero coordinates
+    powers = [p for p in range(-3, 4) if p]
+    several = 0
+    for _ in range(40):
+        w = TwistWord(tuple(
+            (random_curve(rng, g), rng.choice(powers))
+            for _ in range(rng.randint(1, 4))
+        ))
+        several += any(
+            sum(map(bool, oriented_class(c.word, 2 * g))) > 1 for c, _ in w.factors
+        )
+        assert homology_action(w) == oracle_homology_action(w)
+        inverse = TwistWord(tuple((c, -p) for c, p in reversed(w.factors)))
+        assert homology_action(w * inverse) == _identity_form(g)
+    assert several >= 10
+
+
+def test_pairing_check_is_live(monkeypatch):
+    monkeypatch.setattr(mcg, "symplectic_form", _identity_form)
     with pytest.raises(AnchorViolation):
         homology_action(monodromy_phi(2, 1))
+
+
+def test_pairing_check_is_live_even_under_python_O():
+    assert raises_under_python_O(
+        """
+        from lspacecert import mcg
+        mcg.symplectic_form = lambda g: tuple(
+            tuple(int(r == s) for s in range(2 * g)) for r in range(2 * g)
+        )
+        mcg.homology_action(mcg.monodromy_phi(2, 1))
+        """,
+        "AnchorViolation",
+    )
+
+
+def test_homology_action_of_the_empty_word_is_malformed_input():
+    with pytest.raises(MalformedInput):
+        homology_action(TwistWord(()))
+
+
+def test_twist_word_over_two_surfaces_is_a_surface_mismatch():
+    c2, c3 = standard_curve_system(2).c, standard_curve_system(3).c
+    with pytest.raises(SurfaceMismatch):
+        TwistWord(((c2, 1), (c3, 1)))
+    with pytest.raises(SurfaceMismatch):
+        TwistWord(((c2, 1),)) * TwistWord(((c3, -1),))
 
 
 def test_symplectic_form_is_the_chain_form():
@@ -420,13 +468,37 @@ def _random_matrices(seed):
             yield m
 
 
+def _sparse_rows(m):
+    return [{s: x for s, x in enumerate(row) if x} for row in m]
+
+
+def _dense_rows(rows, n):
+    return [[row.get(s, 0) for s in range(n)] for row in rows]
+
+
 def test_mat_mul_matches_triple_sum_oracle():
     mats = list(_random_matrices(7))
     for a, b in zip(mats, mats[1:]):
         if len(a) == len(b):
-            assert _mat_mul(a, b) == oracle_mat_mul(a, b)
-            assert _mat_mul(tuple(map(tuple, a)), b) == oracle_mat_mul(a, b)
-    assert _mat_mul([[0, 0], [0, 0]], [[1, 2], [3, 4]]) == [[0, 0], [0, 0]]
+            n = len(a)
+            got = _mat_mul(_sparse_rows(a), _sparse_rows(b))
+            assert _dense_rows(got, n) == oracle_mat_mul(a, b)
+            assert all(0 not in row.values() for row in got)
+            got = _mat_mul(tuple(_sparse_rows(a)), _sparse_rows(b))
+            assert _dense_rows(got, n) == oracle_mat_mul(a, b)
+    assert _mat_mul(_sparse_rows([[0, 0], [0, 0]]), _sparse_rows([[1, 2], [3, 4]])) == [
+        {},
+        {},
+    ]
+
+
+def test_mat_mul_drops_the_entries_that_cancel():
+    a, b = [[1, 1], [2, 2]], [[1, -1], [-1, 1]]
+    assert oracle_mat_mul(a, b) == [[0, 0], [0, 0]]
+    assert _mat_mul(_sparse_rows(a), _sparse_rows(b)) == [{}, {}]
+    a, b = [[1, 1], [1, 0]], [[1, -1], [-1, 2]]
+    assert oracle_mat_mul(a, b) == [[0, 1], [1, -1]]
+    assert _mat_mul(_sparse_rows(a), _sparse_rows(b)) == [{1: 1}, {0: 1, 1: -1}]
 
 
 def test_charpoly_matches_permutation_expansion_oracle():
