@@ -36,7 +36,8 @@ def emit_certificate(cert, fmt="text"):
     {verdict}.  The JSON is written from a fixed template, byte for byte
     what ``json.dumps(..., indent=2)`` gives for the same fields; the
     tests hold it to that oracle.  A certificate whose last step is not
-    the conclusion raises AnchorViolation in either format.
+    the conclusion raises AnchorViolation in either format, and a format
+    other than "text" or "json" raises MalformedInput.
     """
     last = cert.steps[-1].kind if cert.steps else None
     if last != KIND_CONCLUSION:
@@ -44,7 +45,7 @@ def emit_certificate(cert, fmt="text"):
     if fmt == "json":
         return _json_certificate(cert)
     if fmt != "text":
-        raise ValueError(f"unknown format {fmt!r}")
+        raise MalformedInput(f"unknown format {fmt!r}")
     lines = [f"certificate genus={cert.genus} n={cert.n}"]
     for s in cert.steps:
         out = s.output

@@ -18,18 +18,22 @@ words.  No reduction order ever has to be chosen; the counts returned
 are minimal by construction, which is the bigon criterion in this model.
 
 A ray is a position in a cyclic word, and running backward along a word
-is running forward along its inverse.  A ray that branches off an axis
-at once is placed by where its first letter sits between the axis's two
-germs.  A ray that runs along the axis is decided by turn codes
-(``_leaves_above``): the code of position i of a word w is
-``(pos[w[i]] - pos[-w[i-1]]) % 4g``, and a ray leaves on the positive
-side exactly when its codes are lexicographically greater than the
-axis's, which is the cyclic order of ends in the dual tree.
+is running forward along its inverse.  One classifier, ``_lift_classes``,
+decides the lifts of one curve through the axis of another a pair of
+corner classes at a time.  A ray that branches off the axis at once is
+placed by where its first letter sits between the axis's two germs.  A
+ray that runs along the axis is left to turn codes: the code of position
+i of a word w is ``(pos[w[i]] - pos[-w[i-1]]) % 4g``, and a ray leaves
+on the positive side exactly when its codes are lexicographically
+greater than the axis's, which is the cyclic order of ends in the dual
+tree.
 
-The list form ``_crossings`` lists every crossing; only twist surgery
-needs the list.  Callers that need numbers use the count form
-``_crossing_count``, which counts lifts by corner type and compares the
-turn codes of coasting rays a bucket at a time.
+Both forms of the crossing kernel read that classifier.  The list form
+``_crossings`` expands its classes and decides each coasting ray by
+``_leaves_above``; only twist surgery needs the list.  Callers that need
+numbers use the count form ``_crossing_count``, which counts a class of
+branching lifts by one product and compares the turn codes of coasting
+rays a bucket at a time.
 
 A ``Curve`` is built from its reduced word alone and holds everything
 derived from it: its normal form, its hash, its corner classes and the
@@ -40,6 +44,7 @@ Reduced words of isotopic curves have equal length, so isotopy tests and
 equality run Booth's algorithm only on curves of equal length.
 """
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 
 from .errors import (
     AnchorViolation,
@@ -167,75 +172,17 @@ def _leaves_above(codes_a, x, codes_w, y, depth, cap):
         depth += 1
 
 
-class _Crossing:
+class _Crossing(namedtuple("_Crossing", "m j k aligned eps")):
     """One lift of ``other`` crossing the reference axis.
 
     m is the first axis vertex the lift passes through, j the phase of
     ``other`` at that vertex, k the number of forward axis edges shared,
     aligned whether the lift traverses them in the axis direction, and
     eps the crossing sign (+1 when the lift's forward end departs on the
-    positive side of the axis).
+    positive side of the axis).  Lifts sort by (m, j) as tuples.
     """
 
-    __slots__ = ("m", "j", "k", "aligned", "eps")
-
-    def __init__(self, m, j, k, aligned, eps):
-        self.m = m
-        self.j = j
-        self.k = k
-        self.aligned = aligned
-        self.eps = eps
-
-
-def _crossings(surface, a, b):
-    """All lifts of b crossing the axis of a, one per period of a.
-
-    Both words must be reduced and cyclically reduced, and either
-    non-conjugate as unoriented curves or the same primitive word: with
-    a == b the list is empty exactly when the curve embeds.  A lift is
-    anchored at the first axis vertex it meets, so each geometric
-    crossing is listed exactly once, and the axis itself (j == m when
-    a == b) is skipped because it passes the previous vertex.
-
-    The lift's two rays leave the vertex along b[j] and -b[j-1].  A ray
-    whose first letter is not the axis's forward letter a[m] shares no
-    edge with the axis (the skip rules out its backward letter), so its
-    side is where that letter sits between a[m] and -a[m-1].  A ray that
-    starts along a[m] is decided by turn codes (``_leaves_above``), the
-    rule ``_crossing_count`` uses, and k is the depth at which its tie
-    with the axis breaks.
-    """
-    p, q = len(a), len(b)
-    cap = p + q + _WALK_MARGIN
-    pos = surface._pos
-    n = len(surface.boundary_order)
-    codes_a = codes_b = codes_inv = None  # turn codes, built on first use
-    # phase, forward and backward letter of a lift of b, and their germs
-    ends = [(j, b[j], -b[j - 1], pos[b[j]], pos[-b[j - 1]]) for j in range(q)]
-    out = []
-    for m in range(p):
-        f, back = a[m], -a[m - 1]
-        pf = pos[f]
-        db = (pos[back] - pf) % n
-        for j, x, y, px, py in ends:
-            if back == x or back == y:
-                continue  # lift also passes the previous axis vertex
-            k = 0
-            side_fwd = 1 if (px - pf) % n < db else -1
-            side_back = 1 if (py - pf) % n < db else -1
-            if f == x:  # the forward ray starts along the axis
-                codes_a = codes_a or _turn_codes(surface, a)
-                codes_b = codes_b or _turn_codes(surface, b)
-                above, k = _leaves_above(codes_a, m + 1, codes_b, j + 1, 1, cap)
-                side_fwd = 1 if above else -1
-            elif f == y:  # the backward ray does, reading b's inverse from q - j
-                codes_a = codes_a or _turn_codes(surface, a)
-                codes_inv = codes_inv or _turn_codes(surface, inverse_word(b))
-                above, k = _leaves_above(codes_a, m + 1, codes_inv, q + 1 - j, 1, cap)
-                side_back = 1 if above else -1
-            if side_fwd != side_back:
-                out.append(_Crossing(m, j, k, f == x, side_fwd))
-    return out
+    __slots__ = ()
 
 
 def _count_by_codes(codes_a, codes_w, xs, ups, downs, cap):
@@ -296,57 +243,113 @@ def _corner_classes(word):
     return corners
 
 
+def _lift_classes(surface, corners_a, corners_b, q):
+    """The lifts of b through the axis of a, in classes decided alike.
+
+    The lift at axis vertex m and phase j sits at two corners, (a[m],
+    -a[m-1]) of the axis and (b[j], -b[j-1]) of b, whose corner classes
+    hold the positions m + 1 and j + 1.  Its rays leave the vertex along
+    b[j] and -b[j-1].  A lift with a ray along the axis's backward letter
+    -a[m-1] also passes the previous axis vertex and is skipped, so each
+    crossing is anchored once.  A ray that starts along f = a[m] coasts;
+    any other ray branches off at once, on the + side exactly when its
+    first letter sits between f and -a[m-1] counterclockwise.
+
+    Returns (branch, coast).  branch holds an (xs, ts, eps) for each pair
+    of classes whose two rays branch off on opposite sides: the lift at
+    every axis position in xs and every position of b in ts crosses, with
+    sign eps.  coast holds an (xs, sign, ups, downs) for each axis class
+    with rays that coast along b (sign 1) or along b's inverse (sign -1);
+    a backward ray is read as a forward ray on b's inverse, from position
+    q + 2 - (j + 1).  A ray of ups crosses when it leaves on the + side,
+    one of downs when it leaves on the - side, and a crossing whose
+    coasting ray leaves on the + side has eps = sign.
+    """
+    pos = surface._pos
+    n = len(surface.boundary_order)
+    branch, coast = [], {}
+    for (f, prev), xs in corners_a.items():
+        back = -prev
+        pf = pos[f]
+        db = (pos[back] - pf) % n
+        for (x, before), ts in corners_b.items():
+            y = -before  # the backward ray's first letter
+            if x == back or y == back:
+                continue  # the lift also passes the previous axis vertex
+            up_x, up_y = (pos[x] - pf) % n < db, (pos[y] - pf) % n < db
+            # a coasting ray crosses when it leaves opposite the other ray:
+            # into ups (index 2) when that ray is below, else downs (3)
+            if x == f:
+                coast.setdefault((f, prev, 1), (xs, 1, [], []))[2 + up_y].extend(ts)
+            elif y == f:
+                group = coast.setdefault((f, prev, -1), (xs, -1, [], []))
+                group[2 + up_x].extend(q + 2 - t for t in ts)
+            elif up_x != up_y:
+                branch.append((xs, ts, 1 if up_x else -1))
+    return branch, coast.values()
+
+
+def _crossings(surface, a, b):
+    """All lifts of b crossing the axis of a, one per period of a.
+
+    Both words must be reduced and cyclically reduced, and either
+    non-conjugate as unoriented curves or the same primitive word: with
+    a == b the list is empty exactly when the curve embeds.  Each lift is
+    anchored at the first axis vertex it meets, so each geometric
+    crossing is listed exactly once, and the axis itself (j == m when
+    a == b) is skipped because it passes the previous vertex.
+
+    The lifts come from ``_lift_classes``, the rule ``_crossing_count``
+    counts by: a lift whose rays branch off at once is listed with k = 0,
+    and a coasting ray is decided by ``_leaves_above``, whose depth at
+    the broken tie is k.  The list is sorted by (m, j).
+    """
+    p, q = len(a), len(b)
+    cap = p + q + _WALK_MARGIN
+    codes_a, codes_b = None, {}  # turn codes of a, and of b (1) and its inverse (-1)
+    branch, coast = _lift_classes(surface, _corner_classes(a), _corner_classes(b), q)
+    out = [_Crossing(x - 1, t - 1, 0, False, eps) for xs, ts, eps in branch for x in xs for t in ts]
+    for xs, sign, ups, downs in coast:
+        codes_a = codes_a or _turn_codes(surface, a)  # built on first use
+        if sign not in codes_b:
+            codes_b[sign] = _turn_codes(surface, b if sign > 0 else inverse_word(b))
+        codes_w = codes_b[sign]
+        for ys, crosses_above in ((ups, True), (downs, False)):
+            for x in xs:
+                for y in ys:
+                    above, k = _leaves_above(codes_a, x, codes_w, y, 1, cap)
+                    if above == crosses_above:
+                        j = y - 1 if sign > 0 else q + 1 - y
+                        out.append(_Crossing(x - 1, j, k, sign > 0, sign if above else -sign))
+    out.sort()
+    return out
+
+
 def _crossing_count(a, b):
     """Number and signed sum of the lifts of curve b crossing the axis of a.
 
     Equal to len and the sum of eps of ``_crossings(surface, a.word,
     b.word)``, and raises WalkBoundExceeded wherever that list does,
-    without listing a crossing.  The lift at axis vertex m and phase j
-    sits at two corners, (a[m], -a[m-1]) and (b[j], -b[j-1]).  When
-    neither of its rays starts along a[m], whether it crosses depends on
-    the two corner types only, so those lifts are counted by one product
-    per pair of types.  A ray that starts along a[m] is decided by turn
-    codes (``_count_by_codes``), one axis corner and one direction of b at
-    a time.  The corner classes and turn codes are the curves' kept ones;
-    the cap depends on both words and is computed by each count.
+    without listing a crossing.  Both read the lifts from
+    ``_lift_classes``: a class of lifts whose rays branch off at once
+    counts by one product of class sizes, and coasting rays are decided
+    by turn codes (``_count_by_codes``), one axis class and one direction
+    of b at a time.  The corner classes and turn codes are the curves'
+    kept ones; the cap depends on both words and is computed by each count.
     """
-    surface = a.surface
     q = len(b.word)
     cap = len(a.word) + q + _WALK_MARGIN
-    pos = surface._pos
-    n = len(surface.boundary_order)
     count = signed = 0
-    for (f, prev), xs in a._kept_corners().items():
-        back = -prev
-        pf = pos[f]
-        db = (pos[back] - pf) % n
-        ups, downs, ups_inv, downs_inv = [], [], [], []
-        for (x, before), ts in b._kept_corners().items():
-            y = -before  # the backward ray's first letter
-            if x == back or y == back:
-                continue  # the lift also passes the previous axis vertex
-            if x == f:  # the forward ray coasts, the backward one branches
-                (ups if (pos[y] - pf) % n > db else downs).extend(ts)
-            elif y == f:  # the backward ray coasts along b's inverse
-                (ups_inv if (pos[x] - pf) % n > db else downs_inv).extend(ts)
-            else:
-                above = (pos[x] - pf) % n < db  # the forward ray's side
-                if above != ((pos[y] - pf) % n < db):
-                    c = len(xs) * len(ts)
-                    count += c
-                    signed += c if above else -c
-        if ups or downs:
-            plus, minus = _count_by_codes(a._kept_codes(), b._kept_codes(), xs, ups, downs, cap)
-            count += plus + minus
-            signed += plus - minus  # the coasting ray is the forward one
-        if ups_inv or downs_inv:
-            # b's backward ray from phase j = t - 1 reads b's inverse from q - j
-            plus, minus = _count_by_codes(
-                a._kept_codes(), b._kept_inverse_codes(), xs, [q + 2 - t for t in ups_inv],
-                [q + 2 - t for t in downs_inv], cap
-            )
-            count += plus + minus
-            signed += minus - plus  # the forward ray leaves opposite
+    branch, coast = _lift_classes(a.surface, a._kept_corners(), b._kept_corners(), q)
+    for xs, ts, eps in branch:
+        c = len(xs) * len(ts)
+        count += c
+        signed += eps * c
+    for xs, sign, ups, downs in coast:
+        codes_b = b._kept_codes() if sign > 0 else b._kept_inverse_codes()
+        plus, minus = _count_by_codes(a._kept_codes(), codes_b, xs, ups, downs, cap)
+        count += plus + minus
+        signed += sign * (plus - minus)
     return count, signed
 
 

@@ -12,22 +12,25 @@ import enum
 from dataclasses import dataclass
 
 from .curves import intersection_number, is_isotopic
-from .errors import NotLSpaceForm
+from .errors import MalformedInput, NotLSpaceForm
 from .poly import LaurentPoly
 
 
 @dataclass(frozen=True)
 class RankInterval:
-    """Integer interval [lo, hi]; hi = None means unbounded above."""
+    """Integer interval [lo, hi]; hi = None means unbounded above.
+
+    A negative lo or an empty interval raises MalformedInput.
+    """
 
     lo: int
     hi: object = None
 
     def __post_init__(self):
         if self.lo < 0:
-            raise ValueError("ranks are nonnegative")
+            raise MalformedInput("ranks are nonnegative")
         if self.hi is not None and self.hi < self.lo:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+            raise MalformedInput(f"empty interval [{self.lo}, {self.hi}]")
 
     @staticmethod
     def exactly(v):
@@ -92,7 +95,8 @@ class Staircase:
 
     ns are the nonnegative Alexander gradings carrying rank, starting at
     zero; deltas are the Maslov levels, fixed by the step widths through
-    a descending recursion that ends at zero on the top step.
+    a descending recursion that ends at zero on the top step.  Any other
+    pair raises MalformedInput.
     """
 
     ns: tuple
@@ -101,13 +105,13 @@ class Staircase:
     def __post_init__(self):
         ns, deltas = self.ns, self.deltas
         if len(ns) != len(deltas):
-            raise ValueError("ns and deltas must have equal length")
+            raise MalformedInput("ns and deltas must have equal length")
         if not ns or ns[0] != 0:
-            raise ValueError("staircase must start at grading 0")
+            raise MalformedInput("staircase must start at grading 0")
         if any(ns[i] >= ns[i + 1] for i in range(len(ns) - 1)):
-            raise ValueError("staircase gradings must increase strictly")
+            raise MalformedInput("staircase gradings must increase strictly")
         if deltas != _delta_recursion(ns):
-            raise ValueError("Maslov levels do not satisfy the step recursion")
+            raise MalformedInput("Maslov levels do not satisfy the step recursion")
 
     @property
     def genus(self):
@@ -134,10 +138,11 @@ def staircase_from_alexander(poly):
     The polynomial must be palindromic with all coefficients in
     {-1, 0, +1}, alternating signs along its nonzero coefficients, a
     nonzero central coefficient, and a positive top coefficient.  Any
-    violation raises NotLSpaceForm naming the failed condition.
+    violation raises NotLSpaceForm naming the failed condition, and an
+    argument that is not a LaurentPoly raises MalformedInput.
     """
     if not isinstance(poly, LaurentPoly):
-        raise TypeError(f"expected a LaurentPoly, got {type(poly).__name__}")
+        raise MalformedInput(f"expected a LaurentPoly, got {type(poly).__name__}")
     if poly.is_zero():
         raise NotLSpaceForm("polynomial is zero")
     if not poly.is_palindromic():

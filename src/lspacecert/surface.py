@@ -13,7 +13,7 @@ cut-open disk; side +k is the one a positive crossing exits through.
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import GenusTooSmall
+from .errors import GenusTooSmall, MalformedInput
 
 
 def _trace_boundary_cycles(order):
@@ -51,7 +51,8 @@ class SurfaceSpec:
 
     ``boundary_order`` must list each of the 4g signed arc symbols exactly
     once, and regluing must produce a connected boundary (equivalently the
-    reglued surface has Euler characteristic 1 - 2g and genus g).
+    reglued surface has Euler characteristic 1 - 2g and genus g).  A
+    spec that breaks either rule raises MalformedInput.
     """
 
     genus: int
@@ -65,14 +66,14 @@ class SurfaceSpec:
         if g < 2:
             raise GenusTooSmall(f"genus {g} < 2")
         if len(self.cut_arcs) != 2 * g:
-            raise ValueError(f"need {2 * g} cut arcs, got {len(self.cut_arcs)}")
+            raise MalformedInput(f"need {2 * g} cut arcs, got {len(self.cut_arcs)}")
         order = tuple(self.boundary_order)
         expected = {s for k in range(1, 2 * g + 1) for s in (k, -k)}
         if set(order) != expected or len(order) != 4 * g:
-            raise ValueError("boundary_order must contain each signed arc symbol once")
+            raise MalformedInput("boundary_order must contain each signed arc symbol once")
         cycles = _trace_boundary_cycles(order)
         if len(cycles) != 1:
-            raise ValueError(
+            raise MalformedInput(
                 f"cut system regluing has {len(cycles)} boundary circles, need 1"
             )
         n = len(order)

@@ -672,7 +672,32 @@ def test_crossing_count_equals_the_walk_on_long_words_against_the_system(g):
     bn = beta_gn(g, 400).word
     for name, curve in standard_curve_system(g).named():
         for a, b in ((bn, curve.word), (curve.word, bn)):
-            assert _counted(surface, a, b) == _listed(surface, a, b), name
+            want = _listed(surface, a, b)
+            assert _counted(surface, a, b) == want, name
+            assert _len_and_sum(curves._crossings(surface, a, b)) == want, name
+
+
+def _len_and_sum(xs):
+    return len(xs), sum(x.eps for x in xs)
+
+
+def test_both_forms_read_one_lift_classifier(monkeypatch):
+    # flipping the sign of every class of branching lifts moves the list form
+    # and the count form alike: neither decides a lift by a rule of its own.
+    # B[2,3] crosses b2 in branching and coasting lifts, whose signs cancel
+    bn, b2 = beta_gn(2, 3).word, standard_curve_system(2).betas[1].word
+    before = _len_and_sum(curves._crossings(S2, bn, b2))
+    assert _count(S2, bn, b2) == before == (12, 0)
+    classify = curves._lift_classes
+
+    def flipped(*args):
+        branch, coast = classify(*args)
+        return [(xs, ts, -eps) for xs, ts, eps in branch], coast
+
+    monkeypatch.setattr(curves, "_lift_classes", flipped)
+    after = _len_and_sum(curves._crossings(S2, bn, b2))
+    assert after == (12, -2)
+    assert _count(S2, bn, b2) == after
 
 
 def test_crossing_count_raises_on_a_tie_at_the_cap(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lspacecert.errors import NotLSpaceForm, SurfaceMismatch
+from lspacecert.errors import MalformedInput, NotLSpaceForm, SurfaceMismatch
 from lspacecert.floer import (
     RankInterval,
     Staircase,
@@ -129,9 +129,9 @@ def test_tensor_rank_zero_absorbs_unbounded():
 
 
 def test_rank_interval_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedInput):
         RankInterval(-1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedInput):
         RankInterval(3, 2)
 
 
@@ -179,9 +179,9 @@ def test_staircase_rejections():
 
 
 def test_staircase_validates_its_own_recursion():
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedInput):
         Staircase((0, 1), (-2, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedInput):
         Staircase((1, 2), (-1, 0))
 
 

@@ -4,7 +4,7 @@ import importlib.util
 import pathlib
 
 import lspacecert
-from lspacecert import curves
+from lspacecert import curves, errors
 from lspacecert.mcg import standard_curve_system
 
 
@@ -54,3 +54,53 @@ def test_benchmark_work_rows_read_the_arguments_they_size():
     assert out and work["curves._crossings"](args, out) == (len(twisted) * len(c), len(out))
     args = (b, c, 3)
     assert work["curves.dehn_twist"](args, curves.dehn_twist(*args)) == (len(b), len(twisted))
+
+
+# raises that may name a builtin exception, by (module, innermost function,
+# exception): the text parsers, whose ValueError message the CLI prints after
+# "error: " and the tests pin; the expression evaluator's check on its own
+# syntax tree; and Python's read-only attribute protocol on a Curve
+_BUILTIN_RAISES = {
+    ("poly", "parse_poly", "ValueError"),
+    ("curves", "parse_tokens", "ValueError"),
+    ("curves", "_validate_word", "ValueError"),
+    ("cli", "_parse_range", "ValueError"),
+    ("cli", "_cmd_sweep", "ValueError"),
+    ("dsl", "eval_expression", "TypeError"),
+    ("curves", "__setattr__", "AttributeError"),
+}
+
+
+def _raised_names(tree):
+    """(innermost enclosing function, raised name, line) for each raise."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            out.append((func, name, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+def test_package_raises_only_workbench_errors():
+    # every refusal is a typed WorkbenchError, which the CLI reports with its
+    # type and exit code 1; only the listed raises may name a builtin
+    found, allowed = [], set()
+    for path in sorted(pathlib.Path(lspacecert.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func, name, line in _raised_names(tree):
+            if (path.stem, func, name) in _BUILTIN_RAISES:
+                allowed.add((path.stem, func, name))
+                continue
+            exc = getattr(errors, name, None) if name else None
+            if not (isinstance(exc, type) and issubclass(exc, errors.WorkbenchError)):
+                found.append(f"{path.name}:{line} {func} raises {name}")
+    assert found == []
+    assert allowed == _BUILTIN_RAISES  # no stale entry

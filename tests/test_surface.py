@@ -1,7 +1,7 @@
 import pytest
 
 from lspacecert.curves import reduce_cyclic
-from lspacecert.errors import GenusTooSmall
+from lspacecert.errors import GenusTooSmall, MalformedInput
 from lspacecert.surface import SurfaceSpec, chain_boundary_order, standard_surface
 
 
@@ -28,13 +28,13 @@ def test_disconnected_boundary_rejected():
     # nesting all chords makes every pair unlinked; regluing then has
     # several boundary circles
     order = (1, 2, 3, 4, -4, -3, -2, -1)
-    with pytest.raises(ValueError, match="boundary circles"):
+    with pytest.raises(MalformedInput, match="boundary circles"):
         SurfaceSpec(2, ("e1", "e2", "e3", "e4"), order)
 
 
 def test_bad_symbol_multiset_rejected():
     order = (1, 2, -1, 3, -2, 4, -3, 4)  # -4 missing, 4 doubled
-    with pytest.raises(ValueError, match="signed arc symbol"):
+    with pytest.raises(MalformedInput, match="signed arc symbol"):
         SurfaceSpec(2, ("e1", "e2", "e3", "e4"), order)
 
 
