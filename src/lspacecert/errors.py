@@ -55,6 +55,10 @@ class BudgetExceeded(WorkbenchError):
     """A direct computation was larger than the configured budget."""
 
 
+class CoefficientBoundTooLarge(WorkbenchError):
+    """A characteristic polynomial's coefficient bound is past every tabled prime."""
+
+
 class ExprSyntaxError(WorkbenchError):
     """A curve expression failed to parse.
 

@@ -245,8 +245,9 @@ def alexander_polynomial(word):
 
     For the monodromy of a fibred knot this is its Alexander polynomial,
     normalized to lowest exponent zero.  Its top coefficient is +1 with
-    no sign fix: det(t I - M) is monic, since the Faddeev-LeVerrier
-    scheme in ``charpoly`` starts from c_n = 1.
+    no sign fix: det(t I - M) is monic, since the Hessenberg recurrence
+    in ``charpoly`` starts from p_0 = 1 and each step multiplies the last
+    polynomial by t - h_mm.
     """
     poly = charpoly(homology_action(word))
     return poly.shifted(-poly.min_exp)

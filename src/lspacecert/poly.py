@@ -6,7 +6,7 @@ palindrome tests, parsing and printing in the usual knot-table style.
 """
 from dataclasses import dataclass
 
-from .errors import MalformedInput, WorkbenchError
+from .errors import CoefficientBoundTooLarge, MalformedInput
 
 
 @dataclass(frozen=True)
@@ -135,27 +135,36 @@ def parse_poly(text):
     return LaurentPoly.from_dict(coeffs)
 
 
-def charpoly(matrix):
-    """det(t I - M) of a square int matrix, by the Faddeev-LeVerrier scheme.
+# Exponents e of the Mersenne primes 2^e - 1 from 2^61 - 1 to 2^86243 - 1
+# (OEIS A000043); the tests check those up to 4423 by Lucas-Lehmer.
+_MERSENNE_EXPONENTS = (
+    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
+    9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243,
+)
 
-    M_1 = M and M_k = M (M_{k-1} + c_{n-k+1} I), with c_n = 1 and
-    c_{n-k} = -tr(M_k) / k; on an integer matrix every division is exact,
-    and each one is checked.  Each row of the running matrix is held as one
-    Python int, sum_j a_j 2^(j w) with w-bit signed slots, so row i of
-    M X is one big-int sum over the nonzeros of row i of M; a step costs
-    O(nnz(M)) big-int operations of n w bits.  The slot width is proved,
-    not guessed: see ``_packed_fl``.  If an entry outgrows the bound the
-    width was chosen for, the scheme restarts with the bound doubled.
+
+def charpoly(matrix):
+    """det(t I - M) of a square int matrix, by Hessenberg reduction modulo
+    one prime.
+
+    The coefficients of det(t I - M) sum in absolute value to at most
+    B = prod_i (1 + sum_j |m_ij|) (``_coefficient_bound``).  The scheme
+    works modulo the smallest tabled Mersenne prime P > 2B (``_modulus``):
+    it reduces M to upper Hessenberg form by similarity (``_hessenberg``),
+    runs the Hessenberg recurrence (``_hessenberg_charpoly``) and reads
+    each residue in the balanced range (-P/2, P/2], which holds the true
+    coefficient.  On the banded monodromy actions a step touches O(1)
+    entries, so the cost is O(n^2) residue operations, most of them scans.
 
     Raises MalformedInput, before any arithmetic, for a ragged or
     non-square matrix, for rows that are not lists or tuples, and for an
-    entry whose type is not int.  Returns the monic LaurentPoly of
-    degree n.
+    entry whose type is not int.  Raises CoefficientBoundTooLarge, before
+    any elimination, when no tabled prime exceeds 2B.  Returns the monic
+    LaurentPoly of degree n.
     """
     if not isinstance(matrix, (list, tuple)):
         raise MalformedInput("charpoly: the matrix must be a list or tuple of rows")
     n = len(matrix)
-    rows = []
     for i, row in enumerate(matrix):
         if not isinstance(row, (list, tuple)) or len(row) != n:
             raise MalformedInput(
@@ -167,62 +176,108 @@ def charpoly(matrix):
                 raise MalformedInput(
                     f"charpoly: entry ({i}, {j}) is a {type(x).__name__}, not an int"
                 )
-        rows.append([(x, j) for j, x in enumerate(row) if x])
-    h = max(16, max((abs(x) for row in rows for x, _ in row), default=0).bit_length())
-    while True:
-        coeffs = _packed_fl(rows, n, h)
-        if coeffs is not None:
-            return LaurentPoly.from_dict(coeffs)
-        h *= 2
+    p = _modulus(_coefficient_bound(matrix))
+    h = [[x % p for x in row] for row in matrix]
+    _hessenberg(h, p)
+    half = p >> 1
+    return LaurentPoly.from_dict(
+        {e: c - p if c > half else c for e, c in enumerate(_hessenberg_charpoly(h, p))}
+    )
 
 
-def _slot_width(h, r, n):
-    """Bits per slot that hold every value a step can make from entries
-    in [-2^h, 2^h), for an n x n matrix of largest absolute row sum r.
+def _coefficient_bound(matrix):
+    """B = prod_i (1 + r_i), r_i the absolute row sums of M.
 
-    M X then has entries of size at most r 2^h, c at most n r 2^h, and
-    M X + c I at most (n + 1) r 2^h, which is below 2^(w - 1).
+    The coefficient of t^(n-k) in det(t I - M) is (-1)^k times the sum of
+    the k x k principal minors.  By Hadamard's inequality the minor on the
+    rows S is at most prod_{i in S} r_i in size, so the coefficients sum in
+    absolute value to at most sum_S prod_{i in S} r_i = B.
     """
-    return h + (r * (n + 1)).bit_length() + 1
+    bound = 1
+    for row in matrix:
+        bound *= 1 + sum(map(abs, row))
+    return bound
 
 
-def _packed_fl(rows, n, h):
-    """The Faddeev-LeVerrier coefficients as a dict exponent -> coefficient,
-    or None once some X = M_{k-1} + c I has an entry outside [-2^h, 2^h).
+def _modulus(bound):
+    """The smallest tabled Mersenne prime P > 2 bound, so that every
+    integer of size at most ``bound`` has its own balanced residue mod P."""
+    for e in _MERSENNE_EXPONENTS:
+        p = (1 << e) - 1
+        if p > 2 * bound:
+            return p
+    raise CoefficientBoundTooLarge(
+        f"charpoly: the coefficient bound has {bound.bit_length()} bits; twice "
+        f"it exceeds the largest tabled prime 2^{_MERSENNE_EXPONENTS[-1]} - 1"
+    )
 
-    ``rows`` lists the nonzeros of each row of M as (value, column) pairs.
-    Packing is linear, so each packed row is exactly the packing of the
-    true row.  By induction every X is checked in [-2^h, 2^h), so M X and
-    the next X lie in the balanced slot range (``_slot_width``) and
-    decode uniquely: the trace reads slot i of row i of M X, and the
-    bound check on X is exact.
+
+def _hessenberg(h, p):
+    """Reduce h, a square list of rows of residues mod the prime p, in place
+    to upper Hessenberg form by similarity.
+
+    For each column k, the first row i > k with h_ik != 0 is swapped with
+    row k + 1, and column i with column k + 1.  Each lower nonzero h_ik is
+    then cleared by row_i -= u row_{k+1}, paired with the inverse column
+    operation column_{k+1} += u column_i.  The row operations all go first:
+    none of them changes row k + 1 or the factors u, and the pairs commute.
+    A column already zero below its subdiagonal costs one scan.
     """
-    w = _slot_width(h, max((sum(abs(x) for x, _ in row) for row in rows), default=0), n)
-    ones = sum(1 << (j * w) for j in range(n))  # 1 in every slot
-    lo = ones << h  # 2^h in every slot
-    hi = ones * ((1 << w) - (1 << (h + 1)))  # bits h+1 .. w-1 of every slot
-    bias = ones << (w - 1)  # 2^(w-1) in every slot, for balanced decoding
-    mask = (1 << w) - 1
-    coeffs = {n: 1}
-    x = [0] * n
-    c = 1
-    for k in range(1, n + 1):
-        x = [xi + (c << (i * w)) for i, xi in enumerate(x)]
-        for xi in x:
-            # slots in [-2^h, 2^h) iff the slots of xi + lo are in [0, 2^(h+1))
-            z = xi + lo
-            if z < 0 or z & hi:
-                return None
-        x = [sum(v * x[j] for v, j in row) for row in rows]
-        trace = sum(((xi + bias) >> (i * w)) & mask for i, xi in enumerate(x))
-        trace -= n << (w - 1)
-        if trace % k != 0:
-            raise WorkbenchError(
-                f"charpoly: trace {trace} at step {k} is not divisible by {k}"
-            )
-        c = -trace // k
-        coeffs[n - k] = c
-    return coeffs
+    n = len(h)
+    for k in range(n - 2):
+        top = k + 1
+        below = [i for i in range(top, n) if h[i][k]]
+        if not below:
+            continue
+        if below[0] != top:
+            i = below[0]
+            h[i], h[top] = h[top], h[i]
+            for row in h:
+                row[i], row[top] = row[top], row[i]
+        if len(below) == 1:
+            continue
+        pivot = h[top]
+        inv = pow(pivot[k], -1, p)
+        factors = [(i, h[i][k] * inv % p) for i in below[1:]]
+        for i, u in factors:
+            h[i] = [(a - u * x) % p if x else a for a, x in zip(h[i], pivot)]
+        for i, u in factors:
+            for row in h:
+                y = row[i]
+                if y:
+                    row[top] = (row[top] + u * y) % p
+
+
+def _hessenberg_charpoly(h, p):
+    """Coefficients, lowest degree first, of det(t I - H) mod p for an upper
+    Hessenberg h.
+
+    With 1-based indices, p_0 = 1 and p_m = (t - h_mm) p_{m-1}
+    - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1} is det(t I - H) on
+    the leading m x m block (H. Cohen, A Course in Computational Algebraic
+    Number Theory, 1993, Alg. 2.2.9).  Zero h_im are skipped, and the
+    subdiagonal product stops at its first zero, past which every term is 0.
+    """
+    polys = [[1]]
+    for m, row in enumerate(h):
+        prev = polys[-1]
+        step = [0] + prev
+        d = row[m]
+        if d:
+            for j, c in enumerate(prev):
+                step[j] -= d * c
+        sub = 1
+        for i in range(m - 1, -1, -1):
+            sub = sub * h[i + 1][i] % p
+            if not sub:
+                break
+            x = h[i][m]
+            if x:
+                f = x * sub
+                for j, c in enumerate(polys[i]):
+                    step[j] -= f * c
+        polys.append([c % p for c in step])
+    return polys[-1]
 
 
 def _mat_mul(a, b):

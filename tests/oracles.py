@@ -10,7 +10,8 @@ signs by asking that loop about both rays of every lift, Alexander
 polynomials from a Seifert matrix by permutation expansion, homological
 actions as dense products of transvection matrices, matrix products as
 triple sums, characteristic polynomials by permutation expansion and by
-the Faddeev-LeVerrier loop over lists of rows, exact triangles as
+the Faddeev-LeVerrier loop over lists of rows, Mersenne primes by the
+Lucas-Lehmer test, exact triangles as
 explicit matrices over GF(2), certificate JSON through json.dumps of a
 dict.  Keep these slow and obvious.
 """
@@ -405,6 +406,17 @@ def oracle_charpoly_fl(m):
         c = -trace // k
         coeffs[n - k] = c
     return {e: x for e, x in coeffs.items() if x}
+
+
+def oracle_is_mersenne_prime(e):
+    """Whether 2^e - 1 is prime, for a prime e > 2, by the Lucas-Lehmer test:
+    s_0 = 4, s_{k+1} = s_k^2 - 2 mod 2^e - 1, and 2^e - 1 is prime iff
+    s_{e-2} = 0."""
+    m = (1 << e) - 1
+    s = 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % m
+    return s == 0
 
 
 def oracle_staircase_polynomial(stair):

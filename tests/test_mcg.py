@@ -15,6 +15,7 @@ from lspacecert.curves import (
 from lspacecert import poly as poly_module
 from lspacecert.errors import (
     AnchorViolation,
+    CoefficientBoundTooLarge,
     GenusTooSmall,
     MalformedInput,
     NegativePower,
@@ -39,6 +40,7 @@ from oracles import (
     oracle_charpoly,
     oracle_charpoly_fl,
     oracle_homology_action,
+    oracle_is_mersenne_prime,
     oracle_mat_mul,
     seifert_torus_alexander,
 )
@@ -370,9 +372,15 @@ def test_alexander_at_genus_forty_is_the_torus_knot_polynomial():
 
 
 def test_alexander_at_genus_eighty_is_the_torus_knot_polynomial():
-    # T(2, 161): a 160 x 160 action, 160 Faddeev-LeVerrier steps
+    # T(2, 161): a 160 x 160 action, reduced modulo 2^1279 - 1 (a 542-bit bound)
     poly = alexander_polynomial(monodromy_phi(80, 0))
     assert poly == LaurentPoly.from_dict({e: (-1) ** e for e in range(161)})
+
+
+def test_alexander_at_genus_one_sixty_is_the_torus_knot_polynomial():
+    # T(2, 321): all 321 coefficients of t^0 .. t^320 alternate
+    poly = alexander_polynomial(monodromy_phi(160, 0))
+    assert poly == LaurentPoly.from_dict({e: (-1) ** e for e in range(321)})
 
 
 def test_charpoly_rejects_inexact_division_even_under_python_O():
@@ -383,32 +391,6 @@ def test_charpoly_rejects_inexact_division_even_under_python_O():
         from fractions import Fraction
         from lspacecert.poly import charpoly
         charpoly([[Fraction(1, 2)]])
-        """,
-        "WorkbenchError",
-    )
-
-
-# With one bit per slot and h = 1, entries of M X overflow their slots; the
-# decoded trace at step 2 is 3, which the divisibility check must catch.
-NARROW_SLOT_ROWS = [
-    [(x, j) for j, x in enumerate(row) if x]
-    for row in [[1, 0, -1, -1, 1], [1, 0, 0, -1, -1], [0, -1, -1, 1, 0],
-                [0, -1, -1, 0, 0], [1, 1, 0, -1, 1]]
-]
-
-
-def test_charpoly_trace_check_catches_slots_too_narrow(monkeypatch):
-    monkeypatch.setattr(poly_module, "_slot_width", lambda h, r, n: h + 1)
-    with pytest.raises(WorkbenchError, match="trace 3 at step 2 is not divisible by 2"):
-        poly_module._packed_fl(NARROW_SLOT_ROWS, 5, 1)
-
-
-def test_charpoly_trace_check_catches_slots_too_narrow_even_under_python_O():
-    assert raises_under_python_O(
-        f"""
-        from lspacecert import poly
-        poly._slot_width = lambda h, r, n: h + 1
-        poly._packed_fl({NARROW_SLOT_ROWS!r}, 5, 1)
         """,
         "WorkbenchError",
     )
@@ -433,9 +415,10 @@ MALFORMED_MATRICES = [
 @pytest.mark.parametrize("matrix", MALFORMED_MATRICES)
 def test_charpoly_rejects_a_malformed_matrix_before_any_arithmetic(matrix, monkeypatch):
     def no_arithmetic(*args):
-        raise AssertionError("charpoly ran the recurrence on a malformed matrix")
+        raise AssertionError("charpoly ran arithmetic on a malformed matrix")
 
-    monkeypatch.setattr(poly_module, "_packed_fl", no_arithmetic)
+    monkeypatch.setattr(poly_module, "_coefficient_bound", no_arithmetic)
+    monkeypatch.setattr(poly_module, "_hessenberg", no_arithmetic)
     with pytest.raises(MalformedInput):
         charpoly(matrix)
 
@@ -536,33 +519,71 @@ def test_charpoly_matches_the_list_loop_oracle_on_large_random_matrices():
         assert charpoly(m).as_dict() == oracle_charpoly_fl(m)
 
 
-def test_charpoly_restarts_with_a_doubled_bound_until_the_entries_fit(monkeypatch):
-    bounds = []
-    packed_fl = poly_module._packed_fl
-
-    def recording(rows, n, h):
-        bounds.append(h)
-        return packed_fl(rows, n, h)
-
-    monkeypatch.setattr(poly_module, "_packed_fl", recording)
-    rng = random.Random(3)
-    m = [[rng.randint(-10**6, 10**6) for _ in range(24)] for _ in range(24)]
-    assert charpoly(m).as_dict() == oracle_charpoly_fl(m)
-    # entries of M_k grow like (24 10^6)^k, far past 2^20 = 2^bitlen(10^6)
-    assert len(bounds) >= 3
-    assert bounds[0] == 20
-    assert bounds == [bounds[0] << k for k in range(len(bounds))]
-    bounds.clear()
-    charpoly(homology_action(monodromy_phi(20, 2)))
-    assert bounds == [16]
+def _bound_and_modulus(m):
+    bound = poly_module._coefficient_bound(m)
+    return bound, poly_module._modulus(bound)
 
 
-def test_slot_width_holds_every_value_of_a_step():
-    # entries of X in [-2^h, 2^h) give entries of M X + c I of size at most
-    # (n + 1) r 2^h; the balanced w-bit slot holds [-2^(w-1), 2^(w-1))
-    for h in (1, 16, 40):
-        for n in (1, 2, 3, 7, 80, 160):
-            for r in (0, 1, 2, 3, 5, 31, 10**6):
-                w = poly_module._slot_width(h, r, n)
-                assert (n + 1) * r * 2**h < 2 ** (w - 1)
-                assert 2**h <= 2 ** (w - 1)
+def test_coefficient_bound_holds_on_large_random_matrices():
+    for m in _large_random_matrices(12):
+        bound, p = _bound_and_modulus(m)
+        assert sum(abs(c) for c in oracle_charpoly_fl(m).values()) <= bound
+        assert p > 2 * bound
+
+
+@pytest.mark.parametrize("g", range(2, 41))
+def test_coefficient_bound_holds_on_the_monodromy_actions(g):
+    for n in (0, 3):
+        m = homology_action(monodromy_phi(g, n))
+        bound, p = _bound_and_modulus(m)
+        assert sum(abs(c) for _, c in charpoly(m).coeffs) <= bound
+        assert p > 2 * bound
+
+
+def test_modulus_is_the_smallest_tabled_prime_above_twice_the_bound():
+    assert poly_module._modulus(0) == 2**61 - 1
+    assert poly_module._modulus(2**60 - 1) == 2**61 - 1
+    assert poly_module._modulus(2**60) == 2**89 - 1
+    assert poly_module._modulus(2**1278 - 1) == 2**1279 - 1
+    # the residue of -(2^60 + 5) mod 2^61 - 1 reads as positive, so only a
+    # prime above twice the bound 2^60 + 6 decodes it
+    assert charpoly([[2**60 + 5]]) == LaurentPoly.from_dict({1: 1, 0: -(2**60 + 5)})
+    assert charpoly([[-(2**60 + 5)]]) == LaurentPoly.from_dict({1: 1, 0: 2**60 + 5})
+
+
+def test_tabled_mersenne_exponents_give_primes():
+    exponents = poly_module._MERSENNE_EXPONENTS
+    assert list(exponents) == sorted(set(exponents))
+    assert all(oracle_is_mersenne_prime(e) for e in exponents if e <= 4423)
+    # below 2^521 - 1 the table misses no Mersenne prime, so the modulus
+    # is never needlessly wide at the genera the benchmark runs
+    missing = [e for e in range(62, 521) if e not in exponents
+               and all(e % d for d in range(2, e)) and oracle_is_mersenne_prime(e)]
+    assert missing == []
+
+
+def test_charpoly_refuses_a_bound_past_the_table_before_any_elimination(monkeypatch):
+    def no_elimination(*args):
+        raise AssertionError("charpoly eliminated with no prime to work modulo")
+
+    monkeypatch.setattr(poly_module, "_hessenberg", no_elimination)
+    with pytest.raises(CoefficientBoundTooLarge):
+        charpoly([[2**90000]])
+
+
+def test_charpoly_refuses_a_bound_past_the_table_even_under_python_O():
+    assert raises_under_python_O(
+        """
+        from lspacecert.poly import charpoly
+        charpoly([[2**90000]])
+        """,
+        "CoefficientBoundTooLarge",
+    )
+
+
+def test_charpoly_matches_the_list_loop_oracle_on_random_twist_words():
+    rng = random.Random(2020)
+    for k in range(54):
+        g = 2 + k % 9
+        m = homology_action(random_twist_word(rng, g, max_len=7 + k))
+        assert charpoly(m).as_dict() == oracle_charpoly_fl(m)
