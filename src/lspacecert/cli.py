@@ -1,6 +1,5 @@
 """Command line front end and certificate emission."""
 import argparse
-import concurrent.futures  # loads the process pool, and multiprocessing, on first use
 import functools
 import json
 import sys
@@ -218,6 +217,10 @@ def _cmd_sweep(args, out):
     # a fork-started pool forks all its workers at once: no more than tasks
     workers = min(args.jobs, len(tasks))
     if workers > 1:
+        # imported here: the pool pulls in multiprocessing, logging and
+        # traceback, which no other command needs at start-up
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, tasks))
     else:

@@ -33,7 +33,9 @@ Both forms of the crossing kernel read that classifier.  The list form
 ``_leaves_above``; only twist surgery needs the list.  Callers that need
 numbers use the count form ``_crossing_count``, which counts a class of
 branching lifts by one product and compares the turn codes of coasting
-rays a bucket at a time.
+rays a bucket at a time.  Where no ray coasts, one count can read the
+union of several curves' corner classes: ``_merged_crossing_count``
+gives their summed number in one walk.
 
 A ``Curve`` is built from its reduced word alone and holds everything
 derived from it: its normal form, its hash, its corner classes and the
@@ -49,6 +51,7 @@ from collections import namedtuple
 from .errors import (
     AnchorViolation,
     Inessential,
+    MalformedInput,
     NotSimple,
     SurfaceMismatch,
     WalkBoundExceeded,
@@ -351,6 +354,24 @@ def _crossing_count(a, b):
         count += plus + minus
         signed += sign * (plus - minus)
     return count, signed
+
+
+def _merged_crossing_count(a, corners, q):
+    """Number of lifts of several curves crossing the axis of curve a.
+
+    ``corners`` is the union of the kept corner classes of curves that all
+    have word length q, each class the concatenation of theirs.  A class
+    of branching lifts counts by one product of class sizes, and a product
+    over a concatenated class is the sum of the products, so the result is
+    the sum of the curves' ``_crossing_count`` numbers and a 0 shows every
+    one disjoint from a.  A coasting ray is decided by its own curve's
+    turn codes, which a union does not keep: a coasting group raises
+    MalformedInput.  The lifts are read from ``_lift_classes`` alone.
+    """
+    branch, coast = _lift_classes(a.surface, a._kept_corners(), corners, q)
+    if coast:
+        raise MalformedInput("a merged count cannot decide rays that run along the axis")
+    return sum(len(xs) * len(ts) for xs, ts, _ in branch)
 
 
 def _phase_at(x, t, q):

@@ -6,7 +6,8 @@ comparing every rotation, cyclic reduction by rotating and cancelling
 one end pair at a time, intersection numbers by exhaustive search
 over chord diagram placements, ray sides in the dual tree by one
 coasting loop per direction over a letter closure, crossing lists and
-signs by asking that loop about both rays of every lift, Alexander
+signs by asking that loop about both rays of every lift, the chain
+pattern of the standard system by those signs pair by pair, Alexander
 polynomials from a Seifert matrix by permutation expansion, homological
 actions as dense products of transvection matrices, matrix products as
 triple sums, characteristic polynomials by permutation expansion and by
@@ -261,6 +262,25 @@ def crossing_signs(a, b):
     if oracle_canonical_form(a.word) == oracle_canonical_form(b.word):
         return ()
     return tuple(x[4] for x in oracle_crossings(a.surface, a.word, b.word))
+
+
+# ---------------------------------------------------------------------------
+# the chain pattern, one pair at a time
+
+def oracle_chain_pattern(chain):
+    """Count and signed count of chain curve j through chain curve i, for
+    every pair i < j.
+
+    The pairwise loop the standard system ran before it merged the counts
+    of non-neighbours, with ``crossing_signs`` in place of the kernel: the
+    chain pattern is (1, 1) on neighbours and (0, 0) on every other pair.
+    """
+    out = {}
+    for i, x in enumerate(chain):
+        for j in range(i + 1, len(chain)):
+            signs = crossing_signs(x, chain[j])
+            out[i, j] = (len(signs), sum(signs))
+    return out
 
 
 # ---------------------------------------------------------------------------

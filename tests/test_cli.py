@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import dataclasses
 import hashlib
 import io
@@ -295,8 +296,21 @@ def pool_sizes(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     return sizes
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    src = os.path.dirname(os.path.dirname(lspacecert.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lspacecert.cli; print('concurrent.futures' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
 def test_sweep_pool_is_no_larger_than_its_tasks(pool_sizes):

@@ -5,6 +5,8 @@ import pytest
 
 from lspacecert import curves, mcg
 from lspacecert.curves import (
+    _crossing_count,
+    _merged_crossing_count,
     algebraic_intersection_number,
     canonical_sign,
     homology_class,
@@ -34,9 +36,11 @@ from lspacecert.mcg import (
     symplectic_form,
 )
 from lspacecert.poly import LaurentPoly, _mat_mul, charpoly
+from lspacecert.surface import SurfaceSpec, chain_boundary_order
 
 from conftest import random_curve, random_twist_word, raises_under_python_O
 from oracles import (
+    oracle_chain_pattern,
     oracle_charpoly,
     oracle_charpoly_fl,
     oracle_homology_action,
@@ -70,6 +74,106 @@ def test_system_c_pattern(g):
     for x in system.alphas[:-2] + system.betas[:-1]:
         assert intersection_number(c, x) == 0
     assert homology_class(c) == tuple([0] * (2 * g))
+
+
+def _merged_corners(curves_):
+    """The union of the kept corner classes of the curves, as the standard
+    system collects it."""
+    corners = {}
+    for y in curves_:
+        for corner, ts in y._kept_corners().items():
+            corners.setdefault(corner, []).extend(ts)
+    return corners
+
+
+@pytest.mark.parametrize("g", [*range(2, 13), 40])
+def test_system_matches_the_pairwise_chain_oracle(g):
+    chain = standard_curve_system(g).chain()
+    pattern = oracle_chain_pattern(chain)
+    assert len(pattern) == g * (2 * g - 1)
+    assert pattern == {
+        (i, j): (1, 1) if j == i + 1 else (0, 0) for i, j in pattern
+    }
+    for i, x in enumerate(chain[:-2]):
+        later = chain[i + 2:]
+        assert _merged_crossing_count(x, _merged_corners(later), 1) == sum(
+            pattern[i, j][0] for j in range(i + 2, 2 * g)
+        )
+
+
+@pytest.mark.parametrize("g", range(2, 7))
+def test_merged_count_is_the_sum_of_the_pairwise_counts(rng, g):
+    chain = standard_curve_system(g).chain()
+    totals = []
+    for _ in range(30):
+        i = rng.randrange(2 * g)
+        others = [y for k, y in enumerate(chain) if k != i and rng.random() < 0.5]
+        total = sum(_crossing_count(chain[i], y)[0] for y in others)
+        assert _merged_crossing_count(chain[i], _merged_corners(others), 1) == total
+        totals.append(total)
+    # subsets with a neighbour of chain[i] cross it, the others do not
+    assert 0 in totals and max(totals) == 2
+
+
+def test_merged_count_refuses_rays_that_run_along_the_axis(sys2):
+    # c = a2 b1 a2^-1 b1^-1 runs along the axes of a2 and b1
+    a1, b1, a2, _ = sys2.chain()
+    for axis in (b1, a2):
+        with pytest.raises(MalformedInput):
+            _merged_crossing_count(axis, _merged_corners([sys2.c]), 4)
+    assert _merged_crossing_count(a1, _merged_corners([b1, a2]), 1) == 1
+
+
+def test_merged_count_refuses_rays_that_run_along_the_axis_even_under_python_O():
+    assert raises_under_python_O(
+        """
+        from lspacecert.curves import _merged_crossing_count
+        from lspacecert.mcg import standard_curve_system
+        system = standard_curve_system(2)
+        _merged_crossing_count(system.alphas[1], dict(system.c._kept_corners()), 4)
+        """,
+        "MalformedInput",
+    )
+
+
+def _interleaved_surface(g, k):
+    """The chain-adapted surface with boundary entries k and k + 1 swapped,
+    which makes two chain curves that are not neighbours cross."""
+    order = list(chain_boundary_order(g))
+    order[k], order[k + 1] = order[k + 1], order[k]
+    arcs = tuple(f"e{i}" for i in range(1, 2 * g + 1))
+    return SurfaceSpec(genus=g, cut_arcs=arcs, boundary_order=tuple(order))
+
+
+@pytest.mark.parametrize("g, k, fact", [
+    (3, 2, "iota(chain_1, chain_3..chain_6)"),  # arcs 1 and 3 interleave
+    (4, 6, "iota(chain_3, chain_5..chain_8)"),  # arcs 3 and 5 interleave
+    (3, 8, "iota(chain_4, chain_6)"),  # arcs 4 and 6 interleave
+])
+def test_chain_disjointness_check_is_live(monkeypatch, fresh_system_caches, g, k, fact):
+    monkeypatch.setattr(mcg, "standard_surface", lambda g: _interleaved_surface(g, k))
+    with pytest.raises(AnchorViolation) as exc:
+        standard_curve_system(g)
+    assert (exc.value.fact, exc.value.expected, exc.value.got) == (fact, 0, 1)
+
+
+def test_chain_disjointness_check_is_live_even_under_python_O():
+    assert raises_under_python_O(
+        """
+        from lspacecert import mcg
+        from lspacecert.surface import SurfaceSpec, chain_boundary_order
+        order = list(chain_boundary_order(3))
+        order[2], order[3] = order[3], order[2]
+        arcs = tuple(f"e{i}" for i in range(1, 7))
+        mcg.standard_surface = lambda g: SurfaceSpec(3, arcs, tuple(order))
+        try:
+            mcg.standard_curve_system(3)
+        except AnchorViolation as exc:
+            if exc.fact == "iota(chain_1, chain_3..chain_6)":
+                raise
+        """,
+        "AnchorViolation",
+    )
 
 
 def test_genus_too_small():
@@ -306,13 +410,16 @@ def test_chain_pairing_check_is_live(
 
 
 def _count_walks(monkeypatch):
-    """Record the words of every call to either crossing kernel, the list
-    form and the count form."""
+    """Record the arguments past the first of every call to a crossing
+    kernel: the list form, the count form and the merged count, which the
+    standard system calls through its own module."""
     walks = []
-    for name in ("_crossings", "_crossing_count"):
-        inner = getattr(curves, name)
+    for module, name in (
+        (curves, "_crossings"), (curves, "_crossing_count"), (mcg, "_merged_crossing_count"),
+    ):
+        inner = getattr(module, name)
         monkeypatch.setattr(
-            curves, name,
+            module, name,
             lambda *args, inner=inner: walks.append(args[1:]) or inner(*args),
         )
     return walks
@@ -328,16 +435,18 @@ def test_symplectic_form_walks_nothing_once_the_system_is_built(
     assert walks == []
 
 
-def test_system_and_pairing_at_genus_forty_take_3400_walks(
-    monkeypatch, fresh_system_caches
+@pytest.mark.parametrize("g", [10, 40, 160])
+def test_system_and_pairing_take_ten_g_minus_three_walks(
+    monkeypatch, fresh_system_caches, g
 ):
-    # 3160 chain pairs i < j (the adjacent ones also give the forward sign),
-    # 79 reverse adjacent signs, 80 chain curves against c, and one
-    # self-crossing walk for each of the 81 curves of the system
+    # 2g - 1 neighbour counts with their forward signs, 2g - 1 reverse
+    # neighbour signs, 2g - 2 merged counts of the other chain pairs, 2g
+    # chain curves against c, and one self-crossing walk for each of the
+    # 2g + 1 curves of the system
     walks = _count_walks(monkeypatch)
-    standard_curve_system(40)
-    symplectic_form(40)
-    assert len(walks) == 3400
+    standard_curve_system(g)
+    symplectic_form(g)
+    assert len(walks) == 10 * g - 3
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +492,7 @@ def test_alexander_at_genus_one_sixty_is_the_torus_knot_polynomial():
     assert poly == LaurentPoly.from_dict({e: (-1) ** e for e in range(321)})
 
 
-def test_charpoly_rejects_inexact_division_even_under_python_O():
+def test_charpoly_rejects_a_non_int_entry_even_under_python_O():
     with pytest.raises(WorkbenchError):
         charpoly([[Fraction(1, 2)]])
     assert raises_under_python_O(
