@@ -7,7 +7,6 @@ from .curves import (
     intersection_number,
     is_isotopic,
     normalize,
-    validate_simple,
 )
 from .certify import Certificate, certify, cross_validate, derive_base_bound
 from .floer import (
@@ -68,7 +67,6 @@ __all__ = [
     "standard_curve_system",
     "standard_surface",
     "triangle_propagate",
-    "validate_simple",
 ]
 
 __version__ = "0.1.0"

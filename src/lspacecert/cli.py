@@ -3,7 +3,6 @@ import argparse
 import functools
 import json
 import sys
-from importlib import resources
 from json.encoder import encode_basestring_ascii as _q
 
 from .certify import (
@@ -121,12 +120,6 @@ def replay_json(text):
         raise MalformedInput(f"a certificate is a JSON object, got {type(data).__name__}")
     # a missing key reaches certify as None and fails its int check
     return certify(data.get("genus"), data.get("n"))
-
-
-def certificate_schema():
-    """The published JSON schema as a dict."""
-    path = resources.files("lspacecert").joinpath("certificate.schema.json")
-    return json.loads(path.read_text())
 
 
 # ---------------------------------------------------------------------------

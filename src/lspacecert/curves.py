@@ -28,14 +28,14 @@ on the positive side exactly when its codes are lexicographically
 greater than the axis's, which is the cyclic order of ends in the dual
 tree.
 
-Both forms of the crossing kernel read that classifier.  The list form
-``_crossings`` expands its classes and decides each coasting ray by
-``_leaves_above``; only twist surgery needs the list.  Callers that need
-numbers use the count form ``_crossing_count``, which counts a class of
-branching lifts by one product and compares the turn codes of coasting
-rays a bucket at a time.  Where no ray coasts, one count can read the
-union of several curves' corner classes: ``_merged_crossing_count``
-gives their summed number in one walk.
+Both forms of the crossing kernel read that classifier and take curves.
+The list form ``_crossings`` expands their classes and decides each
+coasting ray by ``_leaves_above``; only twist surgery needs the list.
+Callers that need numbers use the count form ``_crossing_count``, which
+counts a class of branching lifts by one product and compares the turn
+codes of coasting rays a bucket at a time.  Where no ray coasts, one
+count can read the union of several curves' corner classes:
+``_merged_crossing_count`` gives their summed number in one walk.
 
 A ``Curve`` is built from its reduced word alone and holds everything
 derived from it: its normal form, its hash, its corner classes and the
@@ -44,6 +44,10 @@ kept.  Every count of one curve and every twist about it reads the same
 kept fields, and validation runs its self-count on the curve it returns.
 Reduced words of isotopic curves have equal length, so isotopy tests and
 equality run Booth's algorithm only on curves of equal length.
+
+The homology class of a word is one dict from arc index to nonzero
+signed count, ``_word_class``; ``homology_class`` and the homology layer
+in ``mcg`` both read it.
 """
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
@@ -293,30 +297,29 @@ def _lift_classes(surface, corners_a, corners_b, q):
 
 
 def _crossings(surface, a, b):
-    """All lifts of b crossing the axis of a, one per period of a.
+    """All lifts of curve b crossing the axis of curve a, one per period
+    of a.
 
-    Both words must be reduced and cyclically reduced, and either
-    non-conjugate as unoriented curves or the same primitive word: with
-    a == b the list is empty exactly when the curve embeds.  Each lift is
-    anchored at the first axis vertex it meets, so each geometric
-    crossing is listed exactly once, and the axis itself (j == m when
-    a == b) is skipped because it passes the previous vertex.
+    Both curves must be either non-conjugate as unoriented curves or the
+    same primitive curve: with a == b the list is empty exactly when the
+    curve embeds.  Each lift is anchored at the first axis vertex it
+    meets, so each geometric crossing is listed exactly once, and the
+    axis itself (j == m when a == b) is skipped because it passes the
+    previous vertex.
 
     The lifts come from ``_lift_classes``, the rule ``_crossing_count``
     counts by: a lift whose rays branch off at once is listed with k = 0,
     and a coasting ray is decided by ``_leaves_above``, whose depth at
-    the broken tie is k.  The list is sorted by (m, j).
+    the broken tie is k.  The corner classes and turn codes are the
+    curves' kept ones.  The list is sorted by (m, j).
     """
     p, q = len(a), len(b)
     cap = p + q + _WALK_MARGIN
-    codes_a, codes_b = None, {}  # turn codes of a, and of b (1) and its inverse (-1)
-    branch, coast = _lift_classes(surface, _corner_classes(a), _corner_classes(b), q)
+    branch, coast = _lift_classes(surface, a._kept_corners(), b._kept_corners(), q)
     out = [_Crossing(x - 1, t - 1, 0, False, eps) for xs, ts, eps in branch for x in xs for t in ts]
     for xs, sign, ups, downs in coast:
-        codes_a = codes_a or _turn_codes(surface, a)  # built on first use
-        if sign not in codes_b:
-            codes_b[sign] = _turn_codes(surface, b if sign > 0 else inverse_word(b))
-        codes_w = codes_b[sign]
+        codes_a = a._kept_codes()
+        codes_w = b._kept_codes() if sign > 0 else b._kept_inverse_codes()
         for ys, crosses_above in ((ups, True), (downs, False)):
             for x in xs:
                 for y in ys:
@@ -331,8 +334,8 @@ def _crossings(surface, a, b):
 def _crossing_count(a, b):
     """Number and signed sum of the lifts of curve b crossing the axis of a.
 
-    Equal to len and the sum of eps of ``_crossings(surface, a.word,
-    b.word)``, and raises WalkBoundExceeded wherever that list does,
+    Equal to len and the sum of eps of ``_crossings(a.surface, a, b)``,
+    and raises WalkBoundExceeded wherever that list does,
     without listing a crossing.  Both read the lifts from
     ``_lift_classes``: a class of lifts whose rays branch off at once
     counts by one product of class sizes, and coasting rays are decided
@@ -396,7 +399,7 @@ def _crossing_order(target, about):
     kept ones of ``about``, so twisting about one curve again builds none.
     """
     surface, a, b = target.surface, target.word, about.word
-    xs = _crossings(surface, a, b)
+    xs = _crossings(surface, target, about)
     if len(xs) <= 1:
         return xs
     p, q = len(a), len(b)
@@ -460,20 +463,6 @@ def _validate_word(surface, word):
     ):
         raise Inessential("word is parallel to the boundary")
     return curve
-
-
-def validate_simple(word, surface):
-    """Whether a raw crossing word yields an embedded essential curve.
-
-    Builds the Curve and reports its typed refusals as False: the reduced
-    word must be nonempty, primitive, free of self-crossing lifts and not
-    parallel to the boundary.  Letters that name no arc raise ValueError.
-    """
-    try:
-        Curve(surface, word)
-    except (Inessential, NotSimple):
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -676,26 +665,21 @@ def dehn_twist(target, about, power=1):
 def homology_class(a):
     """Class of a curve in the arc-dual basis, with a canonical sign.
 
-    Coordinate k is the signed number of crossings of arc k+1.  Curves
-    are unoriented, so the vector is only defined up to a global sign;
-    the first nonzero coordinate is reported positive.
+    Coordinate k is the signed number of crossings of arc k+1, read off
+    ``_word_class``.  Curves are unoriented, so the vector is only
+    defined up to a global sign; the first nonzero coordinate is reported
+    positive.
     """
-    return canonical_sign(oriented_class(a.word, a.surface.arc_count))
+    counts = _word_class(a.word)
+    sign = -1 if counts and counts[min(counts)] < 0 else 1
+    return tuple(sign * counts.get(k, 0) for k in range(a.surface.arc_count))
 
 
-def oriented_class(word, arc_count):
-    """Signed crossing vector for the stored orientation of a word."""
-    coords = [0] * arc_count
+def _word_class(word):
+    """The class of a word for its stored orientation, as a dict: arc
+    index k -> the nonzero signed number of its crossings of arc k + 1."""
+    counts = {}
     for x in word:
-        coords[abs(x) - 1] += 1 if x > 0 else -1
-    return tuple(coords)
-
-
-def canonical_sign(vector):
-    """Flip the sign, if needed, so the first nonzero entry is positive."""
-    for v in vector:
-        if v > 0:
-            return tuple(vector)
-        if v < 0:
-            return tuple(-x for x in vector)
-    return tuple(vector)
+        k = abs(x) - 1
+        counts[k] = counts.get(k, 0) + (1 if x > 0 else -1)
+    return {k: v for k, v in counts.items() if v}

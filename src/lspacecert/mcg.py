@@ -10,7 +10,9 @@ construction time and any mismatch aborts with AnchorViolation.  The
 disjoint chain pairs are checked by one merged walk per chain curve, so
 construction takes 10g - 3 kernel walks.  The chain signs fix the
 intersection pairing of the chain basis, so the homology layer reads
-that form off the checked system.
+that form off the checked system.  Every matrix of the homology layer,
+J, the action and what ``charpoly`` takes, is a list of 2g sparse rows,
+each a dict column -> nonzero int.
 """
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,6 +20,7 @@ from functools import lru_cache
 from .curves import (
     Curve,
     _merged_crossing_count,
+    _word_class,
     algebraic_intersection_number,
     crossing_count,
     dehn_twist,
@@ -171,10 +174,11 @@ def apply_word(word, curve):
 # homology
 
 def symplectic_form(g):
-    """Intersection pairing of the chain basis classes.
+    """Intersection pairing of the chain basis classes, as sparse rows.
 
     Consecutive chain curves cross once positively with the stored
-    orientations, so J[k][k+1] = 1 and J[k+1][k] = -1.  No walk runs here:
+    orientations, so J[k][k+1] = 1 and J[k+1][k] = -1, and row k is the
+    dict {k - 1: -1, k + 1: 1} cut to the 2g columns.  No walk runs here:
     ``standard_curve_system`` has checked every nonzero entry against the
     kernel's signed counts in both orders, and each zero above the
     diagonal comes from the merged walk that shows chain curve k disjoint
@@ -183,25 +187,23 @@ def symplectic_form(g):
     """
     standard_curve_system(g)
     n = 2 * g
-    # row r is the window of this band that puts its -1, 0, 1 at r - 1, r, r + 1
-    band = (0,) * n + (-1, 0, 1) + (0,) * n
-    return tuple(band[n + 1 - r : 2 * n + 1 - r] for r in range(n))
+    return [{s: x for s, x in ((r - 1, -1), (r + 1, 1)) if 0 <= s < n} for r in range(n)]
 
 
 def homology_action(word):
-    """Integer matrix of the word's action on first homology, as row tuples.
+    """Integer matrix of the word's action on first homology, as n sparse
+    rows: row r is a dict column -> nonzero entry.
 
     Factors multiply in word order.  Each is the transvection
     x -> x + p <x, gamma> gamma, applied to the running product as the
     rank-one update M <- M + p (M gamma)(J gamma)^T.  M is kept as its
-    columns, each a dict row -> nonzero entry, and gamma is read off the
-    curve's word as a dict.  M gamma = sum gamma_k col_k and
+    columns, each a dict row -> nonzero entry, and gamma is the curve's
+    ``_word_class``.  M gamma = sum gamma_k col_k and
     J gamma = sum gamma_k (column k of J), and only the columns s with
     (J gamma)_s != 0 change, each by p (J gamma)_s (M gamma), so a factor
     costs O(|gamma| nnz(col) + |J gamma| nnz(M gamma)), not O(n).  Entries
     that cancel are dropped.  The pairing M^T J M = J is checked once, on
-    the result, as a product of sparse rows; the dense row tuples are
-    built once, at the end.
+    the result, as a product of sparse rows, which are what it returns.
 
     Raises MalformedInput for a word with no factors, which names no
     surface.
@@ -210,21 +212,16 @@ def homology_action(word):
         raise MalformedInput("homology_action: an empty twist word has no surface")
     g = word.factors[0][0].surface.genus
     n = 2 * g
-    j = [{s: x for s, x in enumerate(row) if x} for row in symplectic_form(g)]
+    j = symplectic_form(g)
     j_cols = _transpose(j, n)
     cols = [{k: 1} for k in range(n)]
     for curve, power in word.factors:
-        gamma = {}
-        for x in curve.word:
-            k = abs(x) - 1
-            gamma[k] = gamma.get(k, 0) + (1 if x > 0 else -1)
         m_gamma, j_gamma = {}, {}
-        for k, x in gamma.items():
-            if x:
-                for r, v in cols[k].items():
-                    m_gamma[r] = m_gamma.get(r, 0) + x * v
-                for s, v in j_cols[k].items():
-                    j_gamma[s] = j_gamma.get(s, 0) + x * v
+        for k, x in _word_class(curve.word).items():
+            for r, v in cols[k].items():
+                m_gamma[r] = m_gamma.get(r, 0) + x * v
+            for s, v in j_cols[k].items():
+                j_gamma[s] = j_gamma.get(s, 0) + x * v
         m_gamma = [(r, v) for r, v in m_gamma.items() if v]
         for s, y in j_gamma.items():
             if y:
@@ -238,8 +235,8 @@ def homology_action(word):
     rows = _transpose(cols, n)
     mtjm = _mat_mul(cols, _mat_mul(j, rows))
     if mtjm != j:
-        raise AnchorViolation("pairing(M^T J M)", _dense(j, n), _dense(mtjm, n))
-    return _dense(rows, n)
+        raise AnchorViolation("pairing(M^T J M)", j, mtjm)
+    return rows
 
 
 def _transpose(rows, n):
@@ -249,15 +246,6 @@ def _transpose(rows, n):
         for s, x in row.items():
             cols[s][r] = x
     return cols
-
-
-def _dense(rows, n):
-    """A matrix given as n sparse rows, as a tuple of n row tuples."""
-    out = [[0] * n for _ in rows]
-    for line, row in zip(out, rows):
-        for s, x in row.items():
-            line[s] = x
-    return tuple(map(tuple, out))
 
 
 def alexander_polynomial(word):

@@ -1,8 +1,9 @@
 """Integer Laurent polynomials in one variable t.
 
 Just enough arithmetic for characteristic polynomials of homological
-monodromies and for the staircase reader: exact integer coefficients,
-palindrome tests, parsing and printing in the usual knot-table style.
+monodromies, given as sparse rows, and for the staircase reader: exact
+integer coefficients, palindrome tests, parsing and printing in the
+usual knot-table style.
 """
 from dataclasses import dataclass
 
@@ -144,40 +145,47 @@ _MERSENNE_EXPONENTS = (
 
 
 def charpoly(matrix):
-    """det(t I - M) of a square int matrix, by Hessenberg reduction modulo
-    one prime.
+    """det(t I - M) of a square int matrix given as n sparse rows, by
+    Hessenberg reduction modulo one prime.
 
-    The coefficients of det(t I - M) sum in absolute value to at most
+    Row i of M is a dict column -> entry; absent entries are zero.  The
+    coefficients of det(t I - M) sum in absolute value to at most
     B = prod_i (1 + sum_j |m_ij|) (``_coefficient_bound``).  The scheme
     works modulo the smallest tabled Mersenne prime P > 2B (``_modulus``):
     it reduces M to upper Hessenberg form by similarity (``_hessenberg``),
     runs the Hessenberg recurrence (``_hessenberg_charpoly``) and reads
     each residue in the balanced range (-P/2, P/2], which holds the true
-    coefficient.  On the banded monodromy actions a step touches O(1)
+    coefficient.  Validation, the bound and the reduction mod P visit the
+    stored entries only; the one dense matrix is the residue matrix the
+    reduction fills.  On the banded monodromy actions a step touches O(1)
     entries, so the cost is O(n^2) residue operations, most of them scans.
 
-    Raises MalformedInput, before any arithmetic, for a ragged or
-    non-square matrix, for rows that are not lists or tuples, and for an
-    entry whose type is not int.  Raises CoefficientBoundTooLarge, before
-    any elimination, when no tabled prime exceeds 2B.  Returns the monic
-    LaurentPoly of degree n.
+    Raises MalformedInput, before any arithmetic, for a matrix that is not
+    a list, a row that is not a dict, a column that is not an int in
+    [0, n), and an entry whose type is not int.  Raises
+    CoefficientBoundTooLarge, before any elimination, when no tabled
+    prime exceeds 2B.  Returns the monic LaurentPoly of degree n.
     """
-    if not isinstance(matrix, (list, tuple)):
-        raise MalformedInput("charpoly: the matrix must be a list or tuple of rows")
+    if not isinstance(matrix, list):
+        raise MalformedInput("charpoly: the matrix must be a list of sparse rows")
     n = len(matrix)
     for i, row in enumerate(matrix):
-        if not isinstance(row, (list, tuple)) or len(row) != n:
-            raise MalformedInput(
-                f"charpoly: row {i} is not a list or tuple of {n} entries; "
-                "the matrix must be square"
-            )
-        for j, x in enumerate(row):
+        if not isinstance(row, dict):
+            raise MalformedInput(f"charpoly: row {i} is not a dict column -> entry")
+        for j, x in row.items():
+            if type(j) is not int or not 0 <= j < n:
+                raise MalformedInput(
+                    f"charpoly: row {i} names column {j!r}, not an int in [0, {n})"
+                )
             if type(x) is not int:
                 raise MalformedInput(
                     f"charpoly: entry ({i}, {j}) is a {type(x).__name__}, not an int"
                 )
     p = _modulus(_coefficient_bound(matrix))
-    h = [[x % p for x in row] for row in matrix]
+    h = [[0] * n for _ in range(n)]
+    for line, row in zip(h, matrix):
+        for j, x in row.items():
+            line[j] = x % p
     _hessenberg(h, p)
     half = p >> 1
     return LaurentPoly.from_dict(
@@ -186,7 +194,8 @@ def charpoly(matrix):
 
 
 def _coefficient_bound(matrix):
-    """B = prod_i (1 + r_i), r_i the absolute row sums of M.
+    """B = prod_i (1 + r_i), r_i the absolute row sums of M, read off its
+    sparse rows.
 
     The coefficient of t^(n-k) in det(t I - M) is (-1)^k times the sum of
     the k x k principal minors.  By Hadamard's inequality the minor on the
@@ -195,7 +204,7 @@ def _coefficient_bound(matrix):
     """
     bound = 1
     for row in matrix:
-        bound *= 1 + sum(map(abs, row))
+        bound *= 1 + sum(map(abs, row.values()))
     return bound
 
 

@@ -8,8 +8,9 @@ over chord diagram placements, ray sides in the dual tree by one
 coasting loop per direction over a letter closure, crossing lists and
 signs by asking that loop about both rays of every lift, the chain
 pattern of the standard system by those signs pair by pair, Alexander
-polynomials from a Seifert matrix by permutation expansion, homological
-actions as dense products of transvection matrices, matrix products as
+polynomials from a Seifert matrix by permutation expansion, homology
+classes as dense vectors, homological actions as dense products of
+transvection matrices, matrix products as
 triple sums, characteristic polynomials by permutation expansion and by
 the Faddeev-LeVerrier loop over lists of rows, Mersenne primes by the
 Lucas-Lehmer test, exact triangles as
@@ -345,6 +346,42 @@ def _poly_mul(p, q):
                 continue
             out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# homology classes as dense vectors
+
+def oriented_class(word, arc_count):
+    """Signed crossing vector for the stored orientation of a word."""
+    coords = [0] * arc_count
+    for x in word:
+        coords[abs(x) - 1] += 1 if x > 0 else -1
+    return tuple(coords)
+
+
+def canonical_sign(vector):
+    """Flip the sign, if needed, so the first nonzero entry is positive."""
+    for v in vector:
+        if v > 0:
+            return tuple(vector)
+        if v < 0:
+            return tuple(-x for x in vector)
+    return tuple(vector)
+
+
+# ---------------------------------------------------------------------------
+# dense and sparse rows: the package's matrices are lists of sparse rows,
+# the oracles' are dense
+
+def _sparse_rows(m):
+    """A dense square matrix as a list of sparse rows, zeros dropped."""
+    return [{s: x for s, x in enumerate(row) if x} for row in m]
+
+
+def _dense_rows(rows):
+    """A square matrix given as sparse rows as a list of dense row lists."""
+    n = len(rows)
+    return [[row.get(s, 0) for s in range(n)] for row in rows]
 
 
 # ---------------------------------------------------------------------------

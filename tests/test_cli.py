@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import jsonschema
 import pytest
@@ -15,7 +16,7 @@ import lspacecert
 import lspacecert.cli as cli
 import lspacecert.curves as curves
 from lspacecert.certify import Citation, certify
-from lspacecert.cli import certificate_schema, emit_certificate, main, replay_json
+from lspacecert.cli import emit_certificate, main, replay_json
 from lspacecert.dsl import _Parser
 from lspacecert.errors import AnchorViolation, MalformedInput
 from lspacecert.floer import RankInterval, Verdict
@@ -120,6 +121,12 @@ def test_staircase_error_offsets_index_the_text_as_given(poly, message, capsys):
     code, out = run("staircase", poly)
     assert code == 1 and out == ""
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def certificate_schema():
+    """The published JSON schema, read from the installed package data."""
+    path = resources.files("lspacecert").joinpath("certificate.schema.json")
+    return json.loads(path.read_text())
 
 
 def test_certify_text_final_line():

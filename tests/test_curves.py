@@ -15,7 +15,6 @@ from lspacecert.curves import (
     normalize,
     parse_tokens,
     reduce_cyclic,
-    validate_simple,
 )
 from lspacecert.errors import (
     AnchorViolation,
@@ -34,6 +33,7 @@ from conftest import (
     raises_under_python_O,
 )
 from oracles import (
+    canonical_sign,
     crossing_signs,
     oracle_canonical_form,
     oracle_crossings,
@@ -43,6 +43,7 @@ from oracles import (
     oracle_ray_side,
     oracle_reduce,
     oracle_reduce_cyclic,
+    oriented_class,
 )
 
 S2 = standard_surface(2)
@@ -222,9 +223,9 @@ def _built(build, word):
     return out.word if isinstance(out, curves.Curve) else out
 
 
-def test_validate_simple_examples(sys2):
-    # Curve, normalize and validate_simple run one validation: the same
-    # reduced word or the same typed error, where validate_simple says False
+def test_curve_validation_examples(sys2):
+    # Curve and normalize run one validation: the same reduced word or the
+    # same typed error
     _, b2 = sys2.betas
     c = sys2.c
     cases = [
@@ -246,11 +247,11 @@ def test_validate_simple_examples(sys2):
     for word, want in cases:
         assert _built(lambda w: curves.Curve(S2, w), word) == want, word
         assert _built(lambda w: normalize(w, S2), word) == want, word
-        said = want if want is ValueError else isinstance(want, tuple)
-        assert _built(lambda w: validate_simple(w, S2), word) == said, word
 
 
-def test_validate_simple_agrees_with_placement_oracle():
+def test_curve_validation_agrees_with_placement_oracle():
+    # a word the oracle cannot place without crossings is refused as
+    # Inessential or NotSimple; one it can place builds a Curve
     rng = random.Random(507)
     letters = [1, -1, 2, -2, 3, -3, 4, -4]
     checked = 0
@@ -258,7 +259,11 @@ def test_validate_simple_agrees_with_placement_oracle():
         w = tuple(rng.choice(letters) for _ in range(rng.randint(1, 5)))
         if reduce_cyclic(w) != w:
             continue
-        assert validate_simple(w, S2) == oracle_is_simple(w, S2), w
+        built = _built(lambda w: curves.Curve(S2, w), w)
+        if oracle_is_simple(w, S2):
+            assert isinstance(built, tuple), w
+        else:
+            assert built in (Inessential, NotSimple), w
         checked += 1
 
 
@@ -398,7 +403,7 @@ def test_ray_following_the_line_past_the_cap_is_a_typed_error(monkeypatch):
         curves._leaves_above([0, 1, 2], 1, [3, 1, 3], 1, 1, 1)
     # c's lifts coast along the twisted runs of B[2,5]; the deepest tie is a
     # crossing that follows the axis for 21 letters
-    bn, c = beta_gn(2, 5).word, standard_curve_system(2).c.word
+    bn, c = beta_gn(2, 5), standard_curve_system(2).c
     listed = _tuples(curves._crossings(S2, bn, c))
     assert max(k for _, _, k, _, _ in listed) == 21
     monkeypatch.setattr(curves, "_WALK_MARGIN", 21 - len(bn) - len(c))
@@ -417,7 +422,7 @@ def test_ray_following_the_line_past_the_cap_is_a_typed_error(monkeypatch):
     monkeypatch.setattr(curves, "_WALK_MARGIN", 3 - len(b))
     assert _tuples(curves._crossing_order(a1, b)) == order
     monkeypatch.setattr(curves, "_WALK_MARGIN", 2 - len(b))
-    assert _tuples(curves._crossings(S2, a1.word, b.word)) == sorted(order)
+    assert _tuples(curves._crossings(S2, a1, b)) == sorted(order)
     with pytest.raises(WalkBoundExceeded):
         curves._crossing_order(a1, b)
 
@@ -439,13 +444,22 @@ def test_tied_crossing_ends_are_a_typed_error_even_under_python_O():
 def _listed_or_bound(surface, a, b):
     """The list form's and the oracle's crossing tuples, or "bound"."""
     out = []
-    for listed in (lambda: _tuples(curves._crossings(surface, a, b)),
+    for listed in (lambda: _tuples(_crossing_list(surface, a, b)),
                    lambda: oracle_crossings(surface, a, b)):
         try:
             out.append(listed())
         except WalkBoundExceeded:
             out.append("bound")
     return out
+
+
+def _crossing_list(surface, a, b):
+    """The list form on two reduced words, through a fresh unchecked curve
+    for each, since a self-walk or a capped walk may be on a word that is
+    not simple."""
+    return curves._crossings(
+        surface, curves._fast_curve(surface, a), curves._fast_curve(surface, b)
+    )
 
 
 def _ray_kind(line, phase, letter):
@@ -654,7 +668,8 @@ def test_crossing_count_equals_the_walk_on_primitive_self_walks():
     # a long non-simple word: twisted runs with a crossing tail
     word = reduce_cyclic(beta_gn(2, 100).word + (1, 2, 1, 2))
     assert _counted(S2, word, word) == _listed(S2, word, word) == (1602, 0)
-    assert not validate_simple(word, S2)
+    with pytest.raises(NotSimple):
+        curves.Curve(S2, word)
 
 
 def test_crossing_count_equals_the_walk_on_the_validate_long_pairs():
@@ -674,7 +689,7 @@ def test_crossing_count_equals_the_walk_on_long_words_against_the_system(g):
         for a, b in ((bn, curve.word), (curve.word, bn)):
             want = _listed(surface, a, b)
             assert _counted(surface, a, b) == want, name
-            assert _len_and_sum(curves._crossings(surface, a, b)) == want, name
+            assert _len_and_sum(_crossing_list(surface, a, b)) == want, name
 
 
 def _len_and_sum(xs):
@@ -685,9 +700,9 @@ def test_both_forms_read_one_lift_classifier(monkeypatch):
     # flipping the sign of every class of branching lifts moves the list form
     # and the count form alike: neither decides a lift by a rule of its own.
     # B[2,3] crosses b2 in branching and coasting lifts, whose signs cancel
-    bn, b2 = beta_gn(2, 3).word, standard_curve_system(2).betas[1].word
+    bn, b2 = beta_gn(2, 3), standard_curve_system(2).betas[1]
     before = _len_and_sum(curves._crossings(S2, bn, b2))
-    assert _count(S2, bn, b2) == before == (12, 0)
+    assert curves._crossing_count(bn, b2) == before == (12, 0)
     classify = curves._lift_classes
 
     def flipped(*args):
@@ -697,7 +712,7 @@ def test_both_forms_read_one_lift_classifier(monkeypatch):
     monkeypatch.setattr(curves, "_lift_classes", flipped)
     after = _len_and_sum(curves._crossings(S2, bn, b2))
     assert after == (12, -2)
-    assert _count(S2, bn, b2) == after
+    assert curves._crossing_count(bn, b2) == after
 
 
 def test_crossing_count_raises_on_a_tie_at_the_cap(monkeypatch):
@@ -713,12 +728,12 @@ def test_crossing_count_raises_on_a_tie_at_the_cap(monkeypatch):
             monkeypatch.setattr(curves, "_WALK_MARGIN", margin)
         assert margin > -cap0 + 1  # some ray coasts for more than a step
         assert _counted(S2, a, b) == _listed(S2, a, b) != "bound"
-        assert _tuples(curves._crossings(S2, a, b)) == oracle_crossings(S2, a, b)
+        assert _tuples(_crossing_list(S2, a, b)) == oracle_crossings(S2, a, b)
         monkeypatch.setattr(curves, "_WALK_MARGIN", margin - 1)
         with pytest.raises(WalkBoundExceeded):
             _count(S2, a, b)
         with pytest.raises(WalkBoundExceeded):
-            curves._crossings(S2, a, b)
+            _crossing_list(S2, a, b)
 
 
 def _kept(curve):
@@ -819,6 +834,20 @@ def test_homology_canonical_sign(sys2):
     # reversal flips every crossing sign but not the reported class
     rev = normalize(tuple(-x for x in reversed(b2.word)), S2)
     assert homology_class(rev) == homology_class(b2)
+
+
+def test_homology_class_matches_the_dense_vector_oracle(rng):
+    # the class of a word is its sparse signed count per arc; the class of
+    # a curve is that vector with the first nonzero entry positive
+    for g in (2, 3, 4):
+        for _ in range(30):
+            curve = random_curve(rng, g)
+            rev = normalize(curves.inverse_word(curve.word), curve.surface)
+            for x in (curve, rev):
+                vector = oriented_class(x.word, 2 * g)
+                assert curves._word_class(x.word) == {k: v for k, v in enumerate(vector) if v}
+                assert homology_class(x) == canonical_sign(vector)
+    assert curves._word_class((1, 2, -1, -2)) == {}
 
 
 def test_twisting_about_nullhomologous_curve_fixes_class(sys2):

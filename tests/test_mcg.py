@@ -8,11 +8,9 @@ from lspacecert.curves import (
     _crossing_count,
     _merged_crossing_count,
     algebraic_intersection_number,
-    canonical_sign,
     homology_class,
     intersection_number,
     is_isotopic,
-    oriented_class,
 )
 from lspacecert import poly as poly_module
 from lspacecert.errors import (
@@ -40,12 +38,16 @@ from lspacecert.surface import SurfaceSpec, chain_boundary_order
 
 from conftest import random_curve, random_twist_word, raises_under_python_O
 from oracles import (
+    _dense_rows,
+    _sparse_rows,
+    canonical_sign,
     oracle_chain_pattern,
     oracle_charpoly,
     oracle_charpoly_fl,
     oracle_homology_action,
     oracle_is_mersenne_prime,
     oracle_mat_mul,
+    oriented_class,
     seifert_torus_alexander,
 )
 
@@ -281,10 +283,7 @@ def test_twisted_pair_rank_meets_engine_bound(n):
 def test_twist_about_c_acts_trivially_on_homology():
     system = standard_curve_system(2)
     act = homology_action(TwistWord(((system.c, 1),)))
-    n = 4
-    assert act == tuple(
-        tuple(1 if r == s else 0 for s in range(n)) for r in range(n)
-    )
+    assert act == [{r: 1} for r in range(4)]
 
 
 def test_homological_monodromy_independent_of_n():
@@ -308,7 +307,7 @@ def test_action_matches_kernel_on_curves(rng):
             lhs = homology_class(apply_word(w, x))
             v = oriented_class(x.word, 2 * g)
             rhs = canonical_sign(
-                [sum(a * b for a, b in zip(row, v)) for row in homology_action(w)]
+                [sum(a * b for a, b in zip(row, v)) for row in _dense_rows(homology_action(w))]
             )
             assert lhs == rhs
 
@@ -317,11 +316,11 @@ def test_action_matches_kernel_on_curves(rng):
 def test_action_matches_dense_transvection_oracle(rng, g):
     for _ in range(15):
         w = random_twist_word(rng, g)
-        assert homology_action(w) == oracle_homology_action(w)
+        assert homology_action(w) == _sparse_rows(oracle_homology_action(w))
 
 
 def _identity_form(g):
-    return tuple(tuple(int(r == s) for s in range(2 * g)) for r in range(2 * g))
+    return [{r: 1} for r in range(2 * g)]
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
@@ -338,7 +337,7 @@ def test_action_on_classes_with_several_coordinates_matches_the_oracle(rng, g):
         several += any(
             sum(map(bool, oriented_class(c.word, 2 * g))) > 1 for c, _ in w.factors
         )
-        assert homology_action(w) == oracle_homology_action(w)
+        assert homology_action(w) == _sparse_rows(oracle_homology_action(w))
         inverse = TwistWord(tuple((c, -p) for c, p in reversed(w.factors)))
         assert homology_action(w * inverse) == _identity_form(g)
     assert several >= 10
@@ -354,9 +353,7 @@ def test_pairing_check_is_live_even_under_python_O():
     assert raises_under_python_O(
         """
         from lspacecert import mcg
-        mcg.symplectic_form = lambda g: tuple(
-            tuple(int(r == s) for s in range(2 * g)) for r in range(2 * g)
-        )
+        mcg.symplectic_form = lambda g: [{r: 1} for r in range(2 * g)]
         mcg.homology_action(mcg.monodromy_phi(2, 1))
         """,
         "AnchorViolation",
@@ -378,17 +375,12 @@ def test_twist_word_over_two_surfaces_is_a_surface_mismatch():
 
 def test_symplectic_form_is_the_chain_form():
     j = symplectic_form(2)
-    assert j == (
-        (0, 1, 0, 0),
-        (-1, 0, 1, 0),
-        (0, -1, 0, 1),
-        (0, 0, -1, 0),
-    )
+    assert j == [{1: 1}, {0: -1, 2: 1}, {1: -1, 3: 1}, {2: -1}]
 
 
 @pytest.mark.parametrize("g", [*range(2, 9), 40])
 def test_symplectic_form_matches_the_kernel_on_every_ordered_pair(g):
-    j = symplectic_form(g)
+    j = _dense_rows(symplectic_form(g))
     chain = standard_curve_system(g).chain()
     for r, x in enumerate(chain):
         for s, y in enumerate(chain):
@@ -407,6 +399,18 @@ def test_chain_pairing_check_is_live(
     with pytest.raises(AnchorViolation) as exc:
         standard_curve_system(3)
     assert exc.value.fact == fact
+
+
+@pytest.mark.parametrize("g", [40, 160])
+def test_the_homology_layer_stores_only_nonzero_entries(g):
+    # J has 4g - 2 nonzeros and the monodromy actions 8g - 5, out of 4g^2
+    j = symplectic_form(g)
+    assert len(j) == 2 * g and sum(map(len, j)) == 4 * g - 2
+    for n in (0, 3):
+        m = homology_action(monodromy_phi(g, n))
+        assert type(m) is list and len(m) == 2 * g
+        assert all(type(row) is dict and 0 not in row.values() for row in m)
+        assert sum(map(len, m)) == 8 * g - 5
 
 
 def _count_walks(monkeypatch):
@@ -494,28 +498,29 @@ def test_alexander_at_genus_one_sixty_is_the_torus_knot_polynomial():
 
 def test_charpoly_rejects_a_non_int_entry_even_under_python_O():
     with pytest.raises(WorkbenchError):
-        charpoly([[Fraction(1, 2)]])
+        charpoly([{0: Fraction(1, 2)}])
     assert raises_under_python_O(
         """
         from fractions import Fraction
         from lspacecert.poly import charpoly
-        charpoly([[Fraction(1, 2)]])
+        charpoly([{0: Fraction(1, 2)}])
         """,
         "WorkbenchError",
     )
 
 
+# a matrix is a list of n sparse rows, each a dict int column in [0, n) -> int
 MALFORMED_MATRICES = [
-    [[1, 2], [3]],  # ragged
-    [[1, 2]],  # not square
-    [[1], [2]],
-    [[1, 2], [3, 4], [5, 6]],
-    [[1, 2.0], [3, 4]],
-    [[True, 0], [0, 1]],
-    [[1, 0], [0, Fraction(2)]],
-    ["ab", "cd"],
-    [1, 2],
-    [[1, 2], 3],
+    {0: {0: 1}},  # not a list
+    [[1, 0], {}],  # a row that is not a dict
+    ["ab", {}],
+    [{2: 1}, {}],  # a column out of range
+    [{-1: 1}, {}],
+    [{"0": 1}],  # a column that is not an int
+    [{True: 1}],
+    [{0: 2.0}],  # an entry that is not an int
+    [{0: Fraction(2)}],
+    [{0: True}],
     5,
     None,
 ]
@@ -533,7 +538,7 @@ def test_charpoly_rejects_a_malformed_matrix_before_any_arithmetic(matrix, monke
 
 
 def test_charpoly_rejects_a_malformed_matrix_even_under_python_O():
-    for matrix in MALFORMED_MATRICES[:2] + MALFORMED_MATRICES[4:5]:
+    for matrix in (MALFORMED_MATRICES[i] for i in (1, 3, 7)):
         assert raises_under_python_O(
             f"""
             from lspacecert.poly import charpoly
@@ -560,24 +565,15 @@ def _random_matrices(seed):
             yield m
 
 
-def _sparse_rows(m):
-    return [{s: x for s, x in enumerate(row) if x} for row in m]
-
-
-def _dense_rows(rows, n):
-    return [[row.get(s, 0) for s in range(n)] for row in rows]
-
-
 def test_mat_mul_matches_triple_sum_oracle():
     mats = list(_random_matrices(7))
     for a, b in zip(mats, mats[1:]):
         if len(a) == len(b):
-            n = len(a)
             got = _mat_mul(_sparse_rows(a), _sparse_rows(b))
-            assert _dense_rows(got, n) == oracle_mat_mul(a, b)
+            assert _dense_rows(got) == oracle_mat_mul(a, b)
             assert all(0 not in row.values() for row in got)
             got = _mat_mul(tuple(_sparse_rows(a)), _sparse_rows(b))
-            assert _dense_rows(got, n) == oracle_mat_mul(a, b)
+            assert _dense_rows(got) == oracle_mat_mul(a, b)
     assert _mat_mul(_sparse_rows([[0, 0], [0, 0]]), _sparse_rows([[1, 2], [3, 4]])) == [
         {},
         {},
@@ -595,11 +591,11 @@ def test_mat_mul_drops_the_entries_that_cancel():
 
 def test_charpoly_matches_permutation_expansion_oracle():
     for m in _random_matrices(11):
-        poly = charpoly(m)
+        poly = charpoly(_sparse_rows(m))
         assert poly.as_dict() == oracle_charpoly(m)
         assert poly.max_exp == len(m) and poly.coefficient(len(m)) == 1
-    assert charpoly([[0]]) == LaurentPoly.from_dict({1: 1})
-    assert charpoly([[-3]]) == LaurentPoly.from_dict({1: 1, 0: 3})
+    assert charpoly([{}]) == LaurentPoly.from_dict({1: 1})
+    assert charpoly([{0: -3}]) == LaurentPoly.from_dict({1: 1, 0: 3})
     assert charpoly([]) == LaurentPoly.from_dict({0: 1})
 
 
@@ -607,7 +603,7 @@ def test_charpoly_matches_permutation_expansion_oracle():
 def test_charpoly_of_the_monodromy_action_matches_the_list_loop_oracle(g):
     for n in (0, 3):
         m = homology_action(monodromy_phi(g, n))
-        assert charpoly(m).as_dict() == oracle_charpoly_fl(m)
+        assert charpoly(m).as_dict() == oracle_charpoly_fl(_dense_rows(m))
 
 
 def _large_random_matrices(seed):
@@ -625,17 +621,17 @@ def _large_random_matrices(seed):
 
 def test_charpoly_matches_the_list_loop_oracle_on_large_random_matrices():
     for m in _large_random_matrices(12):
-        assert charpoly(m).as_dict() == oracle_charpoly_fl(m)
+        assert charpoly(_sparse_rows(m)).as_dict() == oracle_charpoly_fl(m)
 
 
-def _bound_and_modulus(m):
-    bound = poly_module._coefficient_bound(m)
+def _bound_and_modulus(rows):
+    bound = poly_module._coefficient_bound(rows)
     return bound, poly_module._modulus(bound)
 
 
 def test_coefficient_bound_holds_on_large_random_matrices():
     for m in _large_random_matrices(12):
-        bound, p = _bound_and_modulus(m)
+        bound, p = _bound_and_modulus(_sparse_rows(m))
         assert sum(abs(c) for c in oracle_charpoly_fl(m).values()) <= bound
         assert p > 2 * bound
 
@@ -656,8 +652,8 @@ def test_modulus_is_the_smallest_tabled_prime_above_twice_the_bound():
     assert poly_module._modulus(2**1278 - 1) == 2**1279 - 1
     # the residue of -(2^60 + 5) mod 2^61 - 1 reads as positive, so only a
     # prime above twice the bound 2^60 + 6 decodes it
-    assert charpoly([[2**60 + 5]]) == LaurentPoly.from_dict({1: 1, 0: -(2**60 + 5)})
-    assert charpoly([[-(2**60 + 5)]]) == LaurentPoly.from_dict({1: 1, 0: 2**60 + 5})
+    assert charpoly([{0: 2**60 + 5}]) == LaurentPoly.from_dict({1: 1, 0: -(2**60 + 5)})
+    assert charpoly([{0: -(2**60 + 5)}]) == LaurentPoly.from_dict({1: 1, 0: 2**60 + 5})
 
 
 def test_tabled_mersenne_exponents_give_primes():
@@ -677,14 +673,14 @@ def test_charpoly_refuses_a_bound_past_the_table_before_any_elimination(monkeypa
 
     monkeypatch.setattr(poly_module, "_hessenberg", no_elimination)
     with pytest.raises(CoefficientBoundTooLarge):
-        charpoly([[2**90000]])
+        charpoly([{0: 2**90000}])
 
 
 def test_charpoly_refuses_a_bound_past_the_table_even_under_python_O():
     assert raises_under_python_O(
         """
         from lspacecert.poly import charpoly
-        charpoly([[2**90000]])
+        charpoly([{0: 2**90000}])
         """,
         "CoefficientBoundTooLarge",
     )
@@ -695,4 +691,4 @@ def test_charpoly_matches_the_list_loop_oracle_on_random_twist_words():
     for k in range(54):
         g = 2 + k % 9
         m = homology_action(random_twist_word(rng, g, max_len=7 + k))
-        assert charpoly(m).as_dict() == oracle_charpoly_fl(m)
+        assert charpoly(m).as_dict() == oracle_charpoly_fl(_dense_rows(m))

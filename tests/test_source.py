@@ -5,7 +5,8 @@ import pathlib
 
 import lspacecert
 from lspacecert import curves, errors
-from lspacecert.mcg import standard_curve_system
+from lspacecert.mcg import homology_action, monodromy_phi, standard_curve_system
+from lspacecert.poly import charpoly
 
 
 def test_package_source_has_no_assert_statements():
@@ -49,11 +50,17 @@ def test_benchmark_work_rows_read_the_arguments_they_size():
     assert work["curves.canonical_form"](args, curves.canonical_form(*args)) == (
         len(twisted), 0
     )
-    args = (b.surface, twisted.word, c.word)
+    args = (b.surface, twisted, c)
     out = curves._crossings(*args)
     assert out and work["curves._crossings"](args, out) == (len(twisted) * len(c), len(out))
     args = (b, c, 3)
     assert work["curves.dehn_twist"](args, curves.dehn_twist(*args)) == (len(b), len(twisted))
+    # the homology layer: a word of 2g factors, and its action as 2g sparse rows
+    for g in (2, 5):
+        args = (monodromy_phi(g, 3),)
+        rows = homology_action(*args)
+        assert work["mcg.homology_action"](args, rows) == (g, 2 * g)
+        assert work["poly.charpoly"]((rows,), charpoly(rows)) == (g, 2 * g)
 
 
 # raises that may name a builtin exception, by (module, innermost function,

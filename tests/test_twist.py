@@ -3,16 +3,15 @@ import pytest
 
 from lspacecert.curves import (
     algebraic_intersection_number,
-    canonical_sign,
     dehn_twist,
     homology_class,
     intersection_number,
     is_isotopic,
-    oriented_class,
 )
 from lspacecert.mcg import apply_word, beta_gn
 
 from conftest import random_curve, random_twist_word
+from oracles import canonical_sign, oriented_class
 
 # every curve of the genus-2 system, by name
 SYSTEM_CURVES = pytest.mark.parametrize(
