@@ -19,7 +19,6 @@ evaluates every cited expression through the DSL, so verifying a
 certificate is rerunning ``certify`` and comparing the result: the rerun
 re-evaluates every n-dependent fact and reuses the checked base block.
 """
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .curves import is_isotopic
@@ -42,6 +41,7 @@ from .floer import (
     triangle_propagate,
 )
 from .mcg import alexander_polynomial, apply_word, beta_gn, monodromy_phi, monodromy_psi
+from .record import record
 
 SCHEMA_VERSION = 1
 
@@ -88,14 +88,11 @@ CITATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Citation:
-    anchor: str
-    quote: str
+class Citation(record("Citation", "anchor quote")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DerivationStep:
+class DerivationStep(record("DerivationStep", "index kind label inputs output citation")):
     """One derivation line.
 
     ``inputs`` reference earlier steps (``"step:4"``) or curves by
@@ -105,21 +102,11 @@ class DerivationStep:
     Verdict for the conclusion.
     """
 
-    index: int
-    kind: str
-    label: str
-    inputs: tuple
-    output: object
-    citation: Citation
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Certificate:
-    genus: int
-    n: int
-    steps: tuple
-    final_bound: int
-    verdict: Verdict
+class Certificate(record("Certificate", "genus n steps final_bound verdict")):
+    __slots__ = ()
 
 
 def _cite(anchor):
@@ -189,7 +176,7 @@ class _Builder:
                 f"step:{int(ref[5:]) + offset}" if ref.startswith("step:") else ref
                 for ref in s.inputs
             )
-            self.steps.append(replace(s, index=s.index + offset, inputs=inputs))
+            self.steps.append(s._replace(index=s.index + offset, inputs=inputs))
         return self.steps[-1]
 
 
@@ -366,14 +353,10 @@ def verify_certificate(cert):
     return True
 
 
-@dataclass(frozen=True)
-class CrossValidationReport:
-    genus: int
-    n: int
-    direct_value: int
-    engine_bound: int
-    slack: int
-    non_isotopic: bool
+class CrossValidationReport(record(
+    "CrossValidationReport", "genus n direct_value engine_bound slack non_isotopic"
+)):
+    __slots__ = ()
 
 
 def cross_validate(g, n, budget=50_000):

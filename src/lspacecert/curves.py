@@ -68,20 +68,31 @@ _WALK_MARGIN = 8
 # ---------------------------------------------------------------------------
 # words
 
-def reduce_cyclic(word):
-    """Freely and cyclically reduce a crossing word."""
+def _reduced_product(pieces):
+    """The freely and cyclically reduced product of freely reduced pieces.
+
+    Nothing cancels inside a piece, so each piece is joined by one walk at
+    its seam: its head cancels the end of the product letter by letter,
+    and the rest of the piece goes on at once.
+    """
     out = []
-    for x in word:
-        if out and out[-1] == -x:
+    for piece in pieces:
+        k = 0
+        while k < len(piece) and out and out[-1] == -piece[k]:
             out.pop()
-        else:
-            out.append(x)
+            k += 1
+        out += piece[k:]
     # the ends cancel in pairs; count the pairs, then cut them off at once
     n = len(out)
     k = 0
     while 2 * k + 1 < n and out[k] == -out[n - 1 - k]:
         k += 1
     return tuple(out[k:n - k])
+
+
+def reduce_cyclic(word):
+    """Freely and cyclically reduce a crossing word, each letter a piece."""
+    return _reduced_product(zip(word))
 
 
 def inverse_word(word):
@@ -571,15 +582,20 @@ def parse_tokens(text, surface):
 
 
 def _fast_curve(surface, word):
-    """The curve of the reduced word, unchecked.
+    """The curve of a raw word, reduced but unchecked; ``_validate_word``
+    runs its checks on the curve this builds."""
+    return _reduced_curve(surface, reduce_cyclic(word))
+
+
+def _reduced_curve(surface, reduced):
+    """The curve of a reduced word, unchecked.
 
     Twist surgery outputs are homeomorphic images of embedded curves, so
-    they skip the simplicity check; ``_validate_word`` runs its checks on
-    the curve this builds.  Reduction always runs.
+    they skip the simplicity check.
     """
     curve = object.__new__(Curve)
     object.__setattr__(curve, "surface", surface)
-    object.__setattr__(curve, "word", reduce_cyclic(word))
+    object.__setattr__(curve, "word", reduced)
     for name in Curve.__slots__[2:]:  # derived fields, computed on first use
         object.__setattr__(curve, name, None)
     return curve
@@ -631,7 +647,8 @@ def dehn_twist(target, about, power=1):
     target is rerouted along |power| parallel copies of the twisting
     curve, in the direction given by the crossing sign and the sign of
     ``power``.  A single pass inserts all copies, so the word grows
-    linearly in |power|.
+    linearly in |power|.  The target's word and each inserted run of
+    copies are reduced, so only the seams between them can cancel.
     """
     _check_same_surface(target, about)
     if power == 0 or is_isotopic(target, about):
@@ -641,8 +658,7 @@ def dehn_twist(target, about, power=1):
     xs = _crossing_order(target, about)
     if not xs:
         return target
-    inserts = {}
-    slot = xs[0].m
+    pieces, done, slot = [], 0, xs[0].m
     for x in xs:
         slot = max(slot, x.m)
         if slot > x.m + x.k:
@@ -652,14 +668,12 @@ def dehn_twist(target, about, power=1):
         phase = _phase_at(x, slot, q)
         loop = rotate_word(c, phase)
         e = x.eps * power
-        piece = loop * e if e > 0 else inverse_word(loop) * (-e)
-        inserts.setdefault(slot, []).append(piece)
-    word = []
-    for i in range(len(d)):
-        for piece in inserts.get(i, ()):
-            word.extend(piece)
-        word.append(d[i])
-    return _fast_curve(target.surface, word)
+        # the copies go in just before letter d[slot]
+        pieces.append(d[done:slot])
+        pieces.append(loop * e if e > 0 else inverse_word(loop) * (-e))
+        done = slot
+    pieces.append(d[done:])
+    return _reduced_curve(target.surface, _reduced_product(pieces))
 
 
 def homology_class(a):

@@ -14,41 +14,32 @@ the named monodromies.  Every failure carries the UTF-8 byte offset
 where the parse stopped and the tokens that would have been accepted
 there.
 """
-from dataclasses import dataclass
-
 from .errors import ExprSyntaxError, IndexOutOfRange
 from .mcg import apply_word, beta_gn, monodromy_phi, monodromy_psi, standard_curve_system
 from .curves import dehn_twist
+from .record import record
 
 
-@dataclass(frozen=True)
-class AtomCurve:
-    family: str  # "a", "b" or "c"
-    index: int = 0
+class AtomCurve(record("AtomCurve", "family index", defaults=(0,))):
+    """A system curve: family "a", "b" or "c", and its index (0 for c)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TwistedBeta:
-    genus: int
-    n: int
+class TwistedBeta(record("TwistedBeta", "genus n")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Twist:
-    about: object
-    power: int
-    target: object
+class Twist(record("Twist", "about power target")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ApplyPsi:
-    target: object
+class ApplyPsi(record("ApplyPsi", "target")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ApplyPhi:
-    n: int
-    target: object
+class ApplyPhi(record("ApplyPhi", "n target")):
+    __slots__ = ()
 
 
 class _Parser:

@@ -9,28 +9,27 @@ surgery.  Ranks of unknown groups are tracked as integer intervals since
 exactness only ever yields inequalities.
 """
 import enum
-from dataclasses import dataclass
 
 from .curves import intersection_number, is_isotopic
 from .errors import MalformedInput, NotLSpaceForm
 from .poly import LaurentPoly
+from .record import record
 
 
-@dataclass(frozen=True)
-class RankInterval:
+class RankInterval(record("RankInterval", "lo hi")):
     """Integer interval [lo, hi]; hi = None means unbounded above.
 
     A negative lo or an empty interval raises MalformedInput.
     """
 
-    lo: int
-    hi: object = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo < 0:
+    def __new__(cls, lo, hi=None):
+        if lo < 0:
             raise MalformedInput("ranks are nonnegative")
-        if self.hi is not None and self.hi < self.lo:
-            raise MalformedInput(f"empty interval [{self.lo}, {self.hi}]")
+        if hi is not None and hi < lo:
+            raise MalformedInput(f"empty interval [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi))
 
     @staticmethod
     def exactly(v):
@@ -89,8 +88,7 @@ def _sub(lo, hi):
 # ---------------------------------------------------------------------------
 # staircases
 
-@dataclass(frozen=True)
-class Staircase:
+class Staircase(record("Staircase", "ns deltas")):
     """Support of the knot Floer homology of an L-space knot.
 
     ns are the nonnegative Alexander gradings carrying rank, starting at
@@ -99,11 +97,9 @@ class Staircase:
     pair raises MalformedInput.
     """
 
-    ns: tuple
-    deltas: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        ns, deltas = self.ns, self.deltas
+    def __new__(cls, ns, deltas):
         if len(ns) != len(deltas):
             raise MalformedInput("ns and deltas must have equal length")
         if not ns or ns[0] != 0:
@@ -112,6 +108,7 @@ class Staircase:
             raise MalformedInput("staircase gradings must increase strictly")
         if deltas != _delta_recursion(ns):
             raise MalformedInput("Maslov levels do not satisfy the step recursion")
+        return tuple.__new__(cls, (ns, deltas))
 
     @property
     def genus(self):
@@ -164,16 +161,16 @@ def staircase_from_alexander(poly):
     return Staircase(ns, _delta_recursion(ns))
 
 
-@dataclass(frozen=True)
-class HfkProfile:
+class HfkProfile(record("HfkProfile", "support")):
     """The rank-one support of a staircase, with its Maslov levels.
 
     support maps each grading +-n_i to delta_i, the Maslov level of that
     generator; every other grading has rank zero.  The profile holds one
-    entry per generator, however large the gradings are.
+    entry per generator, however large the gradings are.  Its field is a
+    dict, so a profile has no hash.
     """
 
-    support: dict
+    __slots__ = ()
 
     def rank_at(self, j):
         return 1 if j in self.support else 0

@@ -14,7 +14,6 @@ that form off the checked system.  Every matrix of the homology layer,
 J, the action and what ``charpoly`` takes, is a list of 2g sparse rows,
 each a dict column -> nonzero int.
 """
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .curves import (
@@ -35,6 +34,7 @@ from .errors import (
     SurfaceMismatch,
 )
 from .poly import _mat_mul, charpoly
+from .record import record
 from .surface import standard_surface
 
 
@@ -44,14 +44,10 @@ def _c_word(g):
     return (ag, bg1, -ag, -bg1)
 
 
-@dataclass(frozen=True)
-class StandardCurveSystem:
+class StandardCurveSystem(record("StandardCurveSystem", "surface alphas betas c")):
     """The chain curves and the nullhomologous curve c on genus g."""
 
-    surface: object
-    alphas: tuple
-    betas: tuple
-    c: Curve
+    __slots__ = ()
 
     def chain(self):
         """The 2g chain curves in order a_1, b_1, a_2, ..., b_g."""
@@ -116,18 +112,21 @@ def standard_curve_system(g):
     return system
 
 
-@dataclass(frozen=True)
-class TwistWord:
-    """An ordered product of twist powers, outermost factor first."""
+class TwistWord(record("TwistWord", "factors")):
+    """An ordered product of twist powers, outermost factor first.
 
-    factors: tuple
+    Factors of power zero are dropped; ``len`` is the number of factors
+    left and ``*`` concatenates.
+    """
 
-    def __post_init__(self):
-        cleaned = tuple((c, p) for c, p in self.factors if p != 0)
+    __slots__ = ()
+
+    def __new__(cls, factors):
+        cleaned = tuple((c, p) for c, p in factors if p != 0)
         surfaces = {c.surface for c, _ in cleaned}
         if len(surfaces) > 1:
             raise SurfaceMismatch("twist word mixes curves from different surfaces")
-        object.__setattr__(self, "factors", cleaned)
+        return tuple.__new__(cls, (cleaned,))
 
     def __mul__(self, other):
         return TwistWord(self.factors + other.factors)

@@ -5,16 +5,14 @@ monodromies, given as sparse rows, and for the staircase reader: exact
 integer coefficients, palindrome tests, parsing and printing in the
 usual knot-table style.
 """
-from dataclasses import dataclass
-
 from .errors import CoefficientBoundTooLarge, MalformedInput
+from .record import record
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(record("LaurentPoly", "coeffs")):
     """Sorted tuple of (exponent, coefficient) pairs, coefficients nonzero."""
 
-    coeffs: tuple
+    __slots__ = ()
 
     @staticmethod
     def from_dict(d):

@@ -10,10 +10,10 @@ of arc k in the positive / negative direction.  The cyclic sequence
 ``boundary_order`` lists the 4g arc sides counterclockwise around the
 cut-open disk; side +k is the one a positive crossing exits through.
 """
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import GenusTooSmall, MalformedInput
+from .record import record
 
 
 def _trace_boundary_cycles(order):
@@ -45,29 +45,24 @@ def _trace_boundary_cycles(order):
     return cycles
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(record("SurfaceSpec", "genus cut_arcs boundary_order")):
     """A genus-g one-boundary surface cut into a disk along 2g arcs.
 
     ``boundary_order`` must list each of the 4g signed arc symbols exactly
     once, and regluing must produce a connected boundary (equivalently the
     reglued surface has Euler characteristic 1 - 2g and genus g).  A
-    spec that breaks either rule raises MalformedInput.
+    spec that breaks either rule raises MalformedInput.  The position of
+    each side on the disk boundary (``_pos``) and the boundary word are
+    kept outside the fields, so they are not shown, compared or hashed.
     """
 
-    genus: int
-    cut_arcs: tuple
-    boundary_order: tuple
-    _pos: dict = field(init=False, repr=False, compare=False, hash=False)
-    _boundary: tuple = field(init=False, repr=False, compare=False, hash=False)
-
-    def __post_init__(self):
-        g = self.genus
+    def __new__(cls, genus, cut_arcs, boundary_order):
+        g = genus
         if g < 2:
             raise GenusTooSmall(f"genus {g} < 2")
-        if len(self.cut_arcs) != 2 * g:
-            raise MalformedInput(f"need {2 * g} cut arcs, got {len(self.cut_arcs)}")
-        order = tuple(self.boundary_order)
+        if len(cut_arcs) != 2 * g:
+            raise MalformedInput(f"need {2 * g} cut arcs, got {len(cut_arcs)}")
+        order = tuple(boundary_order)
         expected = {s for k in range(1, 2 * g + 1) for s in (k, -k)}
         if set(order) != expected or len(order) != 4 * g:
             raise MalformedInput("boundary_order must contain each signed arc symbol once")
@@ -77,11 +72,10 @@ class SurfaceSpec:
                 f"cut system regluing has {len(cycles)} boundary circles, need 1"
             )
         n = len(order)
-        object.__setattr__(self, "boundary_order", order)
-        object.__setattr__(self, "_pos", {s: i for i, s in enumerate(order)})
-        object.__setattr__(
-            self, "_boundary", tuple(order[(p + 1) % n] for p in cycles[0])
-        )
+        self = tuple.__new__(cls, (genus, cut_arcs, order))
+        self._pos = {s: i for i, s in enumerate(order)}
+        self._boundary = tuple(order[(p + 1) % n] for p in cycles[0])
+        return self
 
     @property
     def arc_count(self):

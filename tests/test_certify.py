@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import importlib
 import io
 
@@ -57,8 +56,7 @@ def test_base_bound_is_zero_two_for_every_genus(g):
 def test_base_block_is_spliced_at_steps_14_to_16():
     for g in range(2, 6):
         shifted = [
-            dataclasses.replace(
-                s,
+            s._replace(
                 index=s.index + 14,
                 inputs=tuple(
                     f"step:{int(r.split(':')[1]) + 14}" if r.startswith("step:") else r
@@ -261,12 +259,10 @@ def test_triangle_steps_recompute_from_their_inputs():
 def test_verify_certificate_passes_and_detects_tampering():
     cert = certify(2, 1)
     assert verify_certificate(cert)
-    bad_step = dataclasses.replace(
-        cert.steps[0], output=RankInterval.exactly(5), label="rk HF(a1, B[2,1]) = 5"
+    bad_step = cert.steps[0]._replace(
+        output=RankInterval.exactly(5), label="rk HF(a1, B[2,1]) = 5"
     )
-    tampered = dataclasses.replace(
-        cert, steps=(bad_step,) + cert.steps[1:]
-    )
+    tampered = cert._replace(steps=(bad_step,) + cert.steps[1:])
     with pytest.raises(AnchorViolation):
         verify_certificate(tampered)
 

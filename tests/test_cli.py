@@ -1,6 +1,5 @@
 import argparse
 import concurrent.futures
-import dataclasses
 import hashlib
 import io
 import json
@@ -175,8 +174,8 @@ def test_json_emission_matches_the_dumps_oracle(g, n):
 
 def _with_step(cert, k, **fields):
     steps = list(cert.steps)
-    steps[k] = dataclasses.replace(steps[k], **fields)
-    return dataclasses.replace(cert, steps=tuple(steps))
+    steps[k] = steps[k]._replace(**fields)
+    return cert._replace(steps=tuple(steps))
 
 
 @pytest.mark.parametrize(
@@ -404,14 +403,13 @@ def test_emitting_a_certificate_without_conclusion_is_a_typed_error_even_under_p
     for steps in (cert.steps[:-1], ()):
         for fmt in ("text", "json"):
             with pytest.raises(AnchorViolation):
-                emit_certificate(dataclasses.replace(cert, steps=steps), fmt)
+                emit_certificate(cert._replace(steps=steps), fmt)
     assert raises_under_python_O(
         """
-        import dataclasses
         from lspacecert.certify import certify
         from lspacecert.cli import emit_certificate
         cert = certify(2, 1)
-        truncated = dataclasses.replace(cert, steps=cert.steps[:-1])
+        truncated = cert._replace(steps=cert.steps[:-1])
         try:
             emit_certificate(truncated, "text")
         except AnchorViolation:

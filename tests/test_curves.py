@@ -189,6 +189,36 @@ def test_cyclic_reduction_matches_rotate_and_cancel():
     assert short >= 30  # many words lose at least 20 end pairs
 
 
+def _reduced_pieces(rng):
+    """Freely reduced pieces, some of them undoing the end of the ones
+    before, so a seam can cancel whole pieces."""
+    letters = [1, -1, 2, -2, 3, -3, 4, -4]
+    pieces = []
+    for _ in range(rng.randint(0, 8)):
+        if pieces and rng.random() < 0.4:
+            tail = sum(pieces, ())[-rng.randint(1, 8):]
+            piece = tuple(-x for x in reversed(tail))
+        else:
+            piece = []
+            for _ in range(rng.randint(0, 6)):
+                piece.append(rng.choice([x for x in letters if not piece or x != -piece[-1]]))
+            piece = tuple(piece)
+        if all(x != -y for x, y in zip(piece, piece[1:])):
+            pieces.append(piece)
+    return pieces
+
+
+def test_seam_join_of_reduced_pieces_matches_rotate_and_cancel():
+    rng = random.Random(2323)
+    deep = 0
+    for _ in range(400):
+        pieces = _reduced_pieces(rng)
+        naive = sum(pieces, ())
+        assert curves._reduced_product(pieces) == oracle_reduce_cyclic(naive), pieces
+        deep += len(naive) - len(curves._reduced_product(pieces)) >= 8
+    assert deep >= 50  # many joins cancel across more than one letter pair
+
+
 def test_cyclic_reduction_is_linear_in_cancelling_end_pairs():
     # 200,000 end pairs: one pass and one slice, where popping the front
     # once per pair would shift the whole word each time

@@ -1,6 +1,7 @@
 """Twist surgery properties: the square identity, naturality, group laws."""
 import pytest
 
+from lspacecert import curves
 from lspacecert.curves import (
     algebraic_intersection_number,
     dehn_twist,
@@ -11,7 +12,7 @@ from lspacecert.curves import (
 from lspacecert.mcg import apply_word, beta_gn
 
 from conftest import random_curve, random_twist_word
-from oracles import canonical_sign, oriented_class
+from oracles import canonical_sign, oracle_reduce_cyclic, oriented_class
 
 # every curve of the genus-2 system, by name
 SYSTEM_CURVES = pytest.mark.parametrize(
@@ -125,3 +126,38 @@ def test_algebraic_intersection_antisymmetric(rng):
         assert algebraic_intersection_number(a, b) == -algebraic_intersection_number(
             b, a
         )
+
+
+def _freely_reduced(word):
+    return all(x != -y for x, y in zip(word, word[1:]))
+
+
+def test_twist_words_join_their_pieces_like_the_naive_reduction(rng, monkeypatch):
+    # surgery joins the target's segments and the inserted runs at their
+    # seams only; the naive word is their concatenation, reduced whole
+    pairs = [(random_curve(rng, g, max_len=3), random_curve(rng, g, max_len=3),
+              rng.choice([-3, -2, -1, 1, 2, 3]))
+             for g in (2, 3, 4) for _ in range(100)]
+    pairs += [(beta_gn(g, 7), random_curve(rng, g, max_len=2), 2) for g in (2, 3, 4)]
+    joins = []
+    inner = curves._reduced_product
+
+    def spy(pieces):
+        pieces = [tuple(p) for p in pieces]
+        joins.append(pieces)
+        return inner(pieces)
+
+    monkeypatch.setattr(curves, "_reduced_product", spy)
+    joined = shortened = 0
+    for target, about, power in pairs:
+        del joins[:]
+        word = dehn_twist(target, about, power).word
+        if not joins:  # disjoint or isotopic: the target comes back
+            continue
+        (pieces,) = joins
+        assert all(map(_freely_reduced, pieces))
+        naive = sum(pieces, ())
+        assert word == oracle_reduce_cyclic(naive)
+        joined += 1
+        shortened += len(word) < len(naive)
+    assert joined >= 150 and shortened >= 50  # many seams cancel letters
