@@ -32,7 +32,6 @@ from .errors import (
 )
 from .floer import (
     RankInterval,
-    Verdict,
     hf_rank,
     lspace_obstruction,
     lspace_profile,

@@ -16,7 +16,7 @@ from lspacecert.errors import (
     MalformedInput,
     SurfaceMismatch,
 )
-from lspacecert.floer import HfkProfile, RankInterval, Staircase, lspace_profile
+from lspacecert.floer import RankInterval, Staircase, lspace_profile
 from lspacecert.mcg import TwistWord, monodromy_psi, standard_curve_system
 from lspacecert.poly import parse_poly
 from lspacecert.surface import SurfaceSpec, chain_boundary_order, standard_surface
@@ -81,7 +81,7 @@ def test_records_hash_as_the_tuple_of_their_fields():
 
 
 def test_fields_are_read_only():
-    for name, rec in _one_of_each().items():
+    for rec in _one_of_each().values():
         with pytest.raises(AttributeError):
             setattr(rec, rec._fields[0], None)
     with pytest.raises(AttributeError):
