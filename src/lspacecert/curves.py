@@ -45,6 +45,13 @@ kept fields, and validation runs its self-count on the curve it returns.
 Reduced words of isotopic curves have equal length, so isotopy tests and
 equality run Booth's algorithm only on curves of equal length.
 
+A twist T^k(t) about u keeps (t, u, k).  From a power p0 that depends on
+the lengths of t, u and a partner alone, its counts against that partner
+are affine in |k|, since each further power adds one period deep inside
+every inserted run (a window bound, Fine and Wilf 1965).  So for large
+|k| ``crossing_count`` reads them off the twists at p0 and p0 + 1, which
+t keeps, and the work of the count does not grow with k.
+
 The homology class of a word is one dict from arc index to nonzero
 signed count, ``_word_class``; ``homology_class`` and the homology layer
 in ``mcg`` both read it.
@@ -62,7 +69,10 @@ from .errors import (
 )
 
 # distinct periodic rays part within p + q steps, and crossing ends within q + 1 codes
-_WALK_MARGIN = 8
+_DEFAULT_WALK_MARGIN = 8
+_WALK_MARGIN = _DEFAULT_WALK_MARGIN
+# a count against T^k(t) reads two short twists once |k| >= _RUN_FACTOR * p0
+_RUN_FACTOR = 3
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +504,14 @@ class Curve:
     inverse are computed on first use and kept.  A curve built from a raw
     word keeps what its validation's self-count built.  Equality is
     ``is_isotopic`` on one surface, which reads the normal forms only of
-    words of equal length.
+    words of equal length.  A twist keeps its (target, about, power) in
+    ``_twist``, and a target keeps its short twists in ``_short_twists``.
     """
 
-    __slots__ = ("surface", "word", "_canon", "_hash", "_corners", "_codes", "_codes_inv")
+    __slots__ = (
+        "surface", "word", "_twist", "_short_twists",
+        "_canon", "_hash", "_corners", "_codes", "_codes_inv",
+    )
 
     def __new__(cls, surface, word):
         return _validate_word(surface, tuple(word))
@@ -622,11 +636,80 @@ def crossing_count(a, b):
     Counts the crossings of b through a in minimal position, each signed
     +1 when b's forward end departs on the positive side of a's axis for
     the stored orientations.  Both are zero on isotopic pairs since a
-    curve can be isotoped off itself.
+    curve can be isotoped off itself.  Against a curve twisted many times
+    both are read off two short twists (``_run_extrapolated_count``).
     """
     if is_isotopic(a, b):
         return 0, 0
+    if b._twist is not None:
+        count = _run_extrapolated_count(a, b, True)
+        if count is not None:
+            return count
+    if a._twist is not None:
+        count = _run_extrapolated_count(b, a, False)
+        if count is not None:
+            return count
     return _crossing_count(a, b)
+
+
+def _run_extrapolated_count(partner, curve, partner_first):
+    """``_crossing_count`` of a partner against a curve twisted many times,
+    read off two short twists, or None where that does not apply.
+
+    ``curve`` is T^k(t) for the twist T about u, as ``dehn_twist`` keeps
+    it: (t, u, k).  Let q = |partner| and p0 = ceil((q + |t| + |u| +
+    margin) / |u|) + 2.  Seams cancel at most |t| letters of the inserted
+    runs, so from p0 on every run holds more than q + |u| + margin letters
+    besides two periods of u.  A lift decision at an axis vertex reads at
+    most q + |u| + margin letters: a partner ray that shared more with a
+    run would share a period with u (Fine and Wilf, 1965) and coast to the
+    run's end.  So a decision inside a run depends only on the vertex's
+    phase mod |u|, and one more power adds one period of such vertices to
+    each run, with the same lifts and the same signs, and moves the rest
+    along unchanged.  The number and the signed sum are thus affine in |k|
+    from p0 on: they are counted against T^p0(t) and T^(p0+1)(t) and
+    extended to |k|.  The signed count follows t's stored orientation, so
+    the short twists are kept on t itself, by u's word and the power.
+
+    It applies for |k| >= ``_RUN_FACTOR`` * p0, where two short counts
+    cost less than the long one, and only if len(curve) grows from the
+    short twists by the same step per power.  p0 never reads a margin
+    below the default, so a lowered cap cannot move it; the short counts
+    still raise WalkBoundExceeded under that cap.
+    """
+    target, about, power = curve._twist
+    step = len(about.word)
+    margin = max(_WALK_MARGIN, _DEFAULT_WALK_MARGIN)
+    p0 = -(-(len(partner.word) + len(target.word) + step + margin) // step) + 2
+    k = abs(power)
+    if k < _RUN_FACTOR * p0:
+        return None
+    sign = 1 if power > 0 else -1
+    near = _short_twist(target, about, sign * p0)
+    far = _short_twist(target, about, sign * (p0 + 1))
+    grow = len(far.word) - len(near.word)
+    if len(curve.word) != len(near.word) + (k - p0) * grow:
+        return None
+    if is_isotopic(partner, near) or is_isotopic(partner, far):
+        return None
+    if partner_first:
+        (n0, s0), (n1, s1) = _crossing_count(partner, near), _crossing_count(partner, far)
+    else:
+        (n0, s0), (n1, s1) = _crossing_count(near, partner), _crossing_count(far, partner)
+    return n0 + (k - p0) * (n1 - n0), s0 + (k - p0) * (s1 - s0)
+
+
+def _short_twist(target, about, power):
+    """``dehn_twist(target, about, power)``, kept on the target by about's
+    word and the power."""
+    kept = target._short_twists
+    if kept is None:
+        kept = {}
+        object.__setattr__(target, "_short_twists", kept)
+    key = about.word, power
+    if key not in kept:
+        kept[key] = dehn_twist(target, about, power)
+    return kept[key]
 
 
 def intersection_number(a, b):
@@ -648,7 +731,9 @@ def dehn_twist(target, about, power=1):
     curve, in the direction given by the crossing sign and the sign of
     ``power``.  A single pass inserts all copies, so the word grows
     linearly in |power|.  The target's word and each inserted run of
-    copies are reduced, so only the seams between them can cancel.
+    copies are reduced, so only the seams between them can cancel.  The
+    image keeps (target, about, power) for the counts of
+    ``crossing_count``, unless the target keeps one itself.
     """
     _check_same_surface(target, about)
     if power == 0 or is_isotopic(target, about):
@@ -673,7 +758,10 @@ def dehn_twist(target, about, power=1):
         pieces.append(loop * e if e > 0 else inverse_word(loop) * (-e))
         done = slot
     pieces.append(d[done:])
-    return _reduced_curve(target.surface, _reduced_product(pieces))
+    curve = _reduced_curve(target.surface, _reduced_product(pieces))
+    if target._twist is None:  # so a chain of twists keeps no chain of words
+        object.__setattr__(curve, "_twist", (target, about, power))
+    return curve
 
 
 def homology_class(a):

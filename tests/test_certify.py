@@ -5,6 +5,7 @@ import io
 import pytest
 
 import lspacecert.cli as cli
+import lspacecert.curves as curves
 import lspacecert.dsl as dsl
 import lspacecert.mcg as mcg
 from lspacecert.certify import (
@@ -394,12 +395,33 @@ def test_certify_validate_and_replay_compute_no_normal_form(monkeypatch):
     assert calls == []
 
 
-def test_certify_builds_the_table_of_the_twisted_curve_once(monkeypatch):
-    for g in (2, 3):
-        mcg.standard_curve_system(g)
+def test_certify_builds_tables_only_of_short_twists(monkeypatch, fresh_system_caches):
+    # B[g,n] is counted against a_{g-1}, a_g and b_{g-1}; from n = 18 each
+    # count reads T(c)^6(b_g) and T(c)^7(b_g), which b_g keeps, and below
+    # that the count walks B's own word, whose classes it builds once
     built = count_corner_classes(monkeypatch)
-    for g, n in ((2, 9), (3, 400), (2, 9)):
+    certify(3, 400)
+    assert len(mcg.beta_gn(3, 400)) == 3201 and max(map(len, built)) < 100
+    for n in (400, 25):
         built.clear()
-        certify(g, n)
-        # B[g,n] is counted against a_{g-1}, a_g, b_{g-1} and itself
-        assert built.count(mcg.beta_gn(g, n).word) == 1, (g, n)
+        certify(3, n)
+        assert built == [], n
+    built.clear()
+    certify(2, 9)
+    assert built.count(mcg.beta_gn(2, 9).word) == 1
+
+
+def test_certify_count_work_does_not_grow_with_n(monkeypatch):
+    derive_base_bound(2)
+    built = count_corner_classes(monkeypatch)
+    walks = []
+    inner = curves._count_by_codes
+    monkeypatch.setattr(curves, "_count_by_codes", lambda *args: walks.append(args) or inner(*args))
+    made = []
+    for n in (1000, 100_000):
+        built.clear()
+        walks.clear()
+        certify(2, n)
+        assert max(map(len, built), default=0) < 100, n
+        made.append(len(walks))
+    assert made[0] == made[1] > 0

@@ -846,6 +846,159 @@ def test_twist_surgery_cap_is_a_typed_error_even_under_python_O():
 
 
 # ---------------------------------------------------------------------------
+# counts against a curve twisted many times
+
+def _p0(partner, target, about):
+    """The power from which counts of partner against T_about^k(target)
+    are affine in |k|, at the default margin."""
+    margin = curves._DEFAULT_WALK_MARGIN
+    return -(-(len(partner) + len(target) + len(about) + margin) // len(about)) + 2
+
+
+def _expanded(curve):
+    """A curve of the same word that keeps no twist, so counts read the word."""
+    return curves._fast_curve(curve.surface, curve.word)
+
+
+def _record_extrapolations(monkeypatch):
+    """Record every count read off two short twists."""
+    counts = []
+    inner = curves._run_extrapolated_count
+
+    def spy(*args):
+        count = inner(*args)
+        if count is not None:
+            counts.append(count)
+        return count
+
+    monkeypatch.setattr(curves, "_run_extrapolated_count", spy)
+    return counts
+
+
+def _both_orders(partner, twisted):
+    """crossing_count in both orders, each with the walk on the expanded word."""
+    plain = _expanded(twisted)
+    return [
+        (curves.crossing_count(partner, twisted), curves._crossing_count(partner, plain)),
+        (curves.crossing_count(twisted, partner), curves._crossing_count(plain, partner)),
+    ]
+
+
+def test_counts_against_long_twists_equal_the_walk_on_the_expanded_word(monkeypatch):
+    # the window bound (Fine and Wilf): from p0 on, every count against
+    # T^k(t) is affine in |k|; at factor 1 each such power reads two short
+    # twists, so the bound is held to every power from p0 on
+    monkeypatch.setattr(curves, "_RUN_FACTOR", 1)
+    fast = _record_extrapolations(monkeypatch)
+    rng = random.Random(2401)
+    checked = 0
+    for trial in range(300):
+        g = 2 + trial % 3
+        partner, about = random_curve(rng, g, max_len=3), random_curve(rng, g, max_len=3)
+        target = _expanded(random_curve(rng, g, max_len=3))  # it keeps no twist
+        if is_isotopic(target, about):
+            continue
+        p0 = _p0(partner, target, about)
+        power = rng.choice([*range(1, 3 * p0 + 1), 50, 200]) * rng.choice((1, -1))
+        twisted = dehn_twist(target, about, power)
+        if is_isotopic(partner, twisted):
+            continue
+        for got, want in _both_orders(partner, twisted):
+            assert got == want, (g, partner.word, target.word, about.word, power)
+            checked += 1
+    for g in range(2, 6):
+        for n in (30, 100, 400):
+            bn = beta_gn(g, n)
+            for name, curve in standard_curve_system(g).named():
+                for got, want in _both_orders(curve, bn):
+                    assert got == want, (g, n, name)
+                    checked += 1
+    assert checked >= 700 and len(fast) >= 400
+
+
+def test_a_reversed_target_twisted_many_times_flips_every_signed_count(monkeypatch):
+    # the short twists are kept on the target object: a reversed copy is
+    # isotopic to the target, and a cache keyed by isotopy would hand it
+    # the target's short twists, whose signed counts have the other sign
+    fast = _record_extrapolations(monkeypatch)
+    rng = random.Random(2402)
+    flipped = 0
+    for g in (2, 3):
+        partners = [curve for _, curve in standard_curve_system(g).named()]
+        for _ in range(12):
+            target, about = _expanded(random_curve(rng, g)), random_curve(rng, g)
+            if is_isotopic(target, about):
+                continue
+            # the least power at which every partner takes the short twists
+            power = max(curves._RUN_FACTOR * _p0(x, target, about) for x in partners)
+            reverse = curves.Curve(target.surface, curves.inverse_word(target.word))
+            twisted = dehn_twist(target, about, power)
+            twisted_reverse = dehn_twist(reverse, about, power)
+            for partner in partners:
+                if is_isotopic(partner, twisted):
+                    continue
+                for order in ((partner, twisted), (twisted, partner)):
+                    number, signed = curves.crossing_count(*order)
+                    swap = [twisted_reverse if x is twisted else x for x in order]
+                    assert curves.crossing_count(*swap) == (number, -signed)
+                    plain = [_expanded(x) if x is twisted else x for x in order]
+                    assert curves._crossing_count(*plain) == (number, signed)
+                    flipped += signed != 0
+    assert flipped >= 100 and len(fast) >= 2 * flipped
+
+
+def test_a_twist_record_that_does_not_fit_the_word_is_not_extrapolated():
+    # the word of B[2,101] with the record of B[2,100]: its length is one
+    # step off the short twists' line, so the count walks the word
+    system = standard_curve_system(2)
+    forged = _expanded(beta_gn(2, 101))
+    object.__setattr__(forged, "_twist", (system.betas[-1], system.c, 100))
+    assert intersection_number(system.alphas[0], forged) == 4 * 101
+
+
+def test_a_twist_keeps_its_target_only_where_the_target_keeps_none():
+    # psi(B) twists B, which keeps b_g, and then twists each image again:
+    # every image keeps at most one earlier word, never a chain of them
+    system = standard_curve_system(2)
+    bn = beta_gn(2, 30)
+    assert bn._twist == (system.betas[-1], system.c, 30)
+    out = bn
+    for about, power in reversed(monodromy_psi(2).factors):
+        image = dehn_twist(out, about, power)
+        if image is not out:
+            kept = image._twist
+            if out._twist is None:
+                assert kept[0] is out and kept[1] is about and kept[2] == power
+                assert kept[0]._twist is None
+            else:
+                assert kept is None
+        out = image
+    assert out == apply_word(monodromy_psi(2), bn)
+
+
+def test_a_lowered_margin_gives_the_expanded_count_or_the_walk_bound(monkeypatch):
+    # p0 reads the margin at no less than its default, so a lowered cap
+    # cannot send it below 1 and read twists of the other direction: each
+    # count is the walk on the expanded word or raises WalkBoundExceeded
+    bn = beta_gn(2, 100)
+    named = standard_curve_system(2).named()
+    want = {name: [w for _, w in _both_orders(curve, bn)] for name, curve in named}
+    fast = _record_extrapolations(monkeypatch)
+    raised = 0
+    for margin in (-10**6, -801, -100, -20, -9, -5, -1, 0):
+        monkeypatch.setattr(curves, "_WALK_MARGIN", margin)
+        for name, curve in named:
+            for (a, b), expected in zip(((curve, bn), (bn, curve)), want[name]):
+                try:
+                    assert curves.crossing_count(a, b) == expected, (margin, name)
+                except WalkBoundExceeded:
+                    raised += 1
+    assert raised and len(fast) >= 40
+    target = standard_curve_system(2).betas[-1]
+    assert min(power for _, power in target._short_twists) >= 1
+
+
+# ---------------------------------------------------------------------------
 # homology
 
 def test_homology_classes(sys2):
