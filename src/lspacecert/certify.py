@@ -1,13 +1,17 @@
 """Replayable derivation certificates for the twisted monodromy family.
 
 A certificate is an ordered list of typed steps.  Every n-dependent rank
-fact is recomputed from crossing words by the curve kernel each time a
-certificate is built, and each one is checked against its pinned value;
-a kernel regression or a corrupted curve table therefore aborts the
-derivation with AnchorViolation instead of producing a wrong proof.
-The genus-only block (the base bound, ``derive_base_bound``) is derived
-and checked once per genus per process and spliced into every
-certificate of that genus; a build that fails its checks is not cached.
+fact is recomputed by the curve kernel each time a certificate is built,
+and each one is checked against its pinned value; a kernel regression or
+a corrupted curve table therefore aborts the derivation with
+AnchorViolation instead of producing a wrong proof.  Genus-only facts
+are kept for the life of the process: the base bound
+(``derive_base_bound``) is derived and checked once per genus and
+spliced into every certificate of that genus, and a build that fails its
+checks is not cached; from n = 18 on the counts of B[g,n] are extended
+from counts against two short twists of b_g, which b_g keeps, while the
+isotopy checks, the length check and the extension run for every
+certificate.
 Triangle steps apply the exact-triangle bound to earlier steps, and
 arithmetic steps track the inequality chain whose end is the final
 bound 16n^2 - 5 on the rank in Alexander grading 1 - g.  The verdict
@@ -342,7 +346,9 @@ def verify_certificate(cert):
     """Re-derive a certificate and compare it with the given one.
 
     The rerun evaluates every cited curve expression and checks each rank
-    against its pinned value, so it is the whole verification.  Returns
+    against its pinned value, so it is the whole verification.  It reuses
+    what the process keeps per genus: the base block and the counts
+    against the short twists of b_g.  Returns
     True when the fresh certificate is equal, and raises AnchorViolation
     otherwise.
     """

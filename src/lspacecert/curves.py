@@ -50,7 +50,8 @@ the lengths of t, u and a partner alone, its counts against that partner
 are affine in |k|, since each further power adds one period deep inside
 every inserted run (a window bound, Fine and Wilf 1965).  So for large
 |k| ``crossing_count`` reads them off the twists at p0 and p0 + 1, which
-t keeps, and the work of the count does not grow with k.
+t keeps together with the counts against them, and the work of the count
+does not grow with k.
 
 The homology class of a word is one dict from arc index to nonzero
 signed count, ``_word_class``; ``homology_class`` and the homology layer
@@ -505,11 +506,12 @@ class Curve:
     word keeps what its validation's self-count built.  Equality is
     ``is_isotopic`` on one surface, which reads the normal forms only of
     words of equal length.  A twist keeps its (target, about, power) in
-    ``_twist``, and a target keeps its short twists in ``_short_twists``.
+    ``_twist``, and a target keeps its short twists in ``_short_twists``
+    and the counts of partners against them in ``_short_counts``.
     """
 
     __slots__ = (
-        "surface", "word", "_twist", "_short_twists",
+        "surface", "word", "_twist", "_short_twists", "_short_counts",
         "_canon", "_hash", "_corners", "_codes", "_codes_inv",
     )
 
@@ -669,7 +671,10 @@ def _run_extrapolated_count(partner, curve, partner_first):
     along unchanged.  The number and the signed sum are thus affine in |k|
     from p0 on: they are counted against T^p0(t) and T^(p0+1)(t) and
     extended to |k|.  The signed count follows t's stored orientation, so
-    the short twists are kept on t itself, by u's word and the power.
+    the short twists are kept on t itself, by u's word and the power, and
+    so are the two counts, by u's word, the signed p0, the partner's word
+    (which carries its orientation), the argument order and the margin.
+    The length and isotopy checks run before the kept counts are read.
 
     It applies for |k| >= ``_RUN_FACTOR`` * p0, where two short counts
     cost less than the long one, and only if len(curve) grows from the
@@ -692,10 +697,17 @@ def _run_extrapolated_count(partner, curve, partner_first):
         return None
     if is_isotopic(partner, near) or is_isotopic(partner, far):
         return None
-    if partner_first:
-        (n0, s0), (n1, s1) = _crossing_count(partner, near), _crossing_count(partner, far)
-    else:
-        (n0, s0), (n1, s1) = _crossing_count(near, partner), _crossing_count(far, partner)
+    kept = target._short_counts
+    if kept is None:
+        kept = {}
+        object.__setattr__(target, "_short_counts", kept)
+    key = about.word, sign * p0, partner.word, partner_first, _WALK_MARGIN
+    if key not in kept:
+        if partner_first:
+            kept[key] = _crossing_count(partner, near), _crossing_count(partner, far)
+        else:
+            kept[key] = _crossing_count(near, partner), _crossing_count(far, partner)
+    (n0, s0), (n1, s1) = kept[key]
     return n0 + (k - p0) * (n1 - n0), s0 + (k - p0) * (s1 - s0)
 
 

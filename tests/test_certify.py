@@ -411,17 +411,32 @@ def test_certify_builds_tables_only_of_short_twists(monkeypatch, fresh_system_ca
     assert built.count(mcg.beta_gn(2, 9).word) == 1
 
 
-def test_certify_count_work_does_not_grow_with_n(monkeypatch):
-    derive_base_bound(2)
+def test_certify_count_work_does_not_grow_with_n(monkeypatch, fresh_system_caches):
+    # from n = 18 the counts of B[g,n] read T(c)^6(b_g) and T(c)^7(b_g), and
+    # the counts against those are kept on b_g: the first such certificate
+    # of a genus walks them, and every further one walks only a_{g-1}
+    # against a_g
     built = count_corner_classes(monkeypatch)
     walks = []
     inner = curves._count_by_codes
     monkeypatch.setattr(curves, "_count_by_codes", lambda *args: walks.append(args) or inner(*args))
-    made = []
-    for n in (1000, 100_000):
+    pairs = []
+    inner_count = curves._crossing_count
+    monkeypatch.setattr(
+        curves, "_crossing_count", lambda a, b: pairs.append((a, b)) or inner_count(a, b)
+    )
+    for g in (2, 3):
+        derive_base_bound(g)
+        system = mcg.standard_curve_system(g)
+        aa, a_g = system.alphas[-2], system.alphas[-1]
         built.clear()
         walks.clear()
-        certify(2, n)
-        assert max(map(len, built), default=0) < 100, n
-        made.append(len(walks))
-    assert made[0] == made[1] > 0
+        certify(g, 1000)
+        assert walks and max(map(len, built)) < 100, g
+        for n in (18, 100_000, 1000, 25):
+            built.clear()
+            walks.clear()
+            pairs.clear()
+            certify(g, n)
+            assert built == [] and walks == [], (g, n)
+            assert [(a.word, b.word) for a, b in pairs] == [(aa.word, a_g.word)], (g, n)

@@ -998,6 +998,106 @@ def test_a_lowered_margin_gives_the_expanded_count_or_the_walk_bound(monkeypatch
     assert min(power for _, power in target._short_twists) >= 1
 
 
+def test_kept_short_counts_equal_the_walk_on_the_expanded_word(monkeypatch):
+    # the counts against T^p0(t) and T^(p0+1)(t) are kept on t: counted a
+    # second time, B[g,n] (and b_g twisted -n times) against each system
+    # curve in each order walks nothing where it extrapolates, and still
+    # equals the expanded walk
+    fast = _record_extrapolations(monkeypatch)
+    walks = []
+    inner = curves._crossing_count
+    monkeypatch.setattr(curves, "_crossing_count", lambda a, b: walks.append((a, b)) or inner(a, b))
+    rng = random.Random(2502)
+    for g in (2, 3):
+        system = standard_curve_system(g)
+        partners = [curve for _, curve in system.named()]
+        partners += [random_curve(rng, g, max_len=2) for _ in range(4)]
+        for power in (30, -30, 400, -400):
+            twisted = dehn_twist(system.betas[-1], system.c, power)
+            pairs = [
+                order
+                for curve in partners if not is_isotopic(curve, twisted)
+                for order in ((curve, twisted), (twisted, curve))
+            ]
+            want = [curves._crossing_count(*[_expanded(x) for x in order]) for order in pairs]
+            for order in pairs:
+                curves.crossing_count(*order)
+            fast.clear()
+            walks.clear()
+            for order, expected in zip(pairs, want):
+                assert curves.crossing_count(*order) == expected, (g, power, order)
+            assert fast and len(walks) == len(pairs) - len(fast), (g, power)
+
+
+def test_a_reversed_partner_gets_its_own_kept_signed_count(monkeypatch):
+    # the kept counts are keyed by the partner's word, which carries its
+    # orientation: a reversed partner is isotopic to the partner, and reads
+    # the signed sum of the other sign, not the partner's kept one
+    fast = _record_extrapolations(monkeypatch)
+    rng = random.Random(2501)
+    flipped = 0
+    for g in (2, 3):
+        bn = beta_gn(g, 100)
+        partners = [curve for _, curve in standard_curve_system(g).named()]
+        partners += [random_curve(rng, g, max_len=2) for _ in range(8)]
+        for curve in partners:
+            if is_isotopic(curve, bn):
+                continue
+            reverse = curves.Curve(curve.surface, curves.inverse_word(curve.word))
+            for order in ((curve, bn), (bn, curve)):
+                number, signed = curves.crossing_count(*order)
+                swap = [reverse if x is curve else x for x in order]
+                assert curves.crossing_count(*swap) == (number, -signed), (g, curve.word)
+                plain = [_expanded(x) if x is bn else x for x in swap]
+                assert curves._crossing_count(*plain) == (number, -signed), (g, curve.word)
+                flipped += signed != 0
+    assert flipped >= 12 and len(fast) >= 4 * flipped
+
+
+def test_a_margin_lowered_after_counts_were_kept_walks_again(monkeypatch):
+    # the kept counts are keyed by the margin: under a lowered cap a warm
+    # target raises WalkBoundExceeded exactly where a cold one does, and
+    # otherwise gives the walk on the expanded word
+    bn = beta_gn(2, 100)
+    target = bn._twist[0]
+    named = standard_curve_system(2).named()
+    want = {name: [w for _, w in _both_orders(curve, bn)] for name, curve in named}
+
+    def outcome(a, b):
+        try:
+            return curves.crossing_count(a, b)
+        except WalkBoundExceeded:
+            return "raised"
+
+    raised = 0
+    for margin in (-10**6, -100, -20, -5, 0):
+        for name, curve in named:
+            for (a, b), expected in zip(((curve, bn), (bn, curve)), want[name]):
+                monkeypatch.setattr(curves, "_WALK_MARGIN", curves._DEFAULT_WALK_MARGIN)
+                curves.crossing_count(a, b)  # kept under the default cap
+                monkeypatch.setattr(curves, "_WALK_MARGIN", margin)
+                warm = outcome(a, b)
+                object.__setattr__(target, "_short_counts", None)
+                assert outcome(a, b) == warm in (expected, "raised"), (margin, name)
+                raised += warm == "raised"
+    assert raised
+
+
+def test_a_forged_twist_record_on_a_warm_target_is_not_extrapolated(monkeypatch):
+    # b_2 keeps counts against T(c)^p0(b_2); a curve of B[2,101]'s word
+    # that claims to be T(c)^100(b_2) fails the length check before they
+    # are read, in either argument order
+    system = standard_curve_system(2)
+    a1 = system.alphas[0]
+    assert intersection_number(a1, beta_gn(2, 100)) == 4 * 100
+    assert system.betas[-1]._short_counts
+    fast = _record_extrapolations(monkeypatch)
+    forged = _expanded(beta_gn(2, 101))
+    object.__setattr__(forged, "_twist", (system.betas[-1], system.c, 100))
+    assert intersection_number(a1, forged) == intersection_number(forged, a1) == 4 * 101
+    assert fast == []
+
+
 # ---------------------------------------------------------------------------
 # homology
 
