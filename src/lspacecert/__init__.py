@@ -6,7 +6,6 @@ from .curves import (
     homology_class,
     intersection_number,
     is_isotopic,
-    normalize,
 )
 from .certify import Certificate, certify, cross_validate, derive_base_bound
 from .floer import (
@@ -61,7 +60,6 @@ __all__ = [
     "lspace_profile",
     "monodromy_phi",
     "monodromy_psi",
-    "normalize",
     "parse_poly",
     "staircase_from_alexander",
     "standard_curve_system",

@@ -1,17 +1,17 @@
 """Replayable derivation certificates for the twisted monodromy family.
 
 A certificate is an ordered list of typed steps.  Every n-dependent rank
-fact is recomputed by the curve kernel each time a certificate is built,
-and each one is checked against its pinned value; a kernel regression or
-a corrupted curve table therefore aborts the derivation with
-AnchorViolation instead of producing a wrong proof.  Genus-only facts
-are kept for the life of the process: the base bound
+fact is recomputed each time a certificate is built, except that from
+n = p0 on (6 for the one-letter partners) the counts of B[g,n] are read
+off counts against two short twists of b_g, which b_g keeps; each fact
+is checked against its pinned value, so a kernel regression or a
+corrupted curve table aborts the derivation with AnchorViolation instead
+of producing a wrong proof.  The isotopy checks, the length check and
+the affine extension of the kept counts run for every certificate.
+Genus-only facts are kept for the life of the process: the base bound
 (``derive_base_bound``) is derived and checked once per genus and
 spliced into every certificate of that genus, and a build that fails its
-checks is not cached; from n = 18 on the counts of B[g,n] are extended
-from counts against two short twists of b_g, which b_g keeps, while the
-isotopy checks, the length check and the extension run for every
-certificate.
+checks is not cached.
 Triangle steps apply the exact-triangle bound to earlier steps, and
 arithmetic steps track the inequality chain whose end is the final
 bound 16n^2 - 5 on the rank in Alexander grading 1 - g.  The verdict
@@ -95,6 +95,9 @@ class Citation(record("Citation", "anchor quote")):
     __slots__ = ()
 
 
+_CITED = {anchor: Citation(anchor, quote) for anchor, quote in CITATIONS.items()}
+
+
 class DerivationStep(record("DerivationStep", "index kind label inputs output citation")):
     """One derivation line.
 
@@ -112,10 +115,6 @@ class Certificate(record("Certificate", "genus n steps final_bound verdict")):
     __slots__ = ()
 
 
-def _cite(anchor):
-    return Citation(anchor, CITATIONS[anchor])
-
-
 class _Builder:
     def __init__(self, g):
         self.g = g
@@ -129,7 +128,7 @@ class _Builder:
 
     def add(self, kind, label, inputs, output, anchor):
         step = DerivationStep(
-            len(self.steps), kind, label, tuple(inputs), output, _cite(anchor)
+            len(self.steps), kind, label, tuple(inputs), output, _CITED[anchor]
         )
         self.steps.append(step)
         return step

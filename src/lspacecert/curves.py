@@ -48,10 +48,10 @@ equality run Booth's algorithm only on curves of equal length.
 A twist T^k(t) about u keeps (t, u, k).  From a power p0 that depends on
 the lengths of t, u and a partner alone, its counts against that partner
 are affine in |k|, since each further power adds one period deep inside
-every inserted run (a window bound, Fine and Wilf 1965).  So for large
-|k| ``crossing_count`` reads them off the twists at p0 and p0 + 1, which
-t keeps together with the counts against them, and the work of the count
-does not grow with k.
+every inserted run (a window bound, Fine and Wilf 1965).  So from |k| =
+p0 on ``crossing_count`` reads them off the twists at p0 and p0 + 1,
+which t keeps together with the counts against them, and the work of the
+count does not grow with k.
 
 The homology class of a word is one dict from arc index to nonzero
 signed count, ``_word_class``; ``homology_class`` and the homology layer
@@ -72,8 +72,6 @@ from .errors import (
 # distinct periodic rays part within p + q steps, and crossing ends within q + 1 codes
 _DEFAULT_WALK_MARGIN = 8
 _WALK_MARGIN = _DEFAULT_WALK_MARGIN
-# a count against T^k(t) reads two short twists once |k| >= _RUN_FACTOR * p0
-_RUN_FACTOR = 3
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +493,9 @@ class Curve:
 
     Instances are immutable and compared as unoriented curves, that is
     up to rotation and reversal of the crossing word.  ``Curve(surface,
-    word)`` and ``normalize`` build one from a raw word through
-    ``_validate_word``, which refuses a word that is not an embedded
-    essential curve with a typed error.
+    word)`` builds one from a raw word through ``_validate_word``, which
+    refuses a word that is not an embedded essential curve with a typed
+    error.
 
     The reduced word is all a curve is built from, and the curve holds
     what is derived from it: its normal form (``canonical_form``), its
@@ -569,32 +567,6 @@ class Curve:
         return " ".join(
             f"{names[abs(x) - 1]}{'+' if x > 0 else '-'}" for x in self.word
         )
-
-
-def normalize(word, surface):
-    """Normalize a raw cyclic crossing word to a Curve.
-
-    Reduction removes every return bigon against the cut arcs, and the
-    result is the unique shortest word in the isotopy class, up to
-    rotation and reversal.  Idempotent on already normalized words.
-    """
-    if isinstance(word, str):
-        word = parse_tokens(word, surface)
-    return Curve(surface, word)
-
-
-def parse_tokens(text, surface):
-    """Inverse of Curve.tokens, accepting names like ``e3-``."""
-    index = {name: k + 1 for k, name in enumerate(surface.cut_arcs)}
-    word = []
-    for tok in text.split():
-        if len(tok) < 2 or tok[-1] not in "+-":
-            raise ValueError(f"bad crossing token {tok!r}")
-        name, sign = tok[:-1], 1 if tok[-1] == "+" else -1
-        if name not in index:
-            raise ValueError(f"unknown arc {name!r}")
-        word.append(sign * index[name])
-    return tuple(word)
 
 
 def _fast_curve(surface, word):
@@ -676,18 +648,21 @@ def _run_extrapolated_count(partner, curve, partner_first):
     (which carries its orientation), the argument order and the margin.
     The length and isotopy checks run before the kept counts are read.
 
-    It applies for |k| >= ``_RUN_FACTOR`` * p0, where two short counts
-    cost less than the long one, and only if len(curve) grows from the
-    short twists by the same step per power.  p0 never reads a margin
-    below the default, so a lowered cap cannot move it; the short counts
-    still raise WalkBoundExceeded under that cap.
+    It applies from |k| = p0 on, and only if len(curve) grows from the
+    short twists by the same step per power.  The first count of a
+    partner against twists of t about u walks both short twists, which
+    near p0 is one walk more than the expanded word would take; every
+    later count of that partner, at any |k| >= p0, reads the kept pair.
+    p0 never reads a margin below the default, so a lowered cap cannot
+    move it; the short counts still raise WalkBoundExceeded under that
+    cap.
     """
     target, about, power = curve._twist
     step = len(about.word)
     margin = max(_WALK_MARGIN, _DEFAULT_WALK_MARGIN)
     p0 = -(-(len(partner.word) + len(target.word) + step + margin) // step) + 2
     k = abs(power)
-    if k < _RUN_FACTOR * p0:
+    if k < p0:
         return None
     sign = 1 if power > 0 else -1
     near = _short_twist(target, about, sign * p0)

@@ -396,9 +396,9 @@ def test_certify_validate_and_replay_compute_no_normal_form(monkeypatch):
 
 
 def test_certify_builds_tables_only_of_short_twists(monkeypatch, fresh_system_caches):
-    # B[g,n] is counted against a_{g-1}, a_g and b_{g-1}; from n = 18 each
-    # count reads T(c)^6(b_g) and T(c)^7(b_g), which b_g keeps, and below
-    # that the count walks B's own word, whose classes it builds once
+    # B[g,n] is counted against a_{g-1}, a_g and b_{g-1}; from n = p0 = 6
+    # each count reads T(c)^6(b_g) and T(c)^7(b_g), which b_g keeps, and
+    # below that the count walks B's own word, whose classes it builds once
     built = count_corner_classes(monkeypatch)
     certify(3, 400)
     assert len(mcg.beta_gn(3, 400)) == 3201 and max(map(len, built)) < 100
@@ -407,15 +407,23 @@ def test_certify_builds_tables_only_of_short_twists(monkeypatch, fresh_system_ca
         certify(3, n)
         assert built == [], n
     built.clear()
-    certify(2, 9)
-    assert built.count(mcg.beta_gn(2, 9).word) == 1
+    certify(2, 5)
+    assert built.count(mcg.beta_gn(2, 5).word) == 1
+    built.clear()
+    certify(2, 6)  # the genus's first short-twist certificate
+    short = [mcg.beta_gn(2, 6).word, mcg.beta_gn(2, 7).word]
+    assert [built.count(word) for word in short] == [1, 1]
+    for n in (6, 9):
+        built.clear()
+        certify(2, n)
+        assert built == [], n
 
 
 def test_certify_count_work_does_not_grow_with_n(monkeypatch, fresh_system_caches):
-    # from n = 18 the counts of B[g,n] read T(c)^6(b_g) and T(c)^7(b_g), and
-    # the counts against those are kept on b_g: the first such certificate
-    # of a genus walks them, and every further one walks only a_{g-1}
-    # against a_g
+    # from n = p0 = 6 the counts of B[g,n] read T(c)^6(b_g) and
+    # T(c)^7(b_g), and the counts against those are kept on b_g: the first
+    # such certificate of a genus walks them, and every further one walks
+    # only a_{g-1} against a_g
     built = count_corner_classes(monkeypatch)
     walks = []
     inner = curves._count_by_codes
@@ -433,10 +441,36 @@ def test_certify_count_work_does_not_grow_with_n(monkeypatch, fresh_system_cache
         walks.clear()
         certify(g, 1000)
         assert walks and max(map(len, built)) < 100, g
-        for n in (18, 100_000, 1000, 25):
+        for n in (6, 18, 100_000, 1000, 25):
             built.clear()
             walks.clear()
             pairs.clear()
             certify(g, n)
             assert built == [] and walks == [], (g, n)
             assert [(a.word, b.word) for a, b in pairs] == [(aa.word, a_g.word)], (g, n)
+
+
+def test_outputs_across_p0_match_the_walk_on_the_expanded_word(monkeypatch):
+    # n = 5..18 straddles p0 = 6 of the one-letter partners: certificate
+    # bytes and intersect output read off the short twists are those of
+    # the walk on B[g,n]'s own word
+    def outputs(g, n):
+        out = io.StringIO()
+        code = cli.main(["intersect", "-g", str(g), f"a{g - 1}", f"B[{g},{n}]"], out)
+        return cli.emit_certificate(certify(g, n), "json"), code, out.getvalue()
+
+    keys = [(g, n) for g in range(2, 9) for n in range(5, 19)]
+    extrapolated = []
+    inner = curves._run_extrapolated_count
+
+    def recorded(*args):
+        count = inner(*args)
+        extrapolated.append(count)
+        return count
+
+    monkeypatch.setattr(curves, "_run_extrapolated_count", recorded)
+    fast = {key: outputs(*key) for key in keys}
+    assert sum(count is not None for count in extrapolated) >= 3 * 7 * 13
+    monkeypatch.setattr(curves, "_run_extrapolated_count", lambda *args: None)
+    for key in keys:
+        assert outputs(*key) == fast[key], key

@@ -12,8 +12,6 @@ from lspacecert.curves import (
     intersection_number,
     is_isotopic,
     is_primitive,
-    normalize,
-    parse_tokens,
     reduce_cyclic,
 )
 from lspacecert.errors import (
@@ -55,7 +53,7 @@ S2 = standard_surface(2)
 def test_cancelling_bigon_removed():
     # e1+ e1- W reduces to W
     w = (1, -1, 4, 3)
-    assert normalize(w, S2).word == reduce_cyclic(w) == (4, 3)
+    assert curves.Curve(S2, w).word == reduce_cyclic(w) == (4, 3)
 
 
 def test_wraparound_bigon_removed():
@@ -64,15 +62,21 @@ def test_wraparound_bigon_removed():
 
 def test_normalize_idempotent_on_system_curves(sys2):
     for _, curve in sys2.named():
-        again = normalize(curve.word, S2)
+        again = curves.Curve(S2, curve.word)
         assert again.word == curve.word
+
+
+def _parse_tokens(text, surface):
+    """The crossing word of ``Curve.tokens`` text, e.g. ``'e3+ e2+ e3- e2-'``."""
+    index = {name: k + 1 for k, name in enumerate(surface.cut_arcs)}
+    return tuple((1 if tok[-1] == "+" else -1) * index[tok[:-1]] for tok in text.split())
 
 
 def test_normalize_accepts_token_text(sys2):
     c = sys2.c
-    curve = normalize("e3+ e2+ e3- e2-", S2)
+    curve = curves.Curve(S2, _parse_tokens("e3+ e2+ e3- e2-", S2))
     assert curve == c
-    assert parse_tokens(c.tokens(), S2) == c.word
+    assert _parse_tokens(c.tokens(), S2) == c.word
 
 
 def test_normalized_word_has_no_bigon(sys2):
@@ -85,26 +89,26 @@ def test_normalized_word_has_no_bigon(sys2):
 
 def test_normalize_empty_is_inessential():
     with pytest.raises(Inessential):
-        normalize((), S2)
+        curves.Curve(S2, ())
     with pytest.raises(Inessential):
-        normalize((1, -1), S2)
+        curves.Curve(S2, (1, -1))
 
 
 def test_normalize_boundary_is_inessential():
     with pytest.raises(Inessential):
-        normalize(S2.boundary_word(), S2)
+        curves.Curve(S2, S2.boundary_word())
 
 
 def test_normalize_rejects_non_simple():
     with pytest.raises(NotSimple):
-        normalize((1, 2, 1, 2), S2)
+        curves.Curve(S2, (1, 2, 1, 2))
     with pytest.raises(NotSimple):
-        normalize((1, 1), S2)
+        curves.Curve(S2, (1, 1))
 
 
 def test_normalize_rejects_unknown_arcs():
     with pytest.raises(ValueError):
-        normalize((9,), S2)
+        curves.Curve(S2, (9,))
     # a bool is an int subclass, not an arc name: True would equal a1
     for word in ((True,), (True, 2, -1, -2)):
         with pytest.raises(ValueError):
@@ -236,7 +240,7 @@ def test_surgery_output_normalizes_to_the_pinned_example(sys2):
     # meeting a1 in 4 points; expected count frozen from the placement
     # oracle (and equal to iota(c, b2) squared)
     raw = dehn_twist(b2, c, 1).word
-    curve = normalize(raw, S2)
+    curve = curves.Curve(S2, raw)
     assert intersection_number(curve, a1) == 4
     assert oracle_min_crossings(curve.word, a1.word, S2) == 4
 
@@ -254,8 +258,7 @@ def _built(build, word):
 
 
 def test_curve_validation_examples(sys2):
-    # Curve and normalize run one validation: the same reduced word or the
-    # same typed error
+    # Curve runs one validation: the reduced word or a typed error
     _, b2 = sys2.betas
     c = sys2.c
     cases = [
@@ -276,7 +279,6 @@ def test_curve_validation_examples(sys2):
     ]
     for word, want in cases:
         assert _built(lambda w: curves.Curve(S2, w), word) == want, word
-        assert _built(lambda w: normalize(w, S2), word) == want, word
 
 
 def test_curve_validation_agrees_with_placement_oracle():
@@ -307,7 +309,7 @@ def test_isotopy_basics(sys2):
     assert is_isotopic(b2, b2)
     assert not is_isotopic(a2, b2)
     # rotation and reversal are the same unoriented curve
-    rotated = normalize((2, -3, -2, 3), S2)
+    rotated = curves.Curve(S2, (2, -3, -2, 3))
     assert is_isotopic(rotated, c)
 
 
@@ -317,13 +319,13 @@ def test_rotated_and_reversed_words_give_equal_curves():
     for k in (0, 1, 7, len(w) - 1):
         rotated = curves.rotate_word(w, k)
         for word in (rotated, curves.inverse_word(rotated)):
-            again = normalize(word, S2)
+            again = curves.Curve(S2, word)
             assert again is not bn and again.word == word
             assert again == bn and bn == again
             assert hash(again) == hash(bn)
             assert is_isotopic(again, bn)
             assert curves.crossing_count(again, bn) == (0, 0)
-    assert len({bn, normalize(curves.inverse_word(w), S2)}) == 1
+    assert len({bn, curves.Curve(S2, curves.inverse_word(w))}) == 1
 
 
 def test_curves_of_different_lengths_differ_without_a_normal_form(sys2, monkeypatch):
@@ -336,7 +338,7 @@ def test_curves_of_different_lengths_differ_without_a_normal_form(sys2, monkeypa
     assert curves.crossing_count(bn, c) == curves.crossing_count(bn, c)
     assert bn == bn and is_isotopic(bn, bn)  # the same object
     assert calls == []
-    x, y = normalize((2, -3, -2, 3), S2), normalize(c.word, S2)
+    x, y = curves.Curve(S2, (2, -3, -2, 3)), curves.Curve(S2, c.word)
     assert x == y and y == x and hash(x) == hash(y)
     assert calls == [4, 4]  # equal lengths: each side's normal form, once
 
@@ -347,7 +349,7 @@ def test_a_curve_built_from_a_raw_word_builds_one_table(sys2, monkeypatch):
     a1 = sys2.alphas[0]
     word = beta_gn(2, 400).word
     built = count_corner_classes(monkeypatch)
-    curve = normalize(word, S2)
+    curve = curves.Curve(S2, word)
     assert intersection_number(curve, a1) == 4 * 400
     assert built.count(word) == 1
 
@@ -362,7 +364,7 @@ def test_is_isotopic_matches_the_rotation_oracle():
             word = curves.rotate_word(curve.word, rng.randrange(len(curve)))
             if rng.random() < 0.5:
                 word = curves.inverse_word(word)
-            by_length[len(curve)].append(normalize(word, curve.surface))
+            by_length[len(curve)].append(curves.Curve(curve.surface, word))
         same = differ = 0
         for group in by_length.values():
             for a in group:
@@ -886,9 +888,8 @@ def _both_orders(partner, twisted):
 
 def test_counts_against_long_twists_equal_the_walk_on_the_expanded_word(monkeypatch):
     # the window bound (Fine and Wilf): from p0 on, every count against
-    # T^k(t) is affine in |k|; at factor 1 each such power reads two short
-    # twists, so the bound is held to every power from p0 on
-    monkeypatch.setattr(curves, "_RUN_FACTOR", 1)
+    # T^k(t) is affine in |k| and reads two short twists, so the bound is
+    # held to every power from p0 on
     fast = _record_extrapolations(monkeypatch)
     rng = random.Random(2401)
     checked = 0
@@ -930,7 +931,7 @@ def test_a_reversed_target_twisted_many_times_flips_every_signed_count(monkeypat
             if is_isotopic(target, about):
                 continue
             # the least power at which every partner takes the short twists
-            power = max(curves._RUN_FACTOR * _p0(x, target, about) for x in partners)
+            power = max(_p0(x, target, about) for x in partners)
             reverse = curves.Curve(target.surface, curves.inverse_word(target.word))
             twisted = dehn_twist(target, about, power)
             twisted_reverse = dehn_twist(reverse, about, power)
@@ -1115,7 +1116,7 @@ def test_homology_classes(sys2):
 def test_homology_canonical_sign(sys2):
     _, b2 = sys2.betas
     # reversal flips every crossing sign but not the reported class
-    rev = normalize(tuple(-x for x in reversed(b2.word)), S2)
+    rev = curves.Curve(S2, tuple(-x for x in reversed(b2.word)))
     assert homology_class(rev) == homology_class(b2)
 
 
@@ -1125,7 +1126,7 @@ def test_homology_class_matches_the_dense_vector_oracle(rng):
     for g in (2, 3, 4):
         for _ in range(30):
             curve = random_curve(rng, g)
-            rev = normalize(curves.inverse_word(curve.word), curve.surface)
+            rev = curves.Curve(curve.surface, curves.inverse_word(curve.word))
             for x in (curve, rev):
                 vector = oriented_class(x.word, 2 * g)
                 assert curves._word_class(x.word) == {k: v for k, v in enumerate(vector) if v}

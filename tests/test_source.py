@@ -69,7 +69,6 @@ def test_benchmark_work_rows_read_the_arguments_they_size():
 # syntax tree; and Python's read-only attribute protocol on a Curve
 _BUILTIN_RAISES = {
     ("poly", "parse_poly", "ValueError"),
-    ("curves", "parse_tokens", "ValueError"),
     ("curves", "_validate_word", "ValueError"),
     ("cli", "_parse_range", "ValueError"),
     ("cli", "_cmd_sweep", "ValueError"),
