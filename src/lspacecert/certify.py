@@ -9,9 +9,10 @@ corrupted curve table aborts the derivation with AnchorViolation instead
 of producing a wrong proof.  The isotopy checks, the length check and
 the affine extension of the kept counts run for every certificate.
 Genus-only facts are kept for the life of the process: the base bound
-(``derive_base_bound``) is derived and checked once per genus and
-spliced into every certificate of that genus, and a build that fails its
-checks is not cached.
+(``derive_base_bound``) is derived and checked once per genus and kept
+already moved to the index where every certificate of that genus
+splices it (steps 14-16), and a build that fails its checks is not
+cached.
 Triangle steps apply the exact-triangle bound to earlier steps, and
 arithmetic steps track the inequality chain whose end is the final
 bound 16n^2 - 5 on the rank in Alexander grading 1 - g.  The verdict
@@ -169,18 +170,6 @@ class _Builder:
             KIND_TRIANGLE, label, (f"step:{a.index}", f"step:{c.index}"), out, anchor
         )
 
-    def splice(self, steps):
-        """Append a block built by another builder, moving its indices and
-        ``step:k`` inputs up by the current length; returns its last step."""
-        offset = len(self.steps)
-        for s in steps:
-            inputs = tuple(
-                f"step:{int(ref[5:]) + offset}" if ref.startswith("step:") else ref
-                for ref in s.inputs
-            )
-            self.steps.append(s._replace(index=s.index + offset, inputs=inputs))
-        return self.steps[-1]
-
 
 def _check_int(name, value):
     # type, not isinstance: a bool is an int, and True must not pass as 1
@@ -228,6 +217,22 @@ def _base_block(g):
         "axiom.surgery-triangle",
     )
     return tuple(builder.steps)
+
+
+@lru_cache(maxsize=None)
+def _spliced_base_block(g, offset):
+    """``_base_block(g)`` with its indices and ``step:k`` inputs moved up by
+    offset, kept per genus at the index ``certify`` splices it at."""
+    return tuple(
+        s._replace(
+            index=s.index + offset,
+            inputs=tuple(
+                f"step:{int(ref[5:]) + offset}" if ref.startswith("step:") else ref
+                for ref in s.inputs
+            ),
+        )
+        for s in _base_block(g)
+    )
 
 
 def certify(g, n):
@@ -304,7 +309,8 @@ def certify(g, n):
         "arith.chain",
     )
 
-    s_base = builder.splice(derive_base_bound(g))
+    builder.steps.extend(_spliced_base_block(g, len(builder.steps)))
+    s_base = builder.steps[-1]
 
     s_target = builder.triangle(
         f"rk HFK(S3, K{n}; {1 - g})", s_x1, s_base, "axiom.surgery-triangle"
@@ -346,8 +352,8 @@ def verify_certificate(cert):
 
     The rerun evaluates every cited curve expression and checks each rank
     against its pinned value, so it is the whole verification.  It reuses
-    what the process keeps per genus: the base block and the counts
-    against the short twists of b_g.  Returns
+    what the process keeps per genus: the base block, the counts against
+    the short twists of b_g and the surgery plan of (b_g, c).  Returns
     True when the fresh certificate is equal, and raises AnchorViolation
     otherwise.
     """

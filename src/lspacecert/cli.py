@@ -6,6 +6,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _q
 
 from .certify import (
+    _CITED,
     KIND_CONCLUSION,
     SCHEMA_VERSION,
     certify,
@@ -71,6 +72,19 @@ def _json_output(out):
     )
 
 
+def _json_citation(c):
+    return (
+        f'{{\n'
+        f'        "anchor": {_q(c.anchor)},\n'
+        f'        "quote": {_q(c.quote)}\n'
+        f'      }}'
+    )
+
+
+# every step cites one of the package's citations: each is written once
+_CITATION_JSON = {c: _json_citation(c) for c in _CITED.values()}
+
+
 def _json_step(s):
     inputs = (
         "[\n        " + ",\n        ".join(map(_q, s.inputs)) + "\n      ]"
@@ -84,10 +98,7 @@ def _json_step(s):
         f'      "label": {_q(s.label)},\n'
         f'      "inputs": {inputs},\n'
         f'      "output": {_json_output(s.output)},\n'
-        f'      "citation": {{\n'
-        f'        "anchor": {_q(s.citation.anchor)},\n'
-        f'        "quote": {_q(s.citation.quote)}\n'
-        f'      }}\n'
+        f'      "citation": {_CITATION_JSON.get(s.citation) or _json_citation(s.citation)}\n'
         f'    }}'
     )
 

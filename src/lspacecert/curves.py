@@ -53,6 +53,15 @@ p0 on ``crossing_count`` reads them off the twists at p0 and p0 + 1,
 which t keeps together with the counts against them, and the work of the
 count does not grow with k.
 
+Twist surgery is a plan and its assembly.  The plan of a pair (t, u) is
+one (slot, eps, phase) per crossing, read off their crossing order: where
+t's word is cut, the sign of the crossing and the letter of u's word the
+inserted copies start at.  It does not depend on the power, so t keeps
+it, keyed by u's word and the walk margin, and every twist of t about u
+assembles its word from the kept plan; the twists B[g,n] of b_g about c
+for every n list the crossings of that pair once.  The slot check runs
+when a plan is built, and a plan that fails it is not kept.
+
 The homology class of a word is one dict from arc index to nonzero
 signed count, ``_word_class``; ``homology_class`` and the homology layer
 in ``mcg`` both read it.
@@ -505,11 +514,16 @@ class Curve:
     ``is_isotopic`` on one surface, which reads the normal forms only of
     words of equal length.  A twist keeps its (target, about, power) in
     ``_twist``, and a target keeps its short twists in ``_short_twists``
-    and the counts of partners against them in ``_short_counts``.
+    and the counts of partners against them in ``_short_counts``.  A
+    target keeps the surgery plan of each curve it is twisted about in
+    ``_plans``, keyed by that curve's word and the walk margin: the
+    (slot, eps, phase) of each crossing, ints only, built and checked by
+    the first twist of the pair (``_surgery_plan``) and not kept if its
+    slot check fails.
     """
 
     __slots__ = (
-        "surface", "word", "_twist", "_short_twists", "_short_counts",
+        "surface", "word", "_twist", "_short_twists", "_short_counts", "_plans",
         "_canon", "_hash", "_corners", "_codes", "_codes_inv",
     )
 
@@ -590,7 +604,8 @@ def _reduced_curve(surface, reduced):
 
 
 def _check_same_surface(a, b):
-    if a.surface != b.surface:
+    # system curves share the one lru_cached surface, so identity decides most
+    if a.surface is not b.surface and a.surface != b.surface:
         raise SurfaceMismatch("curves live on different surfaces")
 
 
@@ -709,6 +724,40 @@ def algebraic_intersection_number(a, b):
     return crossing_count(a, b)[1]
 
 
+def _surgery_plan(target, about):
+    """Where ``dehn_twist`` cuts the target and how it fills each cut.
+
+    One (slot, eps, phase) per crossing of the pair, in the order of
+    ``_crossing_order`` along the target: the copies of about go in just
+    before letter ``target.word[slot]``, start at letter ``phase`` of
+    about's word, and run forward exactly when eps * power > 0.  The plan
+    depends on the pair alone, not on the power, so the target keeps it,
+    by about's word and ``_WALK_MARGIN``: under a lowered margin the
+    order is walked again and still raises WalkBoundExceeded.  A slot
+    must lie within the interval its lift shares with the axis; that is
+    checked when the plan is built, and a plan that fails it raises
+    AnchorViolation and is not kept.
+    """
+    kept = target._plans
+    if kept is None:
+        kept = {}
+        object.__setattr__(target, "_plans", kept)
+    key = about.word, _WALK_MARGIN
+    if key not in kept:
+        q = len(about.word)
+        xs = _crossing_order(target, about)
+        plan, slot = [], xs[0].m if xs else 0
+        for x in xs:
+            slot = max(slot, x.m)
+            if slot > x.m + x.k:
+                raise AnchorViolation(
+                    f"crossing slot of the lift at axis vertex {x.m}", f"<= {x.m + x.k}", slot
+                )
+            plan.append((slot, x.eps, _phase_at(x, slot, q)))
+        kept[key] = tuple(plan)
+    return kept[key]
+
+
 def dehn_twist(target, about, power=1):
     """The twist of ``target`` about ``about``, normalized.
 
@@ -717,29 +766,25 @@ def dehn_twist(target, about, power=1):
     target is rerouted along |power| parallel copies of the twisting
     curve, in the direction given by the crossing sign and the sign of
     ``power``.  A single pass inserts all copies, so the word grows
-    linearly in |power|.  The target's word and each inserted run of
-    copies are reduced, so only the seams between them can cancel.  The
-    image keeps (target, about, power) for the counts of
+    linearly in |power|.  Where the cuts go and how each is filled is the
+    pair's ``_surgery_plan``, which the target keeps, so every call, the
+    first included, assembles the image from the plan and twisting the
+    same pair again walks no crossing.  The target's word and each
+    inserted run of copies are reduced, so only the seams between them
+    can cancel.  The image keeps (target, about, power) for the counts of
     ``crossing_count``, unless the target keeps one itself.
     """
     _check_same_surface(target, about)
     if power == 0 or is_isotopic(target, about):
         return target
-    d, c = target.word, about.word
-    q = len(c)
-    xs = _crossing_order(target, about)
-    if not xs:
+    plan = _surgery_plan(target, about)
+    if not plan:
         return target
-    pieces, done, slot = [], 0, xs[0].m
-    for x in xs:
-        slot = max(slot, x.m)
-        if slot > x.m + x.k:
-            raise AnchorViolation(
-                f"crossing slot of the lift at axis vertex {x.m}", f"<= {x.m + x.k}", slot
-            )
-        phase = _phase_at(x, slot, q)
+    d, c = target.word, about.word
+    pieces, done = [], 0
+    for slot, eps, phase in plan:
         loop = rotate_word(c, phase)
-        e = x.eps * power
+        e = eps * power
         # the copies go in just before letter d[slot]
         pieces.append(d[done:slot])
         pieces.append(loop * e if e > 0 else inverse_word(loop) * (-e))

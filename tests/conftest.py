@@ -7,8 +7,8 @@ import textwrap
 import pytest
 
 import lspacecert
-from lspacecert import curves, mcg, surface
-from lspacecert.certify import _base_block
+from lspacecert import cli, curves, mcg, surface
+from lspacecert.certify import _base_block, _spliced_base_block
 from lspacecert.mcg import TwistWord, apply_word, standard_curve_system
 
 
@@ -45,12 +45,22 @@ def sys2():
     return standard_curve_system(2)
 
 
+# every cache of the package; tests/test_source.py holds this to the
+# cached functions it finds in the package's modules
+PACKAGE_CACHES = (
+    surface.standard_surface,
+    mcg.standard_curve_system,
+    _base_block,
+    _spliced_base_block,
+    cli._build_parser,
+)
+
+
 def clear_genus_caches():
-    """Empty every per-genus cache of the package: surface, curve system
-    and base block."""
-    surface.standard_surface.cache_clear()
-    mcg.standard_curve_system.cache_clear()
-    _base_block.cache_clear()
+    """Empty every cache of the package: surface, curve system, base block
+    (as built and as spliced) and the argument parser."""
+    for cached in PACKAGE_CACHES:
+        cached.cache_clear()
 
 
 @pytest.fixture

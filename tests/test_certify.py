@@ -450,6 +450,26 @@ def test_certify_count_work_does_not_grow_with_n(monkeypatch, fresh_system_cache
             assert [(a.word, b.word) for a, b in pairs] == [(aa.word, a_g.word)], (g, n)
 
 
+def test_certify_lists_crossings_only_in_the_first_certificate_of_a_genus(
+    monkeypatch, fresh_system_caches
+):
+    # B[g,n], its short twists and psi(b_g) twist targets of the genus's
+    # system, which keep their surgery plans: after the first certificate
+    # of a genus, a certificate at a new n orders no crossing
+    calls = []
+    inner = curves._crossing_order
+    monkeypatch.setattr(
+        curves, "_crossing_order", lambda t, a: calls.append((t, a)) or inner(t, a)
+    )
+    for g in (2, 3):
+        certify(g, 1)
+        assert calls, g
+        for n in (2, 5, 6, 14, 400):
+            calls.clear()
+            certify(g, n)
+            assert calls == [], (g, n)
+
+
 def test_outputs_across_p0_match_the_walk_on_the_expanded_word(monkeypatch):
     # n = 5..18 straddles p0 = 6 of the one-letter partners: certificate
     # bytes and intersect output read off the short twists are those of

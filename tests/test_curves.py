@@ -401,8 +401,8 @@ def test_twist_about_disjoint_curve_is_identity(sys2):
 
 
 def test_inconsistent_crossing_order_is_a_typed_error_even_under_python_O(sys2, monkeypatch):
-    a1, _ = sys2.alphas
-    b1, _ = sys2.betas
+    # copies keep no surgery plan, so the twist reads the patched order
+    a1, b1 = (curves._fast_curve(S2, x.word) for x in (sys2.alphas[0], sys2.betas[0]))
     # the second crossing's interval [0, 0] ends before the first one's slot 5
     def bad_order(target, about):
         return [curves._Crossing(5, 0, 0, True, 1), curves._Crossing(0, 0, 0, True, 1)]
@@ -457,6 +457,18 @@ def test_ray_following_the_line_past_the_cap_is_a_typed_error(monkeypatch):
     assert _tuples(curves._crossings(S2, a1, b)) == sorted(order)
     with pytest.raises(WalkBoundExceeded):
         curves._crossing_order(a1, b)
+
+
+def test_a_kept_surgery_plan_still_raises_under_a_lowered_margin(monkeypatch):
+    # a1 keeps its plan about B[2,1] from the first twist; keys of 2 codes
+    # tie, so under that margin the twist orders the crossings again and raises
+    a1, b = curves._fast_curve(S2, (1,)), beta_gn(2, 1)
+    twisted = dehn_twist(a1, b, 1).word
+    monkeypatch.setattr(curves, "_WALK_MARGIN", 2 - len(b))
+    with pytest.raises(WalkBoundExceeded):
+        dehn_twist(a1, b, 1)
+    monkeypatch.undo()
+    assert dehn_twist(a1, b, 1).word == twisted
 
 
 def test_tied_crossing_ends_are_a_typed_error_even_under_python_O():

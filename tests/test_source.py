@@ -1,12 +1,16 @@
 import ast
 import importlib
 import importlib.util
+import io
 import pathlib
 
 import lspacecert
-from lspacecert import curves, errors
+from lspacecert import cli, curves, errors
+from lspacecert.certify import verify_certificate
 from lspacecert.mcg import homology_action, monodromy_phi, standard_curve_system
 from lspacecert.poly import charpoly
+
+from conftest import clear_genus_caches
 
 
 def test_package_source_has_no_assert_statements():
@@ -110,3 +114,34 @@ def test_package_raises_only_workbench_errors():
                 found.append(f"{path.name}:{line} {func} raises {name}")
     assert found == []
     assert allowed == _BUILTIN_RAISES  # no stale entry
+
+
+def _package_caches():
+    """Every function with ``cache_clear`` defined in a module of the package,
+    by its qualified name."""
+    found = {}
+    for path in sorted(pathlib.Path(lspacecert.__file__).parent.glob("*.py")):
+        module = importlib.import_module(
+            "lspacecert" if path.stem == "__init__" else f"lspacecert.{path.stem}"
+        )
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_clear", None)) and (
+                getattr(value, "__module__", None) == module.__name__
+            ):
+                found[f"{module.__name__}.{name}"] = value
+    return found
+
+
+def test_clear_genus_caches_empties_every_cache_of_the_package():
+    # a cache that fresh_system_caches leaves filled would answer for a build
+    # a test patches.  A certificate through the CLI, replayed and verified,
+    # fills every cache found; a new cache it does not reach fails the first
+    # check, and one that clear_genus_caches misses fails the last
+    caches = _package_caches()
+    assert len(caches) >= 5  # surface, system, base block twice, parser
+    out = io.StringIO()
+    assert cli.main(["certify", "-g", "2", "-n", "1", "--json"], out) == 0
+    assert verify_certificate(cli.replay_json(out.getvalue()))
+    assert [name for name, f in caches.items() if not f.cache_info().currsize] == []
+    clear_genus_caches()
+    assert [name for name, f in caches.items() if f.cache_info().currsize] == []

@@ -9,7 +9,7 @@ from lspacecert.curves import (
     intersection_number,
     is_isotopic,
 )
-from lspacecert.mcg import apply_word, beta_gn
+from lspacecert.mcg import apply_word, beta_gn, monodromy_psi, standard_curve_system
 
 from conftest import random_curve, random_twist_word
 from oracles import canonical_sign, oracle_reduce_cyclic, oriented_class
@@ -161,3 +161,33 @@ def test_twist_words_join_their_pieces_like_the_naive_reduction(rng, monkeypatch
         joined += 1
         shortened += len(word) < len(naive)
     assert joined >= 150 and shortened >= 50  # many seams cancel letters
+
+
+def _twist_of_a_copy(target, about, power):
+    """The twist of a copy of target, which keeps no surgery plan."""
+    return dehn_twist(curves._fast_curve(target.surface, target.word), about, power)
+
+
+def test_twists_read_from_a_kept_plan_equal_twists_of_a_fresh_copy():
+    # b_g keeps its plan about c from its first twist on, and B[g,n] keeps
+    # one for each psi factor it is twisted about; each later twist of the
+    # pair reads the kept plan, and a copy builds its plan afresh
+    powers = [*range(1, 31), *range(-30, 0)]
+    for g in range(2, 9):
+        system, psi = standard_curve_system(g), monodromy_psi(g)
+        pairs = [(system.betas[-1], system.c)]
+        for n in (1, 7):
+            bn = beta_gn(g, n)
+            pairs += [(bn, about) for about, _ in psi.factors]
+            # psi applied factor by factor, every factor to a copy
+            copied = bn
+            for about, power in reversed(psi.factors):
+                copied = _twist_of_a_copy(copied, about, power)
+            assert apply_word(psi, bn).word == copied.word, (g, n)
+        for target, about in pairs:
+            dehn_twist(target, about, 1)
+            assert target._plans, (g, target, about)
+            for k in powers:
+                assert dehn_twist(target, about, k).word == (
+                    _twist_of_a_copy(target, about, k).word
+                ), (g, target, about, k)
