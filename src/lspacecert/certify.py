@@ -11,8 +11,8 @@ the affine extension of the kept counts run for every certificate.
 Genus-only facts are kept for the life of the process: the base bound
 (``derive_base_bound``) is derived and checked once per genus and kept
 already moved to the index where every certificate of that genus
-splices it (steps 14-16), and a build that fails its checks is not
-cached.
+splices it (steps 14-16), and so are the images psi(b_g) and psi(c) that
+``cross_validate`` twists; a build that fails its checks is not cached.
 Triangle steps apply the exact-triangle bound to earlier steps, and
 arithmetic steps track the inequality chain whose end is the final
 bound 16n^2 - 5 on the rank in Alexander grading 1 - g.  The verdict
@@ -26,7 +26,7 @@ re-evaluates every n-dependent fact and reuses the checked base block.
 """
 from functools import lru_cache
 
-from .curves import is_isotopic
+from .curves import dehn_twist, is_isotopic
 from .dsl import curve_from_text
 from .errors import (
     AnchorViolation,
@@ -44,7 +44,14 @@ from .floer import (
     tensor_rank,
     triangle_propagate,
 )
-from .mcg import alexander_polynomial, apply_word, beta_gn, monodromy_phi, monodromy_psi
+from .mcg import (
+    alexander_polynomial,
+    apply_word,
+    beta_gn,
+    monodromy_phi,
+    monodromy_psi,
+    standard_curve_system,
+)
 from .record import record
 
 SCHEMA_VERSION = 1
@@ -369,14 +376,30 @@ class CrossValidationReport(record(
     __slots__ = ()
 
 
+@lru_cache(maxsize=None)
+def _psi_images(g):
+    """(psi(b_g), psi(c)), kept per genus; psi(b_g) keeps the surgery plan
+    of the pair, so each later twist about psi(c) only assembles a word."""
+    system = standard_curve_system(g)
+    psi = monodromy_psi(g)
+    return apply_word(psi, system.betas[-1]), apply_word(psi, system.c)
+
+
 def cross_validate(g, n, budget=50_000):
     """Directly measure the twisted pair rank the derivation only bounds.
 
     Computes iota(B[g,n], psi(B[g,n])) on crossing words, checks the two
     curves are not isotopic, and compares against the derived lower bound
-    16n^2 - 3.  The product of the two word lengths must stay within
-    ``budget``.  A genus, n or budget that is not an int raises
-    MalformedInput.
+    16n^2 - 3.  psi(B[g,n]) is built as T_{psi(c)}^n(psi(b_g)), by the
+    conjugation relation f T_c f^-1 = T_{f(c)} for a mapping class f
+    (Farb and Margalit, A Primer on Mapping Class Groups, ch. 3), which
+    joins the trusted base here: one twist of the 3-letter psi(b_g) about
+    the curve psi(c) of at most 8 letters, both kept per genus.  The
+    count is still a direct walk on both expanded words.  The product of
+    the two word lengths must stay within ``budget``; a reduced cyclic
+    word is the unique shortest word of its class, so the lengths do not
+    depend on how the image is built.  A genus, n or budget that is not
+    an int raises MalformedInput.
     """
     _check_int("genus", g)
     _check_int("n", n)
@@ -386,7 +409,8 @@ def cross_validate(g, n, budget=50_000):
     if n < 1:
         raise NegativePower(f"cross validation needs n >= 1, got {n}")
     bn = beta_gn(g, n)
-    image = apply_word(monodromy_psi(g), bn)
+    psi_b, psi_c = _psi_images(g)
+    image = dehn_twist(psi_b, psi_c, n)
     work = len(bn) * len(image)
     if work > budget:
         raise BudgetExceeded(

@@ -8,7 +8,7 @@ import pytest
 
 import lspacecert
 from lspacecert import cli, curves, mcg, surface
-from lspacecert.certify import _base_block, _spliced_base_block
+from lspacecert.certify import _base_block, _psi_images, _spliced_base_block
 from lspacecert.mcg import TwistWord, apply_word, standard_curve_system
 
 
@@ -52,13 +52,15 @@ PACKAGE_CACHES = (
     mcg.standard_curve_system,
     _base_block,
     _spliced_base_block,
+    _psi_images,
     cli._build_parser,
 )
 
 
 def clear_genus_caches():
     """Empty every cache of the package: surface, curve system, base block
-    (as built and as spliced) and the argument parser."""
+    (as built and as spliced), the psi images of b_g and c, and the
+    argument parser."""
     for cached in PACKAGE_CACHES:
         cached.cache_clear()
 

@@ -338,6 +338,55 @@ def test_cross_validate_budget():
         cross_validate(2, 3, budget=10)
 
 
+def _validated_pair(monkeypatch, g, n):
+    """The report and the pair (B[g,n], image) that cross_validate measures."""
+    seen = []
+    monkeypatch.setattr(
+        certify_module, "hf_rank", lambda a, b: seen.append((a, b)) or hf_rank(a, b)
+    )
+    report = cross_validate(g, n, 10**9)
+    [(bn, image)] = seen
+    return report, bn, image
+
+
+@pytest.mark.parametrize("g", range(2, 7))
+def test_cross_validate_counts_against_psi_of_b_gn(monkeypatch, g):
+    # the image is built as T_{psi(c)}^n(psi(b_g)); applying psi factor by
+    # factor to B[g,n] stays the reference
+    psi = mcg.monodromy_psi(g)
+    for n in [*range(1, 13), 40, 400]:
+        _, bn, image = _validated_pair(monkeypatch, g, n)
+        want = mcg.apply_word(psi, mcg.beta_gn(g, n))
+        assert bn == mcg.beta_gn(g, n), n
+        assert len(image.word) == len(want.word), n
+        assert curves.is_isotopic(image, want), n
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_cross_validate_count_is_a_direct_walk(monkeypatch, g):
+    # the image keeps its twist record (psi(b_g), psi(c), n), but
+    # |psi(c)| <= 8 < 8n + 1 = |B[g,n]| puts p0 past n, so no count is
+    # read off short twists and the kernel walks the two expanded words
+    psi_b, psi_c = certify_module._psi_images(g)
+    assert len(psi_c.word) <= 8
+    runs, walks = [], []
+    run, walk = curves._run_extrapolated_count, curves._crossing_count
+    monkeypatch.setattr(
+        curves, "_run_extrapolated_count", lambda *a: runs.append(run(*a)) or runs[-1]
+    )
+    monkeypatch.setattr(
+        curves, "_crossing_count", lambda a, b: walks.append((a.word, b.word)) or walk(a, b)
+    )
+    for n in (1, 6, 18, 40, 400):
+        runs.clear()
+        walks.clear()
+        report, bn, image = _validated_pair(monkeypatch, g, n)
+        assert image._twist == (psi_b, psi_c, n)
+        assert runs and runs == [None] * len(runs), n
+        assert walks == [(bn.word, image.word)], n
+        assert report.direct_value == 16 * n * n + 1
+
+
 @pytest.mark.parametrize(
     "g, n, budget",
     [(2.0, 1, 50_000), (True, 1, 50_000), (2, True, 50_000), (2, 1.0, 50_000), (2, 1, "5")],

@@ -266,9 +266,15 @@ def test_validate_command():
     assert int(out.split("direct=")[1].split()[0]) >= 13
 
 
-def test_validate_budget_error():
+def test_validate_budget_error(capsys):
     code, _ = run("validate", "-g", "2", "-n", "3", "--budget", "5")
     assert code == 1
+    # the product of the two word lengths, 160001 x 240003, is refused at the
+    # default budget before any count runs
+    code, out = run("validate", "-g", "2", "-n", "20000")
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert "BudgetExceeded" in err and "word-length product 38400720003 " in err
 
 
 def test_sweep_command_verifies_verdicts():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lspacecert.curves as curves
+from lspacecert.certify import _psi_images
 from lspacecert.curves import (
     canonical_form,
     dehn_twist,
@@ -717,12 +718,15 @@ def test_crossing_count_equals_the_walk_on_primitive_self_walks():
 
 
 def test_crossing_count_equals_the_walk_on_the_validate_long_pairs():
+    # psi(B[2,n]) both as psi applied to B[2,n] and as cross_validate
+    # builds it, T_{psi(c)}^n(psi(b_2)): the same curve, not the same word
+    psi_b, psi_c = _psi_images(2)
     for n in range(4, 41, 4):
         bn = beta_gn(2, n)
-        image = apply_word(monodromy_psi(2), bn)
-        got = _counted(S2, bn.word, image.word)
-        assert got == _listed(S2, bn.word, image.word), n
-        assert got[0] >= 16 * n * n - 3
+        for image in (apply_word(monodromy_psi(2), bn), dehn_twist(psi_b, psi_c, n)):
+            got = _counted(S2, bn.word, image.word)
+            assert got == _listed(S2, bn.word, image.word), n
+            assert got[0] >= 16 * n * n - 3
 
 
 @pytest.mark.parametrize("g", [2, 3])

@@ -135,13 +135,15 @@ def _package_caches():
 def test_clear_genus_caches_empties_every_cache_of_the_package():
     # a cache that fresh_system_caches leaves filled would answer for a build
     # a test patches.  A certificate through the CLI, replayed and verified,
-    # fills every cache found; a new cache it does not reach fails the first
-    # check, and one that clear_genus_caches misses fails the last
+    # and a validation fill every cache found; a new cache they do not reach
+    # fails the first check, and one that clear_genus_caches misses fails
+    # the last
     caches = _package_caches()
-    assert len(caches) >= 5  # surface, system, base block twice, parser
+    assert len(caches) >= 6  # surface, system, base block twice, psi images, parser
     out = io.StringIO()
     assert cli.main(["certify", "-g", "2", "-n", "1", "--json"], out) == 0
     assert verify_certificate(cli.replay_json(out.getvalue()))
+    assert cli.main(["validate", "-g", "2", "-n", "1"], out) == 0
     assert [name for name, f in caches.items() if not f.cache_info().currsize] == []
     clear_genus_caches()
     assert [name for name, f in caches.items() if f.cache_info().currsize] == []
