@@ -9,8 +9,8 @@ corrupted curve table aborts the derivation with AnchorViolation instead
 of producing a wrong proof.  The isotopy checks, the length check and
 the affine extension of the kept counts run for every certificate.
 Genus-only facts are kept for the life of the process: the base bound
-(``derive_base_bound``) is derived and checked once per genus and kept
-already moved to the index where every certificate of that genus
+is derived and checked once per genus and per first index, which is 0
+for ``derive_base_bound`` and 14 where every certificate of the genus
 splices it (steps 14-16), and so are the images psi(b_g) and psi(c) that
 ``cross_validate`` twists; a build that fails its checks is not cached.
 Triangle steps apply the exact-triangle bound to earlier steps, and
@@ -124,8 +124,9 @@ class Certificate(record("Certificate", "genus n steps final_bound verdict")):
 
 
 class _Builder:
-    def __init__(self, g):
+    def __init__(self, g, first=0):
         self.g = g
+        self.first = first  # the index of the first step
         self.steps = []
         self.curves = {}  # expression -> Curve, each evaluated once
 
@@ -135,9 +136,8 @@ class _Builder:
         return self.curves[expr]
 
     def add(self, kind, label, inputs, output, anchor):
-        step = DerivationStep(
-            len(self.steps), kind, label, tuple(inputs), output, _CITED[anchor]
-        )
+        index = self.first + len(self.steps)
+        step = DerivationStep(index, kind, label, tuple(inputs), output, _CITED[anchor])
         self.steps.append(step)
         return step
 
@@ -191,20 +191,23 @@ def derive_base_bound(g):
     (recomputed), the untwisted surgered knot is the torus knot whose
     staircase carries rank one in grading 1-g (recomputed from the
     monodromy's own Alexander polynomial), and the surgery triangle then
-    bounds the reference rank by their sum.  Cached per genus; a build
-    that fails a check raises and is not cached.  The genus is checked
+    bounds the reference rank by their sum.  Its steps are numbered from
+    0; ``certify`` builds the same block numbered from 14, where it
+    splices it.  Cached per genus and first index; a build that fails a
+    check raises and is not cached.  The genus is checked
     before the cache sees it, so a genus that is not an int (unhashable
     ones included) raises MalformedInput.
     """
     _check_int("genus", g)
     if g < 2:
         raise GenusTooSmall(f"genus {g} < 2")
-    return _base_block(g)
+    return _base_block(g, 0)
 
 
 @lru_cache(maxsize=None)
-def _base_block(g):
-    builder = _Builder(g)
+def _base_block(g, first):
+    """The base block of genus g, its steps numbered from ``first``."""
+    builder = _Builder(g, first)
     s_iota = builder.rank_fact(f"b{g}", f"psi(b{g})", 1)
     stair = staircase_from_alexander(alexander_polynomial(monodromy_phi(g, 0)))
     base_rank = lspace_profile(stair).rank_at(1 - g)
@@ -224,22 +227,6 @@ def _base_block(g):
         "axiom.surgery-triangle",
     )
     return tuple(builder.steps)
-
-
-@lru_cache(maxsize=None)
-def _spliced_base_block(g, offset):
-    """``_base_block(g)`` with its indices and ``step:k`` inputs moved up by
-    offset, kept per genus at the index ``certify`` splices it at."""
-    return tuple(
-        s._replace(
-            index=s.index + offset,
-            inputs=tuple(
-                f"step:{int(ref[5:]) + offset}" if ref.startswith("step:") else ref
-                for ref in s.inputs
-            ),
-        )
-        for s in _base_block(g)
-    )
 
 
 def certify(g, n):
@@ -316,7 +303,7 @@ def certify(g, n):
         "arith.chain",
     )
 
-    builder.steps.extend(_spliced_base_block(g, len(builder.steps)))
+    builder.steps.extend(_base_block(g, len(builder.steps)))
     s_base = builder.steps[-1]
 
     s_target = builder.triangle(

@@ -57,10 +57,11 @@ Twist surgery is a plan and its assembly.  The plan of a pair (t, u) is
 one (slot, eps, phase) per crossing, read off their crossing order: where
 t's word is cut, the sign of the crossing and the letter of u's word the
 inserted copies start at.  It does not depend on the power, so t keeps
-it, keyed by u's word and the walk margin, and every twist of t about u
-assembles its word from the kept plan; the twists B[g,n] of b_g about c
-for every n list the crossings of that pair once.  The slot check runs
-when a plan is built, and a plan that fails it is not kept.
+it, and every twist of t about u assembles its word from the kept plan;
+the twists B[g,n] of b_g about c for every n list the crossings of that
+pair once.  The slot check runs when a plan is built, and a plan that
+fails it is not kept.  Plans, short twists and counts are kept in one
+memo on t (see ``Curve``), and no key holds the walk margin.
 
 The homology class of a word is one dict from arc index to nonzero
 signed count, ``_word_class``; ``homology_class`` and the homology layer
@@ -471,7 +472,7 @@ def _has_self_crossing(curve):
 def _validate_word(surface, word):
     """The curve of an embedded essential word, else a typed error.
 
-    The curve is built from the reduced word by ``_fast_curve`` and
+    The curve is built from the reduced word, unchecked, and then
     checked: a primitive word embeds exactly when no two of its lifts
     cross, which is the crossing count of the curve against itself.  The
     corner classes and codes that count builds stay with the curve.
@@ -479,7 +480,7 @@ def _validate_word(surface, word):
     for x in word:
         if type(x) is not int or x == 0 or abs(x) > surface.arc_count:
             raise ValueError(f"letter {x!r} does not name an arc of the surface")
-    curve = _fast_curve(surface, word)
+    curve = _reduced_curve(surface, reduce_cyclic(word))
     reduced = curve.word
     if not reduced:
         raise Inessential("word reduces to a contractible loop")
@@ -513,17 +514,18 @@ class Curve:
     word keeps what its validation's self-count built.  Equality is
     ``is_isotopic`` on one surface, which reads the normal forms only of
     words of equal length.  A twist keeps its (target, about, power) in
-    ``_twist``, and a target keeps its short twists in ``_short_twists``
-    and the counts of partners against them in ``_short_counts``.  A
-    target keeps the surgery plan of each curve it is twisted about in
-    ``_plans``, keyed by that curve's word and the walk margin: the
-    (slot, eps, phase) of each crossing, ints only, built and checked by
-    the first twist of the pair (``_surgery_plan``) and not kept if its
-    slot check fails.
+    ``_twist``.  What a curve keeps about a partner u is one memo,
+    ``_kept``, filled by ``_keep``: the surgery plan about u under
+    ``(u.word,)`` (``_surgery_plan``), a short twist about u under
+    ``(u.word, power)``, and a partner's counts against the short twists
+    under ``(u.word, p0, partner.word)`` (``_run_extrapolated_count``).
+    A build that raises keeps nothing.  The walk margin is a constant of
+    the walk, so no key holds it; tests lower it only on curves that keep
+    nothing.
     """
 
     __slots__ = (
-        "surface", "word", "_twist", "_short_twists", "_short_counts", "_plans",
+        "surface", "word", "_twist", "_kept",
         "_canon", "_hash", "_corners", "_codes", "_codes_inv",
     )
 
@@ -583,12 +585,6 @@ class Curve:
         )
 
 
-def _fast_curve(surface, word):
-    """The curve of a raw word, reduced but unchecked; ``_validate_word``
-    runs its checks on the curve this builds."""
-    return _reduced_curve(surface, reduce_cyclic(word))
-
-
 def _reduced_curve(surface, reduced):
     """The curve of a reduced word, unchecked.
 
@@ -601,6 +597,18 @@ def _reduced_curve(surface, reduced):
     for name in Curve.__slots__[2:]:  # derived fields, computed on first use
         object.__setattr__(curve, name, None)
     return curve
+
+
+def _keep(curve, key, build):
+    """``build()``, kept in the curve's memo under key; a build that raises
+    keeps nothing."""
+    kept = curve._kept
+    if kept is None:
+        kept = {}
+        object.__setattr__(curve, "_kept", kept)
+    if key not in kept:
+        kept[key] = build()
+    return kept[key]
 
 
 def _check_same_surface(a, b):
@@ -626,22 +634,24 @@ def crossing_count(a, b):
     +1 when b's forward end departs on the positive side of a's axis for
     the stored orientations.  Both are zero on isotopic pairs since a
     curve can be isotoped off itself.  Against a curve twisted many times
-    both are read off two short twists (``_run_extrapolated_count``).
+    both are read off two short twists (``_run_extrapolated_count``); when
+    only a is twisted, the count of b against a is read, since the number
+    is symmetric and the signed sum antisymmetric.
     """
     if is_isotopic(a, b):
         return 0, 0
     if b._twist is not None:
-        count = _run_extrapolated_count(a, b, True)
+        count = _run_extrapolated_count(a, b)
         if count is not None:
             return count
     if a._twist is not None:
-        count = _run_extrapolated_count(b, a, False)
+        count = _run_extrapolated_count(b, a)
         if count is not None:
-            return count
+            return count[0], -count[1]
     return _crossing_count(a, b)
 
 
-def _run_extrapolated_count(partner, curve, partner_first):
+def _run_extrapolated_count(partner, curve):
     """``_crossing_count`` of a partner against a curve twisted many times,
     read off two short twists, or None where that does not apply.
 
@@ -659,18 +669,17 @@ def _run_extrapolated_count(partner, curve, partner_first):
     from p0 on: they are counted against T^p0(t) and T^(p0+1)(t) and
     extended to |k|.  The signed count follows t's stored orientation, so
     the short twists are kept on t itself, by u's word and the power, and
-    so are the two counts, by u's word, the signed p0, the partner's word
-    (which carries its orientation), the argument order and the margin.
-    The length and isotopy checks run before the kept counts are read.
+    so are the two counts, by u's word, the signed p0 and the partner's
+    word (which carries its orientation).  The length and isotopy checks
+    run before the kept counts are read.
 
     It applies from |k| = p0 on, and only if len(curve) grows from the
     short twists by the same step per power.  The first count of a
     partner against twists of t about u walks both short twists, which
     near p0 is one walk more than the expanded word would take; every
     later count of that partner, at any |k| >= p0, reads the kept pair.
-    p0 never reads a margin below the default, so a lowered cap cannot
-    move it; the short counts still raise WalkBoundExceeded under that
-    cap.
+    No key holds the margin, and p0 never reads a margin below the
+    default, so a lowered cap cannot move it.
     """
     target, about, power = curve._twist
     step = len(about.word)
@@ -680,38 +689,22 @@ def _run_extrapolated_count(partner, curve, partner_first):
     if k < p0:
         return None
     sign = 1 if power > 0 else -1
-    near = _short_twist(target, about, sign * p0)
-    far = _short_twist(target, about, sign * (p0 + 1))
+
+    def short_twist(p):
+        return _keep(target, (about.word, p), lambda: dehn_twist(target, about, p))
+
+    near, far = short_twist(sign * p0), short_twist(sign * (p0 + 1))
     grow = len(far.word) - len(near.word)
     if len(curve.word) != len(near.word) + (k - p0) * grow:
         return None
     if is_isotopic(partner, near) or is_isotopic(partner, far):
         return None
-    kept = target._short_counts
-    if kept is None:
-        kept = {}
-        object.__setattr__(target, "_short_counts", kept)
-    key = about.word, sign * p0, partner.word, partner_first, _WALK_MARGIN
-    if key not in kept:
-        if partner_first:
-            kept[key] = _crossing_count(partner, near), _crossing_count(partner, far)
-        else:
-            kept[key] = _crossing_count(near, partner), _crossing_count(far, partner)
-    (n0, s0), (n1, s1) = kept[key]
+    (n0, s0), (n1, s1) = _keep(
+        target,
+        (about.word, sign * p0, partner.word),
+        lambda: (_crossing_count(partner, near), _crossing_count(partner, far)),
+    )
     return n0 + (k - p0) * (n1 - n0), s0 + (k - p0) * (s1 - s0)
-
-
-def _short_twist(target, about, power):
-    """``dehn_twist(target, about, power)``, kept on the target by about's
-    word and the power."""
-    kept = target._short_twists
-    if kept is None:
-        kept = {}
-        object.__setattr__(target, "_short_twists", kept)
-    key = about.word, power
-    if key not in kept:
-        kept[key] = dehn_twist(target, about, power)
-    return kept[key]
 
 
 def intersection_number(a, b):
@@ -732,18 +725,11 @@ def _surgery_plan(target, about):
     before letter ``target.word[slot]``, start at letter ``phase`` of
     about's word, and run forward exactly when eps * power > 0.  The plan
     depends on the pair alone, not on the power, so the target keeps it,
-    by about's word and ``_WALK_MARGIN``: under a lowered margin the
-    order is walked again and still raises WalkBoundExceeded.  A slot
-    must lie within the interval its lift shares with the axis; that is
-    checked when the plan is built, and a plan that fails it raises
-    AnchorViolation and is not kept.
+    by about's word.  A slot must lie within the interval its lift shares
+    with the axis; that is checked when the plan is built, and a plan
+    that fails it raises AnchorViolation and is not kept.
     """
-    kept = target._plans
-    if kept is None:
-        kept = {}
-        object.__setattr__(target, "_plans", kept)
-    key = about.word, _WALK_MARGIN
-    if key not in kept:
+    def build():
         q = len(about.word)
         xs = _crossing_order(target, about)
         plan, slot = [], xs[0].m if xs else 0
@@ -754,8 +740,9 @@ def _surgery_plan(target, about):
                     f"crossing slot of the lift at axis vertex {x.m}", f"<= {x.m + x.k}", slot
                 )
             plan.append((slot, x.eps, _phase_at(x, slot, q)))
-        kept[key] = tuple(plan)
-    return kept[key]
+        return tuple(plan)
+
+    return _keep(target, (about.word,), build)
 
 
 def dehn_twist(target, about, power=1):

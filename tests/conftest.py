@@ -8,7 +8,7 @@ import pytest
 
 import lspacecert
 from lspacecert import cli, curves, mcg, surface
-from lspacecert.certify import _base_block, _psi_images, _spliced_base_block
+from lspacecert.certify import _base_block, _psi_images
 from lspacecert.mcg import TwistWord, apply_word, standard_curve_system
 
 
@@ -24,6 +24,12 @@ def random_twist_word(rng, g, max_len=5, max_power=2):
     return TwistWord(
         tuple((rng.choice(pool), rng.choice(powers)) for _ in range(length))
     )
+
+
+def fast_curve(surface, word):
+    """The curve of a raw word, reduced but unchecked.  It keeps nothing,
+    so a count or a twist of it walks afresh."""
+    return curves._reduced_curve(surface, curves.reduce_cyclic(word))
 
 
 def random_curve(rng, g, max_len=4):
@@ -51,7 +57,6 @@ PACKAGE_CACHES = (
     surface.standard_surface,
     mcg.standard_curve_system,
     _base_block,
-    _spliced_base_block,
     _psi_images,
     cli._build_parser,
 )
@@ -59,8 +64,8 @@ PACKAGE_CACHES = (
 
 def clear_genus_caches():
     """Empty every cache of the package: surface, curve system, base block
-    (as built and as spliced), the psi images of b_g and c, and the
-    argument parser."""
+    (at each first index), the psi images of b_g and c, and the argument
+    parser."""
     for cached in PACKAGE_CACHES:
         cached.cache_clear()
 

@@ -28,6 +28,7 @@ from lspacecert.surface import standard_surface
 from conftest import (
     count_corner_classes,
     count_normal_forms,
+    fast_curve,
     random_curve,
     raises_under_python_O,
 )
@@ -403,7 +404,7 @@ def test_twist_about_disjoint_curve_is_identity(sys2):
 
 def test_inconsistent_crossing_order_is_a_typed_error_even_under_python_O(sys2, monkeypatch):
     # copies keep no surgery plan, so the twist reads the patched order
-    a1, b1 = (curves._fast_curve(S2, x.word) for x in (sys2.alphas[0], sys2.betas[0]))
+    a1, b1 = (fast_curve(S2, x.word) for x in (sys2.alphas[0], sys2.betas[0]))
     # the second crossing's interval [0, 0] ends before the first one's slot 5
     def bad_order(target, about):
         return [curves._Crossing(5, 0, 0, True, 1), curves._Crossing(0, 0, 0, True, 1)]
@@ -423,6 +424,21 @@ def test_inconsistent_crossing_order_is_a_typed_error_even_under_python_O(sys2, 
         """,
         "AnchorViolation",
     )
+
+
+def test_a_plan_that_fails_its_slot_check_is_not_kept(sys2, monkeypatch):
+    # the second crossing's interval [0, 0] ends before the first one's
+    # slot 5: the plan raises as it is built and the copy keeps nothing, so
+    # its next twist orders the crossings again
+    a1, b1 = sys2.alphas[0], fast_curve(S2, sys2.betas[0].word)
+    monkeypatch.setattr(curves, "_crossing_order", lambda target, about: [
+        curves._Crossing(5, 0, 0, True, 1), curves._Crossing(0, 0, 0, True, 1)
+    ])
+    with pytest.raises(AnchorViolation):
+        dehn_twist(b1, a1)
+    assert b1._kept == {}
+    monkeypatch.undo()
+    assert dehn_twist(b1, a1).word == dehn_twist(fast_curve(S2, b1.word), a1).word
 
 
 def _tuples(xs):
@@ -448,7 +464,7 @@ def test_ray_following_the_line_past_the_cap_is_a_typed_error(monkeypatch):
     # all leave vertex 0, and the first two share their first two codes:
     # keys of 3 codes order them, keys of 2 tie and raise
     monkeypatch.undo()
-    a1, b = curves._fast_curve(S2, (1,)), beta_gn(2, 1)
+    a1, b = fast_curve(S2, (1,)), beta_gn(2, 1)
     order = [(0, 1, 0, False, 1), (0, 6, 0, False, -1), (0, 4, 0, False, -1),
              (0, 7, 0, False, 1)]
     assert _tuples(curves._crossing_order(a1, b)) == order
@@ -460,15 +476,18 @@ def test_ray_following_the_line_past_the_cap_is_a_typed_error(monkeypatch):
         curves._crossing_order(a1, b)
 
 
-def test_a_kept_surgery_plan_still_raises_under_a_lowered_margin(monkeypatch):
-    # a1 keeps its plan about B[2,1] from the first twist; keys of 2 codes
-    # tie, so under that margin the twist orders the crossings again and raises
-    a1, b = curves._fast_curve(S2, (1,)), beta_gn(2, 1)
+def test_a_lowered_margin_raises_on_a_cold_target_and_a_warm_one_reads_its_plan(
+    monkeypatch,
+):
+    # keys of 2 codes tie on B[2,1]'s lifts through a1, so under that margin
+    # a copy of a1, which keeps no plan, orders the crossings and raises.
+    # No key holds the margin: a1 kept its plan about B[2,1] from its first
+    # twist and assembles the same word from it
+    a1, b = fast_curve(S2, (1,)), beta_gn(2, 1)
     twisted = dehn_twist(a1, b, 1).word
     monkeypatch.setattr(curves, "_WALK_MARGIN", 2 - len(b))
     with pytest.raises(WalkBoundExceeded):
-        dehn_twist(a1, b, 1)
-    monkeypatch.undo()
+        dehn_twist(fast_curve(S2, a1.word), b, 1)
     assert dehn_twist(a1, b, 1).word == twisted
 
 
@@ -480,7 +499,7 @@ def test_tied_crossing_ends_are_a_typed_error_even_under_python_O():
         from lspacecert.mcg import beta_gn
         b = beta_gn(2, 1)
         curves._WALK_MARGIN = 2 - len(b.word)
-        curves._crossing_order(curves._fast_curve(b.surface, (1,)), b)
+        curves._crossing_order(curves._reduced_curve(b.surface, (1,)), b)
         """,
         "WalkBoundExceeded",
     )
@@ -503,7 +522,7 @@ def _crossing_list(surface, a, b):
     for each, since a self-walk or a capped walk may be on a word that is
     not simple."""
     return curves._crossings(
-        surface, curves._fast_curve(surface, a), curves._fast_curve(surface, b)
+        surface, fast_curve(surface, a), fast_curve(surface, b)
     )
 
 
@@ -563,7 +582,7 @@ def _order_matches_sides(surface, a, b, seen):
     pairs through a common vertex.
     """
     p, q = len(a), len(b)
-    order = curves._crossing_order(curves._fast_curve(surface, a), curves._fast_curve(surface, b))
+    order = curves._crossing_order(fast_curve(surface, a), fast_curve(surface, b))
     assert sorted(_tuples(order)) == oracle_crossings(surface, a, b)
     cap = 3 * q + p + curves._WALK_MARGIN  # the oracle's own bound
     shared = 0
@@ -657,7 +676,7 @@ def _listed(surface, a, b):
 
 def _count(surface, a, b):
     """The count kernel on two reduced words, through a fresh curve for each."""
-    x, y = curves._fast_curve(surface, a), curves._fast_curve(surface, b)
+    x, y = fast_curve(surface, a), fast_curve(surface, b)
     assert x.word == a and y.word == b  # already reduced
     return curves._crossing_count(x, y)
 
@@ -875,7 +894,7 @@ def _p0(partner, target, about):
 
 def _expanded(curve):
     """A curve of the same word that keeps no twist, so counts read the word."""
-    return curves._fast_curve(curve.surface, curve.word)
+    return fast_curve(curve.surface, curve.word)
 
 
 def _record_extrapolations(monkeypatch):
@@ -993,16 +1012,25 @@ def test_a_twist_keeps_its_target_only_where_the_target_keeps_none():
     assert out == apply_word(monodromy_psi(2), bn)
 
 
+def _cold_twist(g, n):
+    """T(c)^n(b_g) and its target, a copy of b_g that no other test warms."""
+    system = standard_curve_system(g)
+    target = fast_curve(system.c.surface, system.betas[-1].word)
+    return target, dehn_twist(target, system.c, n)
+
+
 def test_a_lowered_margin_gives_the_expanded_count_or_the_walk_bound(monkeypatch):
     # p0 reads the margin at no less than its default, so a lowered cap
-    # cannot send it below 1 and read twists of the other direction: each
-    # count is the walk on the expanded word or raises WalkBoundExceeded
-    bn = beta_gn(2, 100)
+    # cannot send it below 1 and read twists of the other direction.  The
+    # target keeps nothing when each margin is lowered, so each count is
+    # the walk on the expanded word or raises WalkBoundExceeded
+    target, bn = _cold_twist(2, 100)
     named = standard_curve_system(2).named()
     want = {name: [w for _, w in _both_orders(curve, bn)] for name, curve in named}
     fast = _record_extrapolations(monkeypatch)
-    raised = 0
+    raised, powers = 0, set()
     for margin in (-10**6, -801, -100, -20, -9, -5, -1, 0):
+        object.__setattr__(target, "_kept", None)
         monkeypatch.setattr(curves, "_WALK_MARGIN", margin)
         for name, curve in named:
             for (a, b), expected in zip(((curve, bn), (bn, curve)), want[name]):
@@ -1010,9 +1038,10 @@ def test_a_lowered_margin_gives_the_expanded_count_or_the_walk_bound(monkeypatch
                     assert curves.crossing_count(a, b) == expected, (margin, name)
                 except WalkBoundExceeded:
                     raised += 1
-    assert raised and len(fast) >= 40
-    target = standard_curve_system(2).betas[-1]
-    assert min(power for _, power in target._short_twists) >= 1
+        powers |= {key[1] for key in target._kept or () if len(key) == 2}
+    # every count that does not raise is read off the short twists
+    assert raised and fast and raised + len(fast) == 8 * 2 * len(named)
+    assert powers and min(powers) >= 1
 
 
 def test_kept_short_counts_equal_the_walk_on_the_expanded_word(monkeypatch):
@@ -1071,14 +1100,17 @@ def test_a_reversed_partner_gets_its_own_kept_signed_count(monkeypatch):
     assert flipped >= 12 and len(fast) >= 4 * flipped
 
 
-def test_a_margin_lowered_after_counts_were_kept_walks_again(monkeypatch):
-    # the kept counts are keyed by the margin: under a lowered cap a warm
-    # target raises WalkBoundExceeded exactly where a cold one does, and
-    # otherwise gives the walk on the expanded word
-    bn = beta_gn(2, 100)
-    target = bn._twist[0]
+def test_a_warm_target_answers_a_lowered_margin_from_its_kept_counts(monkeypatch):
+    # no key holds the margin.  Under a lowered cap a target that keeps
+    # nothing walks, and raises WalkBoundExceeded or gives the walk on the
+    # expanded word; once it keeps the counts, made under the default cap,
+    # it answers from them and walks nothing
+    target, bn = _cold_twist(2, 100)
     named = standard_curve_system(2).named()
     want = {name: [w for _, w in _both_orders(curve, bn)] for name, curve in named}
+    walks = []
+    inner = curves._crossing_count
+    monkeypatch.setattr(curves, "_crossing_count", lambda a, b: walks.append((a, b)) or inner(a, b))
 
     def outcome(a, b):
         try:
@@ -1090,14 +1122,45 @@ def test_a_margin_lowered_after_counts_were_kept_walks_again(monkeypatch):
     for margin in (-10**6, -100, -20, -5, 0):
         for name, curve in named:
             for (a, b), expected in zip(((curve, bn), (bn, curve)), want[name]):
+                object.__setattr__(target, "_kept", None)
+                monkeypatch.setattr(curves, "_WALK_MARGIN", margin)
+                cold = outcome(a, b)
+                assert cold in (expected, "raised"), (margin, name)
+                raised += cold == "raised"
                 monkeypatch.setattr(curves, "_WALK_MARGIN", curves._DEFAULT_WALK_MARGIN)
                 curves.crossing_count(a, b)  # kept under the default cap
                 monkeypatch.setattr(curves, "_WALK_MARGIN", margin)
-                warm = outcome(a, b)
-                object.__setattr__(target, "_short_counts", None)
-                assert outcome(a, b) == warm in (expected, "raised"), (margin, name)
-                raised += warm == "raised"
+                walks.clear()
+                assert outcome(a, b) == expected and walks == [], (margin, name)
     assert raised
+
+
+def test_both_argument_orders_read_one_kept_count(monkeypatch):
+    # the counts against the short twists are kept by the partner's word
+    # alone: once x is counted against B[g,n] with n >= p0, the count of
+    # B[g,n] against x reads the same entry, with the signed sum negated,
+    # and walks nothing
+    walks = []
+    inner = curves._crossing_count
+    monkeypatch.setattr(curves, "_crossing_count", lambda a, b: walks.append((a, b)) or inner(a, b))
+    rng = random.Random(2901)
+    checked = 0
+    for g in (2, 3):
+        system = standard_curve_system(g)
+        partners = [curve for _, curve in system.named()]
+        partners += [random_curve(rng, g, max_len=2) for _ in range(4)]
+        for n in (30, 400):
+            target, bn = _cold_twist(g, n)
+            for x in partners:
+                if is_isotopic(x, bn) or n < _p0(x, target, system.c):
+                    continue
+                number, signed = curves.crossing_count(x, bn)
+                size = len(target._kept)
+                walks.clear()
+                assert curves.crossing_count(bn, x) == (number, -signed), (g, n, x.word)
+                assert walks == [] and len(target._kept) == size, (g, n, x.word)
+                checked += 1
+    assert checked >= 30
 
 
 def test_a_forged_twist_record_on_a_warm_target_is_not_extrapolated(monkeypatch):
@@ -1107,7 +1170,7 @@ def test_a_forged_twist_record_on_a_warm_target_is_not_extrapolated(monkeypatch)
     system = standard_curve_system(2)
     a1 = system.alphas[0]
     assert intersection_number(a1, beta_gn(2, 100)) == 4 * 100
-    assert system.betas[-1]._short_counts
+    assert any(len(key) == 3 for key in system.betas[-1]._kept)  # counts are kept
     fast = _record_extrapolations(monkeypatch)
     forged = _expanded(beta_gn(2, 101))
     object.__setattr__(forged, "_twist", (system.betas[-1], system.c, 100))
