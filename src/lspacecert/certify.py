@@ -11,18 +11,21 @@ the affine extension of the kept counts run for every certificate.
 Genus-only facts are kept for the life of the process: the base bound
 is derived and checked once per genus and per first index, which is 0
 for ``derive_base_bound`` and 14 where every certificate of the genus
-splices it (steps 14-16), and so are the images psi(b_g) and psi(c) that
-``cross_validate`` twists; a build that fails its checks is not cached.
+splices it (steps 14-16); the system curves a_{g-1}, a_g and b_{g-1}
+are evaluated and step 3, rk HF(a_{g-1}, a_g) = 0, is derived and
+checked once per genus; and so are the images psi(b_g) and psi(c) that
+``cross_validate`` twists.  A build that fails its checks is not cached.
 Triangle steps apply the exact-triangle bound to earlier steps, and
 arithmetic steps track the inequality chain whose end is the final
 bound 16n^2 - 5 on the rank in Alexander grading 1 - g.  The verdict
 compares that bound against the staircase cap of one.
 
 Curves appearing in rank facts are named only by expressions of the
-command language (``a1``, ``B[2,3]``, ``psi(b2)``, ...): ``certify``
-evaluates every cited expression through the DSL, so verifying a
-certificate is rerunning ``certify`` and comparing the result: the rerun
-re-evaluates every n-dependent fact and reuses the checked base block.
+command language (``a1``, ``B[2,3]``, ``psi(b2)``, ...), and every cited
+expression is evaluated through the DSL: B[g,n] once per certificate,
+the others once per genus.  Verifying a certificate is rerunning
+``certify`` and comparing the result: the rerun re-evaluates every
+n-dependent fact and reuses the checked genus-only steps.
 """
 from functools import lru_cache
 
@@ -124,11 +127,11 @@ class Certificate(record("Certificate", "genus n steps final_bound verdict")):
 
 
 class _Builder:
-    def __init__(self, g, first=0):
+    def __init__(self, g, first=0, curves=()):
         self.g = g
         self.first = first  # the index of the first step
         self.steps = []
-        self.curves = {}  # expression -> Curve, each evaluated once
+        self.curves = dict(curves)  # expression -> Curve, each evaluated once
 
     def curve(self, expr):
         if expr not in self.curves:
@@ -229,12 +232,24 @@ def _base_block(g, first):
     return tuple(builder.steps)
 
 
+@lru_cache(maxsize=None)
+def _system_block(g):
+    """The genus-only start of every certificate of genus g: the system
+    curves a_{g-1}, a_g and b_{g-1}, each evaluated through the DSL, and
+    step 3, rk HF(a_{g-1}, a_g) = 0, checked against its pinned value."""
+    builder = _Builder(g, 3)
+    s_aa = builder.rank_fact(f"a{g - 1}", f"a{g}", 0)
+    builder.curve(f"b{g - 1}")
+    return tuple(builder.curves.items()), s_aa
+
+
 def certify(g, n):
     """Build the full certificate for the n-twisted genus-g knot.
 
-    Every n-dependent curve-level number is recomputed by the kernel and
-    the checked base block of genus g is spliced in; the returned steps
-    deterministically replay to the same certificate.
+    Every n-dependent curve-level number is recomputed by the kernel, and
+    the checked genus-only steps of genus g (step 3 and the base block)
+    are spliced in; the returned steps deterministically replay to the
+    same certificate.
     """
     _check_int("genus", g)
     _check_int("n", n)
@@ -244,13 +259,14 @@ def certify(g, n):
         raise NegativePower(f"twist count n = {n} must be nonnegative")
     b_expr = f"B[{g},{n}]"
     tw_expr = f"T(a{g - 1})^1({b_expr})"
-    builder = _Builder(g)
+    system_curves, s_aa = _system_block(g)
+    builder = _Builder(g, curves=system_curves)
 
-    # pinned crossing-word facts
+    # pinned crossing-word facts; step 3 is the genus's kept one
     s_4n = builder.rank_fact(f"a{g - 1}", b_expr, 4 * n)
     s_one = builder.rank_fact(b_expr, f"a{g}", 1)
     s_self = builder.rank_fact(b_expr, b_expr, 2)
-    s_aa = builder.rank_fact(f"a{g - 1}", f"a{g}", 0)
+    builder.steps.append(s_aa)
 
     # rk HF(T(a_{g-1})(B), a_g) = 1: twist triangle with vanishing corner
     s_t0 = builder.tensor(
@@ -344,12 +360,12 @@ def certify(g, n):
 def verify_certificate(cert):
     """Re-derive a certificate and compare it with the given one.
 
-    The rerun evaluates every cited curve expression and checks each rank
-    against its pinned value, so it is the whole verification.  It reuses
-    what the process keeps per genus: the base block, the counts against
-    the short twists of b_g and the surgery plan of (b_g, c).  Returns
-    True when the fresh certificate is equal, and raises AnchorViolation
-    otherwise.
+    The rerun evaluates B[g,n] and checks each n-dependent rank against
+    its pinned value, so it is the whole verification.  It reuses what the
+    process keeps per genus: the system curves with step 3, the base
+    block, the counts against the short twists of b_g and the surgery
+    plan of (b_g, c).  Returns True when the fresh certificate is equal,
+    and raises AnchorViolation otherwise.
     """
     fresh = certify(cert.genus, cert.n)
     if fresh != cert:

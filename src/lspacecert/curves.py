@@ -554,10 +554,17 @@ class Curve:
         return self._codes
 
     def _kept_inverse_codes(self):
-        """The turn codes of the inverse word."""
+        """The turn codes of the inverse word, read off the forward codes.
+
+        Position i of the inverse joins the two germs that position
+        (L - i) mod L of the word joins, counted the other way round, so
+        its code is (-code[(L - i) % L]) % 4g.
+        """
         if self._codes_inv is None:
-            codes = _turn_codes(self.surface, inverse_word(self.word))
-            object.__setattr__(self, "_codes_inv", codes)
+            n = len(self.surface.boundary_order)
+            codes = self._kept_codes()
+            inverse = [-c % n for c in codes[:1] + codes[:0:-1]]
+            object.__setattr__(self, "_codes_inv", inverse)
         return self._codes_inv
 
     def __eq__(self, other):

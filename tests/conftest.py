@@ -8,7 +8,7 @@ import pytest
 
 import lspacecert
 from lspacecert import cli, curves, mcg, surface
-from lspacecert.certify import _base_block, _psi_images
+from lspacecert.certify import _base_block, _psi_images, _system_block
 from lspacecert.mcg import TwistWord, apply_word, standard_curve_system
 
 
@@ -57,6 +57,7 @@ PACKAGE_CACHES = (
     surface.standard_surface,
     mcg.standard_curve_system,
     _base_block,
+    _system_block,
     _psi_images,
     cli._build_parser,
 )
@@ -64,7 +65,8 @@ PACKAGE_CACHES = (
 
 def clear_genus_caches():
     """Empty every cache of the package: surface, curve system, base block
-    (at each first index), the psi images of b_g and c, and the argument
+    (at each first index), the system curves and step 3 that start every
+    certificate of a genus, the psi images of b_g and c, and the argument
     parser."""
     for cached in PACKAGE_CACHES:
         cached.cache_clear()

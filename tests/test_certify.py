@@ -87,7 +87,7 @@ def test_genus_work_runs_once_per_genus_and_matches_a_cold_build(
 
     monkeypatch.setattr(certify_module, "alexander_polynomial", counting)
     emitted = {}
-    for g in range(2, 5):
+    for g in range(2, 9):
         for n in range(15):
             out = io.StringIO()
             assert cli.main(["certify", "-g", str(g), "-n", str(n), "--json"], out) == 0
@@ -95,12 +95,13 @@ def test_genus_work_runs_once_per_genus_and_matches_a_cold_build(
             replayed = cli.replay_json(blob)
             assert cli.emit_certificate(replayed, "json") == blob
             assert verify_certificate(replayed)
-            emitted[g, n] = blob
-    assert calls == {2: 1, 3: 1, 4: 1}
+            emitted[g, n] = blob, cli.emit_certificate(certify(g, n), "text")
+    assert calls == {g: 1 for g in range(2, 9)}
     # the oracle: each certificate built again with every cache empty
-    for (g, n), blob in emitted.items():
+    for (g, n), blobs in emitted.items():
         clear_genus_caches()
-        assert cli.emit_certificate(certify(g, n), "json") == blob
+        cert = certify(g, n)
+        assert (cli.emit_certificate(cert, "json"), cli.emit_certificate(cert, "text")) == blobs
 
 
 @pytest.mark.parametrize("g", [2.0, True, "2", None, [2]])
@@ -470,9 +471,9 @@ def test_certify_builds_tables_only_of_short_twists(monkeypatch, fresh_system_ca
 
 def test_certify_count_work_does_not_grow_with_n(monkeypatch, fresh_system_caches):
     # from n = p0 = 6 the counts of B[g,n] read T(c)^6(b_g) and
-    # T(c)^7(b_g), and the counts against those are kept on b_g: the first
-    # such certificate of a genus walks them, and every further one walks
-    # only a_{g-1} against a_g
+    # T(c)^7(b_g), and the counts against those are kept on b_g, and step
+    # 3, rk HF(a_{g-1}, a_g) = 0, is kept per genus: the first such
+    # certificate of a genus walks, and every further one makes no walk
     built = count_corner_classes(monkeypatch)
     walks = []
     inner = curves._count_by_codes
@@ -488,15 +489,75 @@ def test_certify_count_work_does_not_grow_with_n(monkeypatch, fresh_system_cache
         aa, a_g = system.alphas[-2], system.alphas[-1]
         built.clear()
         walks.clear()
+        pairs.clear()
         certify(g, 1000)
         assert walks and max(map(len, built)) < 100, g
+        assert (aa.word, a_g.word) in [(a.word, b.word) for a, b in pairs], g
         for n in (6, 18, 100_000, 1000, 25):
             built.clear()
             walks.clear()
             pairs.clear()
             certify(g, n)
-            assert built == [] and walks == [], (g, n)
-            assert [(a.word, b.word) for a, b in pairs] == [(aa.word, a_g.word)], (g, n)
+            assert built == [] and walks == [] and pairs == [], (g, n)
+
+
+def test_certificate_after_the_first_of_its_genus_parses_only_b_gn(
+    monkeypatch, fresh_system_caches
+):
+    # a_{g-1}, a_g and b_{g-1} are evaluated once per genus, with step 3,
+    # and b_g and psi(b_g) with the base block
+    parsed = []
+    inner = dsl.parse_expression
+    monkeypatch.setattr(
+        dsl, "parse_expression", lambda text, g: parsed.append(text) or inner(text, g)
+    )
+    for g in (2, 3, 7):
+        certify(g, 1)
+        assert {f"a{g - 1}", f"a{g}", f"b{g - 1}"} <= set(parsed), g
+        for n in (0, 2, 5, 6, 14, 400):
+            parsed.clear()
+            certify(g, n)
+            assert parsed == [f"B[{g},{n}]"], (g, n)
+
+
+def test_system_block_fault_raises_and_is_not_cached(monkeypatch, fresh_system_caches):
+    # a count of a_{g-1} against a_g off by one trips step 3 on the first
+    # certificate of the genus, and the failed build leaves nothing behind
+    system = mcg.standard_curve_system(2)
+    pair = (system.alphas[0].word, system.alphas[1].word)
+    inner = curves._crossing_count
+
+    def faulty(a, b):
+        count, signed = inner(a, b)
+        return (count + 1, signed) if (a.word, b.word) == pair else (count, signed)
+
+    monkeypatch.setattr(curves, "_crossing_count", faulty)
+    with pytest.raises(AnchorViolation) as exc:
+        certify(2, 1)
+    assert exc.value.fact == "rk HF(a1, a2)"
+    monkeypatch.undo()
+    assert certify(2, 1).final_bound == 11
+    assert certify_module._system_block(2)[1].output == RankInterval.exactly(0)
+    assert raises_under_python_O(
+        """
+        from lspacecert import curves
+        from lspacecert.certify import certify
+        from lspacecert.mcg import standard_curve_system
+        system = standard_curve_system(2)
+        pair = (system.alphas[0].word, system.alphas[1].word)
+        inner = curves._crossing_count
+        curves._crossing_count = lambda a, b: (
+            (inner(a, b)[0] + 1, 0) if (a.word, b.word) == pair else inner(a, b)
+        )
+        try:
+            certify(2, 1)
+        except AnchorViolation as exc:
+            curves._crossing_count = inner
+            if exc.fact == "rk HF(a1, a2)" and certify(2, 1).final_bound == 11:
+                raise
+        """,
+        "AnchorViolation",
+    )
 
 
 def test_certify_lists_crossings_only_in_the_first_certificate_of_a_genus(

@@ -831,6 +831,27 @@ def test_memoized_tables_count_like_the_listing_oracle(sys2):
     assert all(curve._codes is not None for curve in pool[:2])
 
 
+def test_inverse_codes_read_off_the_forward_codes_match_the_inverse_word():
+    # the kept inverse codes negate the forward codes in reverse order; the
+    # oracle computes them afresh on the inverse word
+    rng = random.Random(3011)
+    for g in range(2, 6):
+        system = standard_curve_system(g)
+        psi = monodromy_psi(g)
+        psi_b, psi_c = _psi_images(g)
+        pool = [c for _, c in system.named()]
+        pool += [random_curve(rng, g) for _ in range(8)]
+        for n in (0, 1, 2, 5, 6, 13, 40):
+            bn = beta_gn(g, n)
+            pool += [bn, apply_word(psi, bn)]
+            if n:
+                pool.append(dehn_twist(psi_b, psi_c, n))
+        for curve in pool:
+            fresh = fast_curve(curve.surface, curve.word)
+            want = curves._turn_codes(curve.surface, curves.inverse_word(curve.word))
+            assert fresh._kept_inverse_codes() == want, curve
+
+
 def test_memoized_table_still_checks_the_walk_cap(monkeypatch):
     # the cap depends on both words and the margin, so no curve keeps it:
     # lowering the margin after the fields are built still raises

@@ -139,7 +139,7 @@ def test_clear_genus_caches_empties_every_cache_of_the_package():
     # fails the first check, and one that clear_genus_caches misses fails
     # the last
     caches = _package_caches()
-    assert len(caches) >= 5  # surface, system, base block, psi images, parser
+    assert len(caches) >= 6  # surface, system, two certify blocks, psi images, parser
     out = io.StringIO()
     assert cli.main(["certify", "-g", "2", "-n", "1", "--json"], out) == 0
     assert verify_certificate(cli.replay_json(out.getvalue()))
