@@ -302,9 +302,11 @@ def main(argv=None, out=None):
     try:
         return globals()[f"_cmd_{args.command}"](args, out)
     # an interpreter limit (a power past the index range, memory, recursion)
-    # ends like a domain error, with its type and no traceback
+    # ends like a domain error, with its type and no traceback; one raised
+    # with no message (as MemoryError often is) still gets one
     except (WorkbenchError, OverflowError, MemoryError, RecursionError) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        bare = "out of memory" if isinstance(e, MemoryError) else "interpreter limit reached"
+        print(f"error: {type(e).__name__}: {str(e) or bare}", file=sys.stderr)
         return 1
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -28,14 +28,14 @@ on the positive side exactly when its codes are lexicographically
 greater than the axis's, which is the cyclic order of ends in the dual
 tree.
 
-Both forms of the crossing kernel read that classifier and take curves.
-The list form ``_crossings`` expands their classes and decides each
-coasting ray by ``_leaves_above``; only twist surgery needs the list.
-Callers that need numbers use the count form ``_crossing_count``, which
-counts a class of branching lifts by one product and compares the turn
-codes of coasting rays a bucket at a time.  Where no ray coasts, one
-count can read the union of several curves' corner classes:
-``_merged_crossing_count`` gives their summed number in one walk.
+Both forms of the crossing kernel read that classifier and take curves,
+and one decider, ``_coasting_blocks``, compares the turn codes of
+coasting rays a bucket at a time, yielding blocks of pairs that all
+cross at one depth.  The count form ``_crossing_count`` counts each
+class of branching lifts and each block by one product; the list form
+``_crossings``, which only twist surgery needs, expands them.  Where no
+ray coasts, one count can read the union of several curves' corner
+classes: ``_merged_crossing_count`` gives their summed number in one walk.
 
 A ``Curve`` is built from its reduced word alone and holds everything
 derived from it: its normal form, its hash, its corner classes and the
@@ -67,7 +67,6 @@ The homology class of a word is one dict from arc index to nonzero
 signed count, ``_word_class``; ``homology_class`` and the homology layer
 in ``mcg`` both read it.
 """
-from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
 from .errors import (
@@ -190,39 +189,20 @@ def _turn_codes(surface, word):
     return [(pos[x] - pos[-y]) % n for x, y in zip(word, word[-1:] + word[:-1])]
 
 
-def _leaves_above(codes_a, x, codes_w, y, depth, cap):
-    """Whether the ray at y of codes_w leaves the axis ray at x on the + side.
-
-    Both rays have shared ``depth`` letters; the first differing turn code
-    decides, and sharing more than ``cap`` letters raises.  Returns the
-    side and the number of letters shared where the codes first differ.
-    """
-    p, q = len(codes_a), len(codes_w)
-    while True:
-        if depth > cap:
-            raise WalkBoundExceeded(f"ray follows line beyond {cap} steps")
-        ca, cw = codes_a[x % p], codes_w[y % q]
-        if ca != cw:
-            return cw > ca, depth
-        x += 1
-        y += 1
-        depth += 1
-
-
 class _Crossing(namedtuple("_Crossing", "m j k aligned eps")):
-    """One lift of ``other`` crossing the reference axis.
+    """One lift of curve b crossing the axis of curve a (see ``_crossings``).
 
-    m is the first axis vertex the lift passes through, j the phase of
-    ``other`` at that vertex, k the number of forward axis edges shared,
-    aligned whether the lift traverses them in the axis direction, and
-    eps the crossing sign (+1 when the lift's forward end departs on the
-    positive side of the axis).  Lifts sort by (m, j) as tuples.
+    m is the first axis vertex the lift passes through, j the phase of b
+    at that vertex, k the number of forward axis edges shared, aligned
+    whether the lift traverses them in the axis direction, and eps the
+    crossing sign (+1 when the lift's forward end departs on the positive
+    side of the axis).  Lifts sort by (m, j) as tuples.
     """
 
     __slots__ = ()
 
 
-def _count_by_codes(codes_a, codes_w, xs, ups, downs, cap):
+def _coasting_blocks(codes_a, codes_w, xs, ups, downs, cap):
     """Decide the coasting rays of one corner class by their turn codes.
 
     ``xs`` are axis positions and ``ups`` and ``downs`` positions of rays
@@ -230,15 +210,16 @@ def _count_by_codes(codes_a, codes_w, xs, ups, downs, cap):
     with the axis.  A ray leaves on the + side exactly when its codes are
     lexicographically greater than the axis ray's.  A ray of ``ups``
     crosses when it leaves on the + side (its lift's other ray lies
-    below), one of ``downs`` when it leaves on the - side.  Returns the
-    crossings leaving on the + side and on the - side.
+    below), one of ``downs`` when it leaves on the - side.
 
-    Codes are compared a depth at a time for whole buckets: pairs whose
-    codes differ are counted by products, and only rays tied with some
-    axis ray go one letter deeper.
+    Yields an (xs, ys, depth, above) per block of crossing pairs: every
+    axis ray in xs crosses every ray in ys, their codes first differ after
+    ``depth`` shared letters, above says whether the ray leaves on the +
+    side, and each position is advanced by depth.  Codes are compared a
+    depth at a time for whole buckets, and only pairs with equal codes go
+    one letter deeper; sharing more than ``cap`` letters raises.
     """
     p, q = len(codes_a), len(codes_w)
-    plus = minus = 0
     groups = [(xs, ups, downs)]
     depth = 1  # letters shared so far
     while groups:
@@ -246,28 +227,22 @@ def _count_by_codes(codes_a, codes_w, xs, ups, downs, cap):
             raise WalkBoundExceeded(f"ray follows line beyond {cap} steps")
         ties = []
         for xs, ups, downs in groups:
-            bx = {}
-            for x in xs:
-                bx.setdefault(codes_a[x % p], []).append(x + 1)
-            keys = sorted(bx)
-            cum = [0]  # axis rays with a code below keys[i]
-            for c in keys:
-                cum.append(cum[-1] + len(bx[c]))
-            tied = {}
-            for y in ups:
-                c = codes_w[y % q]
-                plus += cum[bisect_left(keys, c)]
-                if c in bx:
-                    tied.setdefault(c, ([], []))[0].append(y + 1)
-            for y in downs:
-                c = codes_w[y % q]
-                minus += cum[-1] - cum[bisect_right(keys, c)]
-                if c in bx:
-                    tied.setdefault(c, ([], []))[1].append(y + 1)
-            ties.extend((bx[c], u, d) for c, (u, d) in tied.items())
+            bx, bu, bd = {}, {}, {}
+            for rays, codes, n, buckets in ((xs, codes_a, p, bx), (ups, codes_w, q, bu),
+                                            (downs, codes_w, q, bd)):
+                for r in rays:
+                    buckets.setdefault(codes[r % n], []).append(r + 1)
+            for c, xc in bx.items():
+                for cu, yu in bu.items():
+                    if cu > c:
+                        yield xc, yu, depth, True
+                for cd, yd in bd.items():
+                    if cd < c:
+                        yield xc, yd, depth, False
+                if c in bu or c in bd:
+                    ties.append((xc, bu.get(c, ()), bd.get(c, ())))
         groups = ties
         depth += 1
-    return plus, minus
 
 
 def _corner_classes(word):
@@ -337,10 +312,10 @@ def _crossings(surface, a, b):
     axis itself (j == m when a == b) is skipped because it passes the
     previous vertex.
 
-    The lifts come from ``_lift_classes``, the rule ``_crossing_count``
-    counts by: a lift whose rays branch off at once is listed with k = 0,
-    and a coasting ray is decided by ``_leaves_above``, whose depth at
-    the broken tie is k.  The corner classes and turn codes are the
+    The lifts come from ``_lift_classes``, as in ``_crossing_count``: a
+    lift whose rays branch off at once is listed with k = 0, and coasting
+    rays are listed from the blocks of ``_coasting_blocks``, with k the
+    depth of the block.  The corner classes and turn codes are the
     curves' kept ones.  The list is sorted by (m, j).
     """
     p, q = len(a), len(b)
@@ -348,15 +323,12 @@ def _crossings(surface, a, b):
     branch, coast = _lift_classes(surface, a._kept_corners(), b._kept_corners(), q)
     out = [_Crossing(x - 1, t - 1, 0, False, eps) for xs, ts, eps in branch for x in xs for t in ts]
     for xs, sign, ups, downs in coast:
-        codes_a = a._kept_codes()
-        codes_w = b._kept_codes() if sign > 0 else b._kept_inverse_codes()
-        for ys, crosses_above in ((ups, True), (downs, False)):
-            for x in xs:
-                for y in ys:
-                    above, k = _leaves_above(codes_a, x, codes_w, y, 1, cap)
-                    if above == crosses_above:
-                        j = y - 1 if sign > 0 else q + 1 - y
-                        out.append(_Crossing(x - 1, j, k, sign > 0, sign if above else -sign))
+        codes_b = b._kept_codes() if sign > 0 else b._kept_inverse_codes()
+        for xk, yk, k, above in _coasting_blocks(a._kept_codes(), codes_b, xs, ups, downs, cap):
+            eps = sign if above else -sign
+            # the block's positions are advanced by k; j is b's phase at the vertex
+            js = [y - k - 1 if sign > 0 else q + 1 + k - y for y in yk]
+            out += (_Crossing(x - k - 1, j, k, sign > 0, eps) for x in xk for j in js)
     out.sort()
     return out
 
@@ -365,13 +337,13 @@ def _crossing_count(a, b):
     """Number and signed sum of the lifts of curve b crossing the axis of a.
 
     Equal to len and the sum of eps of ``_crossings(a.surface, a, b)``,
-    and raises WalkBoundExceeded wherever that list does,
-    without listing a crossing.  Both read the lifts from
-    ``_lift_classes``: a class of lifts whose rays branch off at once
-    counts by one product of class sizes, and coasting rays are decided
-    by turn codes (``_count_by_codes``), one axis class and one direction
-    of b at a time.  The corner classes and turn codes are the curves'
-    kept ones; the cap depends on both words and is computed by each count.
+    and raises WalkBoundExceeded wherever that list does, without listing
+    a crossing.  Both forms read the same lifts: a class of lifts whose
+    rays branch off at once (``_lift_classes``) counts by one product of
+    class sizes, and so does each block of coasting pairs that
+    ``_coasting_blocks`` yields, one axis class and one direction of b at
+    a time.  The corner classes and turn codes are the curves' kept ones;
+    the cap depends on both words and is computed by each count.
     """
     q = len(b.word)
     cap = len(a.word) + q + _WALK_MARGIN
@@ -383,9 +355,10 @@ def _crossing_count(a, b):
         signed += eps * c
     for xs, sign, ups, downs in coast:
         codes_b = b._kept_codes() if sign > 0 else b._kept_inverse_codes()
-        plus, minus = _count_by_codes(a._kept_codes(), codes_b, xs, ups, downs, cap)
-        count += plus + minus
-        signed += sign * (plus - minus)
+        for xk, yk, _, above in _coasting_blocks(a._kept_codes(), codes_b, xs, ups, downs, cap):
+            c = len(xk) * len(yk)
+            count += c
+            signed += sign * c if above else -sign * c
     return count, signed
 
 

@@ -476,8 +476,8 @@ def test_certify_count_work_does_not_grow_with_n(monkeypatch, fresh_system_cache
     # certificate of a genus walks, and every further one makes no walk
     built = count_corner_classes(monkeypatch)
     walks = []
-    inner = curves._count_by_codes
-    monkeypatch.setattr(curves, "_count_by_codes", lambda *args: walks.append(args) or inner(*args))
+    inner = curves._coasting_blocks
+    monkeypatch.setattr(curves, "_coasting_blocks", lambda *args: walks.append(args) or inner(*args))
     pairs = []
     inner_count = curves._crossing_count
     monkeypatch.setattr(

@@ -442,13 +442,16 @@ def test_oversized_twist_power_exits_one_with_a_message(capsys):
 
 @pytest.mark.parametrize("limit", [MemoryError, RecursionError])
 def test_interpreter_limits_exit_one_with_a_message(monkeypatch, capsys, limit):
-    def exhausted(args, out):
-        raise limit("limit reached")
+    # a limit raised with no message gets a fixed one
+    bare = {MemoryError: "out of memory", RecursionError: "interpreter limit reached"}[limit]
+    for raised, message in ((limit("limit reached"), "limit reached"), (limit(), bare)):
+        def exhausted(args, out):
+            raise raised
 
-    monkeypatch.setattr(cli, "_cmd_twist", exhausted)
-    code, out = run("twist", "-g", "2", "b2")
-    assert code == 1 and out == ""
-    assert capsys.readouterr().err == f"error: {limit.__name__}: limit reached\n"
+        monkeypatch.setattr(cli, "_cmd_twist", exhausted)
+        code, out = run("twist", "-g", "2", "b2")
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == f"error: {limit.__name__}: {message}\n"
 
 
 def test_oversized_power_reaches_no_traceback_from_the_command_line():

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -447,9 +449,10 @@ def _tuples(xs):
 
 def test_ray_following_the_line_past_the_cap_is_a_typed_error(monkeypatch):
     # turn codes that agree on exactly cap letters are a result, one more raises
-    assert curves._leaves_above([0, 1, 2], 1, [3, 1, 3], 1, 1, 2) == (True, 2)
+    blocks = curves._coasting_blocks([0, 1, 2], [3, 1, 3], [1], [1], [], 2)
+    assert list(blocks) == [([3], [3], 2, True)]
     with pytest.raises(WalkBoundExceeded):
-        curves._leaves_above([0, 1, 2], 1, [3, 1, 3], 1, 1, 1)
+        list(curves._coasting_blocks([0, 1, 2], [3, 1, 3], [1], [1], [], 1))
     # c's lifts coast along the twisted runs of B[2,5]; the deepest tie is a
     # crossing that follows the axis for 21 letters
     bn, c = beta_gn(2, 5), standard_curve_system(2).c
@@ -801,6 +804,27 @@ def test_crossing_count_raises_on_a_tie_at_the_cap(monkeypatch):
             _count(S2, a, b)
         with pytest.raises(WalkBoundExceeded):
             _crossing_list(S2, a, b)
+
+
+def test_both_forms_equal_the_oracle_on_every_pair_of_short_genus_2_curves():
+    # small scope: the 99 simple genus-2 curves of length <= 4, listed by the
+    # oracles, and all 9,702 ordered pairs of distinct ones.  Coasting rays
+    # tie up to 5 letters deep there, so tie groups nest several levels
+    letters = [x for k in range(1, S2.arc_count + 1) for x in (k, -k)]
+    words = [
+        w for length in range(1, 5) for w in itertools.product(letters, repeat=length)
+        if oracle_reduce_cyclic(w) == w == oracle_canonical_form(w)
+        and oracle_is_primitive(w) and oracle_is_simple(w, S2)
+    ]
+    assert len(words) == 99
+    depths = Counter()
+    for a, b in itertools.permutations(words, 2):
+        listed = _tuples(_crossing_list(S2, a, b))
+        assert listed == oracle_crossings(S2, a, b), (a, b)
+        assert _count(S2, a, b) == (len(listed), sum(x[4] for x in listed)), (a, b)
+        depths.update(k for _, _, k, _, _ in listed)
+    assert max(depths) == 5 and depths[2] == 2240
+    assert sum(n for k, n in depths.items() if k >= 3) == 440
 
 
 def _kept(curve):
