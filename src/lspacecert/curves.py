@@ -37,11 +37,11 @@ class of branching lifts and each block by one product; the list form
 ray coasts, one count can read the union of several curves' corner
 classes: ``_merged_crossing_count`` gives their summed number in one walk.
 
-A ``Curve`` is built from its reduced word alone and holds everything
-derived from it: its normal form, its hash, its corner classes and the
-turn codes of its word and of its inverse are computed on first use and
-kept.  Every count of one curve and every twist about it reads the same
-kept fields, and validation runs its self-count on the curve it returns.
+A ``Curve`` is built from its reduced word alone; its normal form, its
+corner classes, the turn codes of its word and of its inverse, and its
+memo ``_kept`` are cached properties, computed on first read and kept.
+Every count of one curve and every twist about it reads the same kept
+fields, and validation runs its self-count on the curve it returns.
 Reduced words of isotopic curves have equal length, so isotopy tests and
 equality run Booth's algorithm only on curves of equal length.
 
@@ -68,6 +68,7 @@ signed count, ``_word_class``; ``homology_class`` and the homology layer
 in ``mcg`` both read it.
 """
 from collections import namedtuple
+from functools import cached_property
 
 from .errors import (
     AnchorViolation,
@@ -320,11 +321,11 @@ def _crossings(surface, a, b):
     """
     p, q = len(a), len(b)
     cap = p + q + _WALK_MARGIN
-    branch, coast = _lift_classes(surface, a._kept_corners(), b._kept_corners(), q)
+    branch, coast = _lift_classes(surface, a._kept_corners, b._kept_corners, q)
     out = [_Crossing(x - 1, t - 1, 0, False, eps) for xs, ts, eps in branch for x in xs for t in ts]
     for xs, sign, ups, downs in coast:
-        codes_b = b._kept_codes() if sign > 0 else b._kept_inverse_codes()
-        for xk, yk, k, above in _coasting_blocks(a._kept_codes(), codes_b, xs, ups, downs, cap):
+        codes_b = b._kept_codes if sign > 0 else b._kept_inverse_codes
+        for xk, yk, k, above in _coasting_blocks(a._kept_codes, codes_b, xs, ups, downs, cap):
             eps = sign if above else -sign
             # the block's positions are advanced by k; j is b's phase at the vertex
             js = [y - k - 1 if sign > 0 else q + 1 + k - y for y in yk]
@@ -348,14 +349,14 @@ def _crossing_count(a, b):
     q = len(b.word)
     cap = len(a.word) + q + _WALK_MARGIN
     count = signed = 0
-    branch, coast = _lift_classes(a.surface, a._kept_corners(), b._kept_corners(), q)
+    branch, coast = _lift_classes(a.surface, a._kept_corners, b._kept_corners, q)
     for xs, ts, eps in branch:
         c = len(xs) * len(ts)
         count += c
         signed += eps * c
     for xs, sign, ups, downs in coast:
-        codes_b = b._kept_codes() if sign > 0 else b._kept_inverse_codes()
-        for xk, yk, _, above in _coasting_blocks(a._kept_codes(), codes_b, xs, ups, downs, cap):
+        codes_b = b._kept_codes if sign > 0 else b._kept_inverse_codes
+        for xk, yk, _, above in _coasting_blocks(a._kept_codes, codes_b, xs, ups, downs, cap):
             c = len(xk) * len(yk)
             count += c
             signed += sign * c if above else -sign * c
@@ -374,7 +375,7 @@ def _merged_crossing_count(a, corners, q):
     turn codes, which a union does not keep: a coasting group raises
     MalformedInput.  The lifts are read from ``_lift_classes`` alone.
     """
-    branch, coast = _lift_classes(a.surface, a._kept_corners(), corners, q)
+    branch, coast = _lift_classes(a.surface, a._kept_corners, corners, q)
     if coast:
         raise MalformedInput("a merged count cannot decide rays that run along the axis")
     return sum(len(xs) * len(ts) for xs, ts, _ in branch)
@@ -412,8 +413,8 @@ def _crossing_order(target, about):
     inv = inverse_word(b)
     # codes of b and of its inverse, repeated so no slice wraps
     reps = depth // q + 2
-    fwd = about._kept_codes() * reps
-    bwd = about._kept_inverse_codes() * reps
+    fwd = about._kept_codes * reps
+    bwd = about._kept_inverse_codes * reps
     keys = []
     for x in xs:
         plus = x.eps > 0  # the + end is the forward ray
@@ -480,14 +481,15 @@ class Curve:
     refuses a word that is not an embedded essential curve with a typed
     error.
 
-    The reduced word is all a curve is built from, and the curve holds
-    what is derived from it: its normal form (``canonical_form``), its
-    hash, its corner classes and the turn codes of its word and of its
-    inverse are computed on first use and kept.  A curve built from a raw
-    word keeps what its validation's self-count built.  Equality is
-    ``is_isotopic`` on one surface, which reads the normal forms only of
-    words of equal length.  A twist keeps its (target, about, power) in
-    ``_twist``.  What a curve keeps about a partner u is one memo,
+    The reduced word is all a curve is built from; what is derived from
+    it is a cached property, computed on first read and kept: its normal
+    form ``_canonical``, its corner classes ``_kept_corners`` and the turn
+    codes ``_kept_codes`` and ``_kept_inverse_codes``.  Assigning or
+    deleting any attribute raises.  A curve built from a raw word keeps
+    what its validation's self-count built.  Equality is ``is_isotopic``
+    on one surface, which reads the normal forms only of words of equal
+    length.  A twist keeps its (target, about, power) in ``_twist``.
+    What a curve keeps about a partner u is one memo, the cached property
     ``_kept``, filled by ``_keep``: the surgery plan about u under
     ``(u.word,)`` (``_surgery_plan``), a short twist about u under
     ``(u.word, power)``, and a partner's counts against the short twists
@@ -497,35 +499,31 @@ class Curve:
     nothing.
     """
 
-    __slots__ = (
-        "surface", "word", "_twist", "_kept",
-        "_canon", "_hash", "_corners", "_codes", "_codes_inv",
-    )
-
     def __new__(cls, surface, word):
         return _validate_word(surface, tuple(word))
 
     def __setattr__(self, name, value):
         raise AttributeError("Curve is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Curve is immutable")
+
+    @cached_property
     def _canonical(self):
         """The normal form of the word, ``canonical_form(self.word)``."""
-        if self._canon is None:
-            object.__setattr__(self, "_canon", canonical_form(self.word))
-        return self._canon
+        return canonical_form(self.word)
 
+    @cached_property
     def _kept_corners(self):
         """The corner classes of the word, ``_corner_classes(self.word)``."""
-        if self._corners is None:
-            object.__setattr__(self, "_corners", _corner_classes(self.word))
-        return self._corners
+        return _corner_classes(self.word)
 
+    @cached_property
     def _kept_codes(self):
         """The turn codes of the word."""
-        if self._codes is None:
-            object.__setattr__(self, "_codes", _turn_codes(self.surface, self.word))
-        return self._codes
+        return _turn_codes(self.surface, self.word)
 
+    @cached_property
     def _kept_inverse_codes(self):
         """The turn codes of the inverse word, read off the forward codes.
 
@@ -533,12 +531,14 @@ class Curve:
         (L - i) mod L of the word joins, counted the other way round, so
         its code is (-code[(L - i) % L]) % 4g.
         """
-        if self._codes_inv is None:
-            n = len(self.surface.boundary_order)
-            codes = self._kept_codes()
-            inverse = [-c % n for c in codes[:1] + codes[:0:-1]]
-            object.__setattr__(self, "_codes_inv", inverse)
-        return self._codes_inv
+        n = len(self.surface.boundary_order)
+        codes = self._kept_codes
+        return [-c % n for c in codes[:1] + codes[:0:-1]]
+
+    @cached_property
+    def _kept(self):
+        """The memo of what the curve keeps about its partners (``_keep``)."""
+        return {}
 
     def __eq__(self, other):
         if not isinstance(other, Curve):
@@ -546,10 +546,7 @@ class Curve:
         return self.surface == other.surface and is_isotopic(self, other)
 
     def __hash__(self):
-        if self._hash is None:
-            value = hash((self.surface.genus, self._canonical()))
-            object.__setattr__(self, "_hash", value)
-        return self._hash
+        return hash((self.surface.genus, self._canonical))
 
     def __len__(self):
         return len(self.word)
@@ -565,17 +562,14 @@ class Curve:
         )
 
 
-def _reduced_curve(surface, reduced):
-    """The curve of a reduced word, unchecked.
+def _reduced_curve(surface, reduced, twist=None):
+    """The curve of a reduced word, unchecked, with its twist record.
 
     Twist surgery outputs are homeomorphic images of embedded curves, so
     they skip the simplicity check.
     """
     curve = object.__new__(Curve)
-    object.__setattr__(curve, "surface", surface)
-    object.__setattr__(curve, "word", reduced)
-    for name in Curve.__slots__[2:]:  # derived fields, computed on first use
-        object.__setattr__(curve, name, None)
+    vars(curve).update(surface=surface, word=reduced, _twist=twist)
     return curve
 
 
@@ -583,9 +577,6 @@ def _keep(curve, key, build):
     """``build()``, kept in the curve's memo under key; a build that raises
     keeps nothing."""
     kept = curve._kept
-    if kept is None:
-        kept = {}
-        object.__setattr__(curve, "_kept", kept)
     if key not in kept:
         kept[key] = build()
     return kept[key]
@@ -604,7 +595,7 @@ def is_isotopic(a, b):
     are compared only for words of equal length.
     """
     _check_same_surface(a, b)
-    return a is b or (len(a.word) == len(b.word) and a._canonical() == b._canonical())
+    return a is b or (len(a.word) == len(b.word) and a._canonical == b._canonical)
 
 
 def crossing_count(a, b):
@@ -757,10 +748,9 @@ def dehn_twist(target, about, power=1):
         pieces.append(loop * e if e > 0 else inverse_word(loop) * (-e))
         done = slot
     pieces.append(d[done:])
-    curve = _reduced_curve(target.surface, _reduced_product(pieces))
-    if target._twist is None:  # so a chain of twists keeps no chain of words
-        object.__setattr__(curve, "_twist", (target, about, power))
-    return curve
+    # only the first twist of a chain keeps a record, so no chain of words is kept
+    twist = (target, about, power) if target._twist is None else None
+    return _reduced_curve(target.surface, _reduced_product(pieces), twist)
 
 
 def homology_class(a):

@@ -100,7 +100,7 @@ def standard_curve_system(g):
                  algebraic_intersection_number(y, x))
     later = {}  # corner classes of chain curves i + 3, ..., 2g (1-based)
     for i in range(2 * g - 3, -1, -1):
-        for corner, ts in chain[i + 2]._kept_corners().items():
+        for corner, ts in chain[i + 2]._kept_corners.items():
             later.setdefault(corner, []).extend(ts)
         span = f"chain_{i + 3}" + (f"..chain_{2 * g}" if i + 3 < 2 * g else "")
         _require(f"iota(chain_{i + 1}, {span})", 0,

@@ -144,6 +144,17 @@ def oracle_is_simple(word, surface):
     return False
 
 
+def oracle_simple_words(surface, max_len):
+    """One word per simple curve of length <= max_len, up to isotopy: the
+    reduced, primitive, embedded words that are their own normal form."""
+    letters = [x for k in range(1, surface.arc_count + 1) for x in (k, -k)]
+    return [
+        w for length in range(1, max_len + 1) for w in itertools.product(letters, repeat=length)
+        if oracle_reduce_cyclic(w) == w == oracle_canonical_form(w)
+        and oracle_is_primitive(w) and oracle_is_simple(w, surface)
+    ]
+
+
 def oracle_reduce(word):
     """Cyclic free reduction by repeated scanning, the slow way."""
     w = list(word)

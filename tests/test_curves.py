@@ -45,6 +45,7 @@ from oracles import (
     oracle_ray_side,
     oracle_reduce,
     oracle_reduce_cyclic,
+    oracle_simple_words,
     oriented_class,
 )
 
@@ -395,7 +396,26 @@ def test_twisting_about_one_curve_again_builds_none_of_its_codes(sys2, monkeypat
     for n in range(1, 6):
         beta_gn(2, n)
     assert built.count(c.word) <= 1
-    assert c._codes is not None
+    assert "_kept_codes" in vars(c)
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["system", "twist"])
+def test_a_curve_refuses_assignment_and_deletion(twisted):
+    # a deleted word or kept field would break the curve, or drop what it
+    # keeps, for the rest of the process; the curve is unchanged afterwards
+    system = standard_curve_system(2)
+    curve = beta_gn(2, 3) if twisted else system.betas[-1]
+    assert curve._kept_codes
+    before = dict(vars(curve))
+    for name in ("word", "_twist", "_kept_codes", "_kept_inverse_codes"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(curve, name, None)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(curve, name)
+    assert vars(curve).keys() == before.keys()
+    assert all(vars(curve)[name] is value for name, value in before.items())
+    assert curve._twist == ((system.betas[-1], system.c, 3) if twisted else None)
+    assert curve == curves.Curve(S2, curve.word)
 
 
 def test_twist_about_disjoint_curve_is_identity(sys2):
@@ -810,12 +830,7 @@ def test_both_forms_equal_the_oracle_on_every_pair_of_short_genus_2_curves():
     # small scope: the 99 simple genus-2 curves of length <= 4, listed by the
     # oracles, and all 9,702 ordered pairs of distinct ones.  Coasting rays
     # tie up to 5 letters deep there, so tie groups nest several levels
-    letters = [x for k in range(1, S2.arc_count + 1) for x in (k, -k)]
-    words = [
-        w for length in range(1, 5) for w in itertools.product(letters, repeat=length)
-        if oracle_reduce_cyclic(w) == w == oracle_canonical_form(w)
-        and oracle_is_primitive(w) and oracle_is_simple(w, S2)
-    ]
+    words = oracle_simple_words(S2, 4)
     assert len(words) == 99
     depths = Counter()
     for a, b in itertools.permutations(words, 2):
@@ -828,8 +843,10 @@ def test_both_forms_equal_the_oracle_on_every_pair_of_short_genus_2_curves():
 
 
 def _kept(curve):
-    """The derived fields a curve keeps for its crossing counts."""
-    return curve._corners, curve._codes, curve._codes_inv
+    """The derived fields a curve keeps for its crossing counts, None where
+    not built; read off the instance dict, since reading a property builds it."""
+    names = ("_kept_corners", "_kept_codes", "_kept_inverse_codes")
+    return tuple(vars(curve).get(name) for name in names)
 
 
 def _same_objects(xs, ys):
@@ -851,8 +868,8 @@ def test_memoized_tables_count_like_the_listing_oracle(sys2):
             kept = [_kept(curve) for curve in pool]
     # one set of fields per curve, kept across every count
     assert all(_same_objects(_kept(curve), k) for curve, k in zip(pool, kept))
-    assert all(curve._corners is not None for curve in pool)
-    assert all(curve._codes is not None for curve in pool[:2])
+    assert all("_kept_corners" in vars(curve) for curve in pool)
+    assert all("_kept_codes" in vars(curve) for curve in pool[:2])
 
 
 def test_inverse_codes_read_off_the_forward_codes_match_the_inverse_word():
@@ -873,7 +890,7 @@ def test_inverse_codes_read_off_the_forward_codes_match_the_inverse_word():
         for curve in pool:
             fresh = fast_curve(curve.surface, curve.word)
             want = curves._turn_codes(curve.surface, curves.inverse_word(curve.word))
-            assert fresh._kept_inverse_codes() == want, curve
+            assert fresh._kept_inverse_codes == want, curve
 
 
 def test_memoized_table_still_checks_the_walk_cap(monkeypatch):
@@ -883,7 +900,7 @@ def test_memoized_table_still_checks_the_walk_cap(monkeypatch):
     for a, b in ((bn, c), (c, bn)):
         want = curves.crossing_count(a, b)
         kept = _kept(a), _kept(b)
-        assert a._codes is not None or b._codes is not None  # a ray coasted
+        assert "_kept_codes" in vars(a) or "_kept_codes" in vars(b)  # a ray coasted
         margin = -len(bn) - len(c)
         monkeypatch.setattr(curves, "_WALK_MARGIN", margin)
         while _listed(S2, a.word, b.word) == "bound":
@@ -1028,6 +1045,34 @@ def test_a_reversed_target_twisted_many_times_flips_every_signed_count(monkeypat
     assert flipped >= 100 and len(fast) >= 2 * flipped
 
 
+def test_extension_equals_the_walk_on_every_short_genus_2_triple(monkeypatch):
+    # small scope: the 13 simple genus-2 curves of length <= 2.  For every
+    # crossing target and twisting curve and every partner in both
+    # orientations, the counts at +-(p0 + 2) and +-(p0 + 3), which extend
+    # the short twists' line by 2 and 3 periods, equal the expanded walk
+    fast = _record_extrapolations(monkeypatch)
+    words = oracle_simple_words(S2, 2)
+    assert len(words) == 13
+    partners = [fast_curve(S2, w) for w in words]
+    partners += [fast_curve(S2, curves.inverse_word(w)) for w in words]
+    checked = 0
+    for t, u in itertools.permutations(words, 2):
+        target, about = fast_curve(S2, t), fast_curve(S2, u)
+        if not intersection_number(target, about):
+            continue
+        for partner in partners:
+            p0 = _p0(partner.word, t, u)
+            for power in (p0 + 2, p0 + 3, -p0 - 2, -p0 - 3):
+                twisted = dehn_twist(target, about, power)
+                plain = _expanded(twisted), fast_curve(S2, partner.word)
+                for order, walked in (((partner, twisted), plain[::-1]), ((twisted, partner), plain)):
+                    assert curves.crossing_count(*order) == curves._crossing_count(*walked), (
+                        t, u, partner.word, power
+                    )
+                    checked += 1
+    assert checked == len(fast) == 20800
+
+
 def test_a_twist_record_that_does_not_fit_the_word_is_not_extrapolated():
     # the word of B[2,101] with the record of B[2,100]: its length is one
     # step off the short twists' line, so the count walks the word
@@ -1075,7 +1120,7 @@ def test_a_lowered_margin_gives_the_expanded_count_or_the_walk_bound(monkeypatch
     fast = _record_extrapolations(monkeypatch)
     raised, powers = 0, set()
     for margin in (-10**6, -801, -100, -20, -9, -5, -1, 0):
-        object.__setattr__(target, "_kept", None)
+        vars(target).pop("_kept", None)
         monkeypatch.setattr(curves, "_WALK_MARGIN", margin)
         for name, curve in named:
             for (a, b), expected in zip(((curve, bn), (bn, curve)), want[name]):
@@ -1167,7 +1212,7 @@ def test_a_warm_target_answers_a_lowered_margin_from_its_kept_counts(monkeypatch
     for margin in (-10**6, -100, -20, -5, 0):
         for name, curve in named:
             for (a, b), expected in zip(((curve, bn), (bn, curve)), want[name]):
-                object.__setattr__(target, "_kept", None)
+                vars(target).pop("_kept", None)
                 monkeypatch.setattr(curves, "_WALK_MARGIN", margin)
                 cold = outcome(a, b)
                 assert cold in (expected, "raised"), (margin, name)

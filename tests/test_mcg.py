@@ -83,7 +83,7 @@ def _merged_corners(curves_):
     system collects it."""
     corners = {}
     for y in curves_:
-        for corner, ts in y._kept_corners().items():
+        for corner, ts in y._kept_corners.items():
             corners.setdefault(corner, []).extend(ts)
     return corners
 
@@ -132,7 +132,7 @@ def test_merged_count_refuses_rays_that_run_along_the_axis_even_under_python_O()
         from lspacecert.curves import _merged_crossing_count
         from lspacecert.mcg import standard_curve_system
         system = standard_curve_system(2)
-        _merged_crossing_count(system.alphas[1], dict(system.c._kept_corners()), 4)
+        _merged_crossing_count(system.alphas[1], dict(system.c._kept_corners), 4)
         """,
         "MalformedInput",
     )

@@ -78,6 +78,7 @@ _BUILTIN_RAISES = {
     ("cli", "_cmd_sweep", "ValueError"),
     ("dsl", "eval_expression", "TypeError"),
     ("curves", "__setattr__", "AttributeError"),
+    ("curves", "__delattr__", "AttributeError"),
 }
 
 

@@ -1,4 +1,6 @@
 """Twist surgery properties: the square identity, naturality, group laws."""
+import itertools
+
 import pytest
 
 from lspacecert import curves
@@ -10,14 +12,36 @@ from lspacecert.curves import (
     is_isotopic,
 )
 from lspacecert.mcg import apply_word, beta_gn, monodromy_psi, standard_curve_system
+from lspacecert.surface import standard_surface
 
 from conftest import fast_curve, random_curve, random_twist_word
-from oracles import canonical_sign, oracle_reduce_cyclic, oriented_class
+from oracles import canonical_sign, oracle_reduce_cyclic, oracle_simple_words, oriented_class
+
+S2 = standard_surface(2)
 
 # every curve of the genus-2 system, by name
 SYSTEM_CURVES = pytest.mark.parametrize(
     "name", ["a1", "a2", "b1", "b2", "c"], ids=["x0", "x1", "x2", "x3", "x4"]
 )
+
+
+def test_twists_conjugate_on_every_short_genus_2_pair():
+    # small scope: for each factor T_d of psi at genus 2, every c and x
+    # among the 13 simple curves of length <= 2 and each n, the conjugation
+    # relation T_{T_d(c)}^n(T_d(x)) = T_d(T_c^n(x)) that validate's image
+    # of B[g,n] rests on
+    words = oracle_simple_words(S2, 2)
+    assert len(words) == 13
+    checked = 0
+    for d, p in monodromy_psi(2).factors:
+        for cw, xw in itertools.product(words, repeat=2):
+            c, x = fast_curve(S2, cw), fast_curve(S2, xw)
+            for n in (1, 2, 5, -3):
+                lhs = dehn_twist(dehn_twist(x, d, p), dehn_twist(c, d, p), n)
+                rhs = dehn_twist(dehn_twist(x, c, n), d, p)
+                assert is_isotopic(lhs, rhs), (d, c, x, n)
+                checked += 1
+    assert checked == 2028
 
 
 def test_power_zero_is_identity(sys2):
