@@ -3,18 +3,19 @@
 A certificate is an ordered list of typed steps.  Every n-dependent rank
 fact is recomputed each time a certificate is built, except that from
 n = p0 on (6 for the one-letter partners) the counts of B[g,n] are read
-off counts against two short twists of b_g, which b_g keeps; each fact
-is checked against its pinned value, so a kernel regression or a
-corrupted curve table aborts the derivation with AnchorViolation instead
-of producing a wrong proof.  The isotopy checks, the length check and
-the affine extension of the kept counts run for every certificate.
+off counts against two short twists of b_g, which each cited partner
+keeps; each fact is checked against its pinned value, so a kernel
+regression or a corrupted curve table aborts the derivation with
+AnchorViolation instead of producing a wrong proof.  The length check
+and the extension run for every certificate, isotopy once per genus.
 Genus-only facts are kept for the life of the process: the base bound
 is derived and checked once per genus and per first index, which is 0
 for ``derive_base_bound`` and 14 where every certificate of the genus
-splices it (steps 14-16); the system curves a_{g-1}, a_g and b_{g-1}
-are evaluated and step 3, rk HF(a_{g-1}, a_g) = 0, is derived and
-checked once per genus; and so are the images psi(b_g) and psi(c) that
-``cross_validate`` twists.  A build that fails its checks is not cached.
+splices it (steps 14-16); the system curves a_{g-1}, a_g and b_{g-1},
+the partners of B[g,n] that keep its counts, are evaluated and step 3,
+rk HF(a_{g-1}, a_g) = 0, is derived and checked once per genus; and so
+are the images psi(b_g) and psi(c) that ``cross_validate`` twists.  A
+build that fails its checks is not cached.
 Triangle steps apply the exact-triangle bound to earlier steps, and
 arithmetic steps track the inequality chain whose end is the final
 bound 16n^2 - 5 on the rank in Alexander grading 1 - g.  The verdict
@@ -29,13 +30,12 @@ n-dependent fact and reuses the checked genus-only steps.
 """
 from functools import lru_cache
 
-from .curves import dehn_twist, is_isotopic
+from .curves import _check_int, dehn_twist, is_isotopic
 from .dsl import curve_from_text
 from .errors import (
     AnchorViolation,
     BudgetExceeded,
     GenusTooSmall,
-    MalformedInput,
     NegativePower,
 )
 from .floer import (
@@ -179,12 +179,6 @@ class _Builder:
         return self.add(
             KIND_TRIANGLE, label, (f"step:{a.index}", f"step:{c.index}"), out, anchor
         )
-
-
-def _check_int(name, value):
-    # type, not isinstance: a bool is an int, and True must not pass as 1
-    if type(value) is not int:
-        raise MalformedInput(f"{name} must be an int, got {value!r}")
 
 
 def derive_base_bound(g):
@@ -362,10 +356,10 @@ def verify_certificate(cert):
 
     The rerun evaluates B[g,n] and checks each n-dependent rank against
     its pinned value, so it is the whole verification.  It reuses what the
-    process keeps per genus: the system curves with step 3, the base
-    block, the counts against the short twists of b_g and the surgery
-    plan of (b_g, c).  Returns True when the fresh certificate is equal,
-    and raises AnchorViolation otherwise.
+    process keeps per genus: the system curves with step 3 and their
+    counts against the short twists of b_g, the base block and the
+    surgery plan of (b_g, c).  Returns True when the fresh certificate is
+    equal, and raises AnchorViolation otherwise.
     """
     fresh = certify(cert.genus, cert.n)
     if fresh != cert:

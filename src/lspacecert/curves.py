@@ -50,8 +50,7 @@ the lengths of t, u and a partner alone, its counts against that partner
 are affine in |k|, since each further power adds one period deep inside
 every inserted run (a window bound, Fine and Wilf 1965).  So from |k| =
 p0 on ``crossing_count`` reads them off the twists at p0 and p0 + 1,
-which t keeps together with the counts against them, and the work of the
-count does not grow with k.
+whose counts the partner keeps, and the work does not grow with k.
 
 Twist surgery is a plan and its assembly.  The plan of a pair (t, u) is
 one (slot, eps, phase) per crossing, read off their crossing order: where
@@ -60,8 +59,8 @@ inserted copies start at.  It does not depend on the power, so t keeps
 it, and every twist of t about u assembles its word from the kept plan;
 the twists B[g,n] of b_g about c for every n list the crossings of that
 pair once.  The slot check runs when a plan is built, and a plan that
-fails it is not kept.  Plans, short twists and counts are kept in one
-memo on t (see ``Curve``), and no key holds the walk margin.
+fails it is not kept.  t keeps its plans and a partner its counts in
+one memo (see ``Curve``), and no key holds the walk margin.
 
 The homology class of a word is one dict from arc index to nonzero
 signed count, ``_word_class``; ``homology_class`` and the homology layer
@@ -489,12 +488,12 @@ class Curve:
     what its validation's self-count built.  Equality is ``is_isotopic``
     on one surface, which reads the normal forms only of words of equal
     length.  A twist keeps its (target, about, power) in ``_twist``.
-    What a curve keeps about a partner u is one memo, the cached property
-    ``_kept``, filled by ``_keep``: the surgery plan about u under
-    ``(u.word,)`` (``_surgery_plan``), a short twist about u under
-    ``(u.word, power)``, and a partner's counts against the short twists
-    under ``(u.word, p0, partner.word)`` (``_run_extrapolated_count``).
-    A build that raises keeps nothing.  The walk margin is a constant of
+    What a curve keeps is one memo, the cached property ``_kept``,
+    filled by ``_keep``: as a target, its surgery plan about u under
+    ``(u.word,)`` (``_surgery_plan``); as a partner, its counts against
+    the twists of t about u under ``(t.word, u.word, signed p0)``
+    (``_run_extrapolated_count``).  No kept value holds a curve, and a
+    build that raises keeps nothing.  The walk margin is a constant of
     the walk, so no key holds it; tests lower it only on curves that keep
     nothing.
     """
@@ -582,6 +581,12 @@ def _keep(curve, key, build):
     return kept[key]
 
 
+def _check_int(name, value):
+    # type, not isinstance: a bool is an int, and True must not pass as 1
+    if type(value) is not int:
+        raise MalformedInput(f"{name} must be an int, got {value!r}")
+
+
 def _check_same_surface(a, b):
     # system curves share the one lru_cached surface, so identity decides most
     if a.surface is not b.surface and a.surface != b.surface:
@@ -638,19 +643,18 @@ def _run_extrapolated_count(partner, curve):
     each run, with the same lifts and the same signs, and moves the rest
     along unchanged.  The number and the signed sum are thus affine in |k|
     from p0 on: they are counted against T^p0(t) and T^(p0+1)(t) and
-    extended to |k|.  The signed count follows t's stored orientation, so
-    the short twists are kept on t itself, by u's word and the power, and
-    so are the two counts, by u's word, the signed p0 and the partner's
-    word (which carries its orientation).  The length and isotopy checks
-    run before the kept counts are read.
+    extended to |k|.  The partner keeps the length of T^p0(t), the growth
+    per power and both counts, or None if it is isotopic to either twist,
+    under t's word (whose orientation the signed count follows), u's
+    word and the signed p0.
 
     It applies from |k| = p0 on, and only if len(curve) grows from the
-    short twists by the same step per power.  The first count of a
-    partner against twists of t about u walks both short twists, which
-    near p0 is one walk more than the expanded word would take; every
-    later count of that partner, at any |k| >= p0, reads the kept pair.
-    No key holds the margin, and p0 never reads a margin below the
-    default, so a lowered cap cannot move it.
+    kept length by the kept step per power.  The first count of a
+    partner against twists of t about u builds and walks both short
+    twists, which near p0 is one walk more than the expanded word would
+    take; every later one, at any |k| >= p0, reads the kept entry.  No
+    key holds the margin, and p0 never reads a margin below the default,
+    so a lowered cap cannot move it.
     """
     target, about, power = curve._twist
     step = len(about.word)
@@ -661,20 +665,17 @@ def _run_extrapolated_count(partner, curve):
         return None
     sign = 1 if power > 0 else -1
 
-    def short_twist(p):
-        return _keep(target, (about.word, p), lambda: dehn_twist(target, about, p))
+    def build():
+        near, far = (dehn_twist(target, about, sign * p) for p in (p0, p0 + 1))
+        if is_isotopic(partner, near) or is_isotopic(partner, far):
+            return None  # the walk never runs on an isotopic pair
+        grow = len(far.word) - len(near.word)
+        return len(near.word), grow, _crossing_count(partner, near), _crossing_count(partner, far)
 
-    near, far = short_twist(sign * p0), short_twist(sign * (p0 + 1))
-    grow = len(far.word) - len(near.word)
-    if len(curve.word) != len(near.word) + (k - p0) * grow:
+    kept = _keep(partner, (target.word, about.word, sign * p0), build)
+    if kept is None or len(curve.word) != kept[0] + (k - p0) * kept[1]:
         return None
-    if is_isotopic(partner, near) or is_isotopic(partner, far):
-        return None
-    (n0, s0), (n1, s1) = _keep(
-        target,
-        (about.word, sign * p0, partner.word),
-        lambda: (_crossing_count(partner, near), _crossing_count(partner, far)),
-    )
+    (n0, s0), (n1, s1) = kept[2:]
     return n0 + (k - p0) * (n1 - n0), s0 + (k - p0) * (s1 - s0)
 
 
@@ -732,6 +733,7 @@ def dehn_twist(target, about, power=1):
     can cancel.  The image keeps (target, about, power) for the counts of
     ``crossing_count``, unless the target keeps one itself.
     """
+    _check_int("power", power)
     _check_same_surface(target, about)
     if power == 0 or is_isotopic(target, about):
         return target

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 from .curves import (
     Curve,
+    _check_int,
     _merged_crossing_count,
     _word_class,
     algebraic_intersection_number,
@@ -137,6 +138,7 @@ class TwistWord(record("TwistWord", "factors")):
 
 def beta_gn(g, n):
     """The twisted curve obtained from b_g by n positive twists about c."""
+    _check_int("n", n)
     if n < 0:
         raise NegativePower(f"twist count n = {n} must be nonnegative")
     system = standard_curve_system(g)

@@ -28,7 +28,9 @@ def random_twist_word(rng, g, max_len=5, max_power=2):
 
 def fast_curve(surface, word):
     """The curve of a raw word, reduced but unchecked.  It keeps nothing,
-    so a count or a twist of it walks afresh."""
+    so a twist of it, or a count of it against a long twist, walks afresh.
+    A cold target alone does not make a cold count: a warm partner
+    answers from the counts it keeps by the target's word."""
     return curves._reduced_curve(surface, curves.reduce_cyclic(word))
 
 

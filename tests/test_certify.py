@@ -447,7 +447,8 @@ def test_certify_validate_and_replay_compute_no_normal_form(monkeypatch):
 
 def test_certify_builds_tables_only_of_short_twists(monkeypatch, fresh_system_caches):
     # B[g,n] is counted against a_{g-1}, a_g and b_{g-1}; from n = p0 = 6
-    # each count reads T(c)^6(b_g) and T(c)^7(b_g), which b_g keeps, and
+    # each count reads the partner's counts against T(c)^6(b_g) and
+    # T(c)^7(b_g), which each of the three builds once per genus, and
     # below that the count walks B's own word, whose classes it builds once
     built = count_corner_classes(monkeypatch)
     certify(3, 400)
@@ -462,7 +463,8 @@ def test_certify_builds_tables_only_of_short_twists(monkeypatch, fresh_system_ca
     built.clear()
     certify(2, 6)  # the genus's first short-twist certificate
     short = [mcg.beta_gn(2, 6).word, mcg.beta_gn(2, 7).word]
-    assert [built.count(word) for word in short] == [1, 1]
+    # one per cited partner; B[2,6], of T(c)^6(b_2)'s word, builds none
+    assert [built.count(word) for word in short] == [3, 3]
     for n in (6, 9):
         built.clear()
         certify(2, n)
@@ -471,7 +473,8 @@ def test_certify_builds_tables_only_of_short_twists(monkeypatch, fresh_system_ca
 
 def test_certify_count_work_does_not_grow_with_n(monkeypatch, fresh_system_caches):
     # from n = p0 = 6 the counts of B[g,n] read T(c)^6(b_g) and
-    # T(c)^7(b_g), and the counts against those are kept on b_g, and step
+    # T(c)^7(b_g), and the counts against those are kept on the partners
+    # a_{g-1}, a_g and b_{g-1}, which the genus keeps, and step
     # 3, rk HF(a_{g-1}, a_g) = 0, is kept per genus: the first such
     # certificate of a genus walks, and every further one makes no walk
     built = count_corner_classes(monkeypatch)

@@ -678,6 +678,19 @@ def test_intersection_matches_placement_oracle_randomized():
         checked += 1
 
 
+def test_intersection_number_is_minimal_on_every_short_genus_2_pair():
+    # small scope: the 39 simple genus-2 curves of length <= 3 and all
+    # 1,482 ordered pairs of distinct ones, against the placement search
+    words = oracle_simple_words(S2, 3)
+    assert len(words) == 39
+    checked = 0
+    for a, b in itertools.permutations(words, 2):
+        got = intersection_number(fast_curve(S2, a), fast_curve(S2, b))
+        assert got == oracle_min_crossings(a, b, S2), (a, b)
+        checked += 1
+    assert checked == 1482
+
+
 def test_twisted_family_against_oracle(sys2):
     _, a2 = sys2.alphas
     bn = beta_gn(2, 1)
@@ -955,7 +968,8 @@ def _p0(partner, target, about):
 
 
 def _expanded(curve):
-    """A curve of the same word that keeps no twist, so counts read the word."""
+    """A curve of the same word that keeps no twist, so counts read the
+    word, and nothing else: a copy of a partner keeps no counts."""
     return fast_curve(curve.surface, curve.word)
 
 
@@ -1015,9 +1029,9 @@ def test_counts_against_long_twists_equal_the_walk_on_the_expanded_word(monkeypa
 
 
 def test_a_reversed_target_twisted_many_times_flips_every_signed_count(monkeypatch):
-    # the short twists are kept on the target object: a reversed copy is
-    # isotopic to the target, and a cache keyed by isotopy would hand it
-    # the target's short twists, whose signed counts have the other sign
+    # the counts are kept under the target's word: a reversed copy is
+    # isotopic to the target, and a key by isotopy would hand it the
+    # target's counts, whose signed sums have the other sign
     fast = _record_extrapolations(monkeypatch)
     rng = random.Random(2402)
     flipped = 0
@@ -1112,8 +1126,9 @@ def _cold_twist(g, n):
 def test_a_lowered_margin_gives_the_expanded_count_or_the_walk_bound(monkeypatch):
     # p0 reads the margin at no less than its default, so a lowered cap
     # cannot send it below 1 and read twists of the other direction.  The
-    # target keeps nothing when each margin is lowered, so each count is
-    # the walk on the expanded word or raises WalkBoundExceeded
+    # target and the partners keep nothing when each margin is lowered,
+    # so each count is the walk on the expanded word or raises
+    # WalkBoundExceeded
     target, bn = _cold_twist(2, 100)
     named = standard_curve_system(2).named()
     want = {name: [w for _, w in _both_orders(curve, bn)] for name, curve in named}
@@ -1121,24 +1136,26 @@ def test_a_lowered_margin_gives_the_expanded_count_or_the_walk_bound(monkeypatch
     raised, powers = 0, set()
     for margin in (-10**6, -801, -100, -20, -9, -5, -1, 0):
         vars(target).pop("_kept", None)
+        partners = [(name, _expanded(curve)) for name, curve in named]
         monkeypatch.setattr(curves, "_WALK_MARGIN", margin)
-        for name, curve in named:
+        for name, curve in partners:
             for (a, b), expected in zip(((curve, bn), (bn, curve)), want[name]):
                 try:
                     assert curves.crossing_count(a, b) == expected, (margin, name)
                 except WalkBoundExceeded:
                     raised += 1
-        powers |= {key[1] for key in target._kept or () if len(key) == 2}
+        # each partner key ends in the signed p0 of the twists it counted
+        powers |= {key[2] for _, curve in partners for key in vars(curve).get("_kept", ())}
     # every count that does not raise is read off the short twists
     assert raised and fast and raised + len(fast) == 8 * 2 * len(named)
     assert powers and min(powers) >= 1
 
 
 def test_kept_short_counts_equal_the_walk_on_the_expanded_word(monkeypatch):
-    # the counts against T^p0(t) and T^(p0+1)(t) are kept on t: counted a
-    # second time, B[g,n] (and b_g twisted -n times) against each system
-    # curve in each order walks nothing where it extrapolates, and still
-    # equals the expanded walk
+    # the counts against T^p0(t) and T^(p0+1)(t) are kept on the partner:
+    # counted a second time, B[g,n] (and b_g twisted -n times) against
+    # each system curve in each order walks nothing where it extrapolates,
+    # and still equals the expanded walk
     fast = _record_extrapolations(monkeypatch)
     walks = []
     inner = curves._crossing_count
@@ -1166,7 +1183,7 @@ def test_kept_short_counts_equal_the_walk_on_the_expanded_word(monkeypatch):
 
 
 def test_a_reversed_partner_gets_its_own_kept_signed_count(monkeypatch):
-    # the kept counts are keyed by the partner's word, which carries its
+    # the kept counts live on the partner, whose word carries its
     # orientation: a reversed partner is isotopic to the partner, and reads
     # the signed sum of the other sign, not the partner's kept one
     fast = _record_extrapolations(monkeypatch)
@@ -1190,11 +1207,12 @@ def test_a_reversed_partner_gets_its_own_kept_signed_count(monkeypatch):
     assert flipped >= 12 and len(fast) >= 4 * flipped
 
 
-def test_a_warm_target_answers_a_lowered_margin_from_its_kept_counts(monkeypatch):
-    # no key holds the margin.  Under a lowered cap a target that keeps
-    # nothing walks, and raises WalkBoundExceeded or gives the walk on the
-    # expanded word; once it keeps the counts, made under the default cap,
-    # it answers from them and walks nothing
+def test_a_warm_partner_answers_a_lowered_margin_from_its_kept_counts(monkeypatch):
+    # no key holds the margin.  Under a lowered cap a partner that keeps
+    # nothing, against a target that keeps nothing, walks, and raises
+    # WalkBoundExceeded or gives the walk on the expanded word; once the
+    # partner keeps the counts, made under the default cap, it answers
+    # from them and walks nothing
     target, bn = _cold_twist(2, 100)
     named = standard_curve_system(2).named()
     want = {name: [w for _, w in _both_orders(curve, bn)] for name, curve in named}
@@ -1210,9 +1228,11 @@ def test_a_warm_target_answers_a_lowered_margin_from_its_kept_counts(monkeypatch
 
     raised = 0
     for margin in (-10**6, -100, -20, -5, 0):
-        for name, curve in named:
-            for (a, b), expected in zip(((curve, bn), (bn, curve)), want[name]):
+        for name, partner in named:
+            for flip, expected in enumerate(want[name]):
                 vars(target).pop("_kept", None)
+                curve = _expanded(partner)
+                a, b = (bn, curve) if flip else (curve, bn)
                 monkeypatch.setattr(curves, "_WALK_MARGIN", margin)
                 cold = outcome(a, b)
                 assert cold in (expected, "raised"), (margin, name)
@@ -1226,9 +1246,9 @@ def test_a_warm_target_answers_a_lowered_margin_from_its_kept_counts(monkeypatch
 
 
 def test_both_argument_orders_read_one_kept_count(monkeypatch):
-    # the counts against the short twists are kept by the partner's word
-    # alone: once x is counted against B[g,n] with n >= p0, the count of
-    # B[g,n] against x reads the same entry, with the signed sum negated,
+    # the counts against the short twists are kept on the partner alone:
+    # once x is counted against B[g,n] with n >= p0, the count of B[g,n]
+    # against x reads the same entry of x, with the signed sum negated,
     # and walks nothing
     walks = []
     inner = curves._crossing_count
@@ -1245,27 +1265,71 @@ def test_both_argument_orders_read_one_kept_count(monkeypatch):
                 if is_isotopic(x, bn) or n < _p0(x, target, system.c):
                     continue
                 number, signed = curves.crossing_count(x, bn)
-                size = len(target._kept)
+                key = (target.word, system.c.word, _p0(x, target, system.c))
+                kept = dict(x._kept)
                 walks.clear()
                 assert curves.crossing_count(bn, x) == (number, -signed), (g, n, x.word)
-                assert walks == [] and len(target._kept) == size, (g, n, x.word)
+                assert walks == [] and key in kept and x._kept == kept, (g, n, x.word)
                 checked += 1
     assert checked >= 30
 
 
 def test_a_forged_twist_record_on_a_warm_target_is_not_extrapolated(monkeypatch):
-    # b_2 keeps counts against T(c)^p0(b_2); a curve of B[2,101]'s word
+    # a1 keeps its counts against T(c)^p0(b_2); a curve of B[2,101]'s word
     # that claims to be T(c)^100(b_2) fails the length check before they
     # are read, in either argument order
     system = standard_curve_system(2)
-    a1 = system.alphas[0]
+    a1, b2, c = system.alphas[0], system.betas[-1], system.c
     assert intersection_number(a1, beta_gn(2, 100)) == 4 * 100
-    assert any(len(key) == 3 for key in system.betas[-1]._kept)  # counts are kept
+    assert a1._kept[b2.word, c.word, _p0(a1, b2, c)] is not None  # counts are kept
     fast = _record_extrapolations(monkeypatch)
     forged = _expanded(beta_gn(2, 101))
     object.__setattr__(forged, "_twist", (system.betas[-1], system.c, 100))
     assert intersection_number(a1, forged) == intersection_number(forged, a1) == 4 * 101
     assert fast == []
+
+
+def _ints_or_none(value):
+    """Whether a kept value is built of ints and None alone, in tuples."""
+    if type(value) is tuple:
+        return all(map(_ints_or_none, value))
+    return value is None or type(value) is int
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_what_a_curve_keeps_does_not_grow_with_its_partners(seed):
+    # a target keeps one plan per twisting curve, and a partner one entry
+    # per twist family it is counted against: 300 random partners of
+    # B[2,100], counted in both orders, leave b_2 its plan about c and
+    # each partner that extrapolated one entry, and no kept value holds a
+    # curve.  The partners are copies that keep nothing.  The cached b_2,
+    # which the random twists also twist, and other tests count as a
+    # partner, keeps what it kept before the counts
+    rng = random.Random(seed)
+    system = standard_curve_system(2)
+    b2, c = system.betas[-1], system.c
+    target, bn = _cold_twist(2, 100)
+    partners = [_expanded(random_curve(rng, 2)) for _ in range(300)]
+    cached = beta_gn(2, 100)
+    before = b2._kept.copy()
+    extrapolated = 0
+    for partner in partners:
+        for twisted in (bn, cached):
+            if is_isotopic(partner, twisted):
+                continue
+            number, signed = curves.crossing_count(partner, twisted)
+            assert curves.crossing_count(twisted, partner) == (number, -signed)
+        kept = vars(partner).get("_kept", {})
+        p0 = _p0(partner, b2, c)
+        if is_isotopic(partner, bn) or p0 > 100:
+            assert kept == {}, partner
+            continue
+        assert list(kept) == [(b2.word, c.word, p0)], partner
+        assert _ints_or_none(kept[b2.word, c.word, p0]), partner
+        extrapolated += kept[b2.word, c.word, p0] is not None
+    assert list(target._kept) == [(c.word,)] and _ints_or_none(target._kept[c.word,])
+    assert b2._kept == before and (c.word,) in before
+    assert extrapolated >= 250
 
 
 # ---------------------------------------------------------------------------

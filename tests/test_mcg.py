@@ -221,6 +221,39 @@ def test_beta_gn_examples():
         beta_gn(1, 1)
 
 
+NON_INT_POWERS = {
+    "twist-1.5": lambda s: curves.dehn_twist(s.betas[-1], s.c, 1.5),
+    "twist-2.0": lambda s: curves.dehn_twist(s.betas[-1], s.c, 2.0),
+    "twist-True": lambda s: curves.dehn_twist(s.betas[-1], s.c, True),
+    "beta-2.0": lambda s: beta_gn(2, 2.0),
+    "beta-str": lambda s: beta_gn(2, "3"),
+    "phi-1.0": lambda s: monodromy_phi(2, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", NON_INT_POWERS)
+def test_a_twist_power_that_is_not_an_int_is_malformed_input(name):
+    # the type is checked before the power is used, so no bare TypeError
+    # escapes, and a bool does not pass as 1
+    with pytest.raises(MalformedInput):
+        NON_INT_POWERS[name](standard_curve_system(2))
+
+
+def test_a_twist_power_that_is_not_an_int_is_a_typed_error_even_under_python_O():
+    assert raises_under_python_O(
+        """
+        from lspacecert.curves import dehn_twist
+        from lspacecert.mcg import beta_gn, standard_curve_system
+        s = standard_curve_system(2)
+        try:
+            dehn_twist(s.betas[-1], s.c, 1.5)
+        except MalformedInput:
+            beta_gn(2, "3")
+        """,
+        "MalformedInput",
+    )
+
+
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
 def test_psi_image_meets_beta_g_once(g):
     system = standard_curve_system(g)
