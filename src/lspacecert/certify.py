@@ -30,13 +30,14 @@ n-dependent fact and reuses the checked genus-only steps.
 """
 from functools import lru_cache
 
-from .curves import _check_int, dehn_twist, is_isotopic
+from .curves import dehn_twist, is_isotopic
 from .dsl import curve_from_text
 from .errors import (
     AnchorViolation,
     BudgetExceeded,
     GenusTooSmall,
     NegativePower,
+    _check_int,
 )
 from .floer import (
     RankInterval,

@@ -40,8 +40,12 @@ classes: ``_merged_crossing_count`` gives their summed number in one walk.
 A ``Curve`` is built from its reduced word alone; its normal form, its
 corner classes, the turn codes of its word and of its inverse, and its
 memo ``_kept`` are cached properties, computed on first read and kept.
-Every count of one curve and every twist about it reads the same kept
-fields, and validation runs its self-count on the curve it returns.
+A twist of at least ``_RUN_TABLES_MIN`` letters assembles its corner
+classes and turn codes from its surgery runs when either is first read
+(``_run_tables``); raw words and shorter twists are read letter by
+letter.  Every count of one curve and every twist about it reads the
+same kept fields, and validation runs its self-count on the curve it
+returns.
 Reduced words of isotopic curves have equal length, so isotopy tests and
 equality run Booth's algorithm only on curves of equal length.
 
@@ -60,7 +64,11 @@ it, and every twist of t about u assembles its word from the kept plan;
 the twists B[g,n] of b_g about c for every n list the crossings of that
 pair once.  The slot check runs when a plan is built, and a plan that
 fails it is not kept.  t keeps its plans and a partner its counts in
-one memo (see ``Curve``), and no key holds the walk margin.
+one memo (see ``Curve``), and no key holds the walk margin.  The record
+and the kept plan also give a twist's pieces again, so its tables are
+filled a run at a time: the join reports where each piece's surviving
+letters start, each corner of the loop gets one range of positions, and
+only the letter at each seam is read on its own.
 
 The homology class of a word is one dict from arc index to nonzero
 signed count, ``_word_class``; ``homology_class`` and the homology layer
@@ -76,22 +84,29 @@ from .errors import (
     NotSimple,
     SurfaceMismatch,
     WalkBoundExceeded,
+    _check_int,
 )
 
 # distinct periodic rays part within p + q steps, and crossing ends within q + 1 codes
 _DEFAULT_WALK_MARGIN = 8
 _WALK_MARGIN = _DEFAULT_WALK_MARGIN
+# twists of at least this many letters read their tables off their runs
+_RUN_TABLES_MIN = 80
 
 
 # ---------------------------------------------------------------------------
 # words
 
-def _reduced_product(pieces):
+def _reduced_product(pieces, starts=None):
     """The freely and cyclically reduced product of freely reduced pieces.
 
     Nothing cancels inside a piece, so each piece is joined by one walk at
     its seam: its head cancels the end of the product letter by letter,
-    and the rest of the piece goes on at once.
+    and the rest of the piece goes on at once.  Given a list ``starts``,
+    the walk appends to it, per piece, the index in the product before its
+    ends are cut at which the piece's surviving letters start, and then
+    that product's length; ``_run_tables`` places each piece's letters by
+    them.
     """
     out = []
     for piece in pieces:
@@ -99,9 +114,13 @@ def _reduced_product(pieces):
         while k < len(piece) and out and out[-1] == -piece[k]:
             out.pop()
             k += 1
+        if starts is not None:
+            starts.append(len(out))
         out += piece[k:]
     # the ends cancel in pairs; count the pairs, then cut them off at once
     n = len(out)
+    if starts is not None:
+        starts.append(n)
     k = 0
     while 2 * k + 1 < n and out[k] == -out[n - 1 - k]:
         k += 1
@@ -483,19 +502,22 @@ class Curve:
     The reduced word is all a curve is built from; what is derived from
     it is a cached property, computed on first read and kept: its normal
     form ``_canonical``, its corner classes ``_kept_corners`` and the turn
-    codes ``_kept_codes`` and ``_kept_inverse_codes``.  Assigning or
-    deleting any attribute raises.  A curve built from a raw word keeps
-    what its validation's self-count built.  Equality is ``is_isotopic``
-    on one surface, which reads the normal forms only of words of equal
-    length.  A twist keeps its (target, about, power) in ``_twist``.
-    What a curve keeps is one memo, the cached property ``_kept``,
-    filled by ``_keep``: as a target, its surgery plan about u under
-    ``(u.word,)`` (``_surgery_plan``); as a partner, its counts against
-    the twists of t about u under ``(t.word, u.word, signed p0)``
-    (``_run_extrapolated_count``).  No kept value holds a curve, and a
-    build that raises keeps nothing.  The walk margin is a constant of
-    the walk, so no key holds it; tests lower it only on curves that keep
-    nothing.
+    codes ``_kept_codes`` and ``_kept_inverse_codes``.  A twist of at
+    least ``_RUN_TABLES_MIN`` letters fills the first two in one pass
+    over its surgery runs (``_run_tables``); any other word is read
+    letter by letter, and the inverse codes are read off the forward
+    ones.  Assigning or deleting any attribute raises.  A curve built
+    from a raw word keeps what its validation's self-count built.
+    Equality is ``is_isotopic`` on one surface, which reads the normal
+    forms only of words of equal length.  A twist keeps its (target,
+    about, power) in ``_twist``.  What a curve keeps is one memo, the
+    cached property ``_kept``, filled by ``_keep``: as a target, its
+    surgery plan about u under ``(u.word,)`` (``_surgery_plan``); as a
+    partner, its counts against the twists of t about u under
+    ``(t.word, u.word, signed p0)`` (``_run_extrapolated_count``).  No
+    kept value holds a curve, and a build that raises keeps nothing.  The
+    walk margin is a constant of the walk, so no key holds it; tests
+    lower it only on curves that keep nothing.
     """
 
     def __new__(cls, surface, word):
@@ -514,13 +536,23 @@ class Curve:
 
     @cached_property
     def _kept_corners(self):
-        """The corner classes of the word, ``_corner_classes(self.word)``."""
-        return _corner_classes(self.word)
+        """The corner classes of the word, ``_corner_classes(self.word)``;
+        a long twist keeps its turn codes from the same run pass."""
+        tables = _twist_tables(self)
+        if tables is None:
+            return _corner_classes(self.word)
+        vars(self)["_kept_codes"] = tables[1]
+        return tables[0]
 
     @cached_property
     def _kept_codes(self):
-        """The turn codes of the word."""
-        return _turn_codes(self.surface, self.word)
+        """The turn codes of the word; a long twist keeps its corner
+        classes from the same run pass."""
+        tables = _twist_tables(self)
+        if tables is None:
+            return _turn_codes(self.surface, self.word)
+        vars(self)["_kept_corners"] = tables[0]
+        return tables[1]
 
     @cached_property
     def _kept_inverse_codes(self):
@@ -579,12 +611,6 @@ def _keep(curve, key, build):
     if key not in kept:
         kept[key] = build()
     return kept[key]
-
-
-def _check_int(name, value):
-    # type, not isinstance: a bool is an int, and True must not pass as 1
-    if type(value) is not int:
-        raise MalformedInput(f"{name} must be an int, got {value!r}")
 
 
 def _check_same_surface(a, b):
@@ -731,7 +757,9 @@ def dehn_twist(target, about, power=1):
     same pair again walks no crossing.  The target's word and each
     inserted run of copies are reduced, so only the seams between them
     can cancel.  The image keeps (target, about, power) for the counts of
-    ``crossing_count``, unless the target keeps one itself.
+    ``crossing_count``, unless the target keeps one itself.  Nothing else
+    is stored: a long image's tables are assembled from that record and
+    the kept plan when first read (``_run_tables``).
     """
     _check_int("power", power)
     _check_same_surface(target, about)
@@ -740,19 +768,100 @@ def dehn_twist(target, about, power=1):
     plan = _surgery_plan(target, about)
     if not plan:
         return target
+    pieces = _twist_pieces(target, about, power, plan)
+    # only the first twist of a chain keeps a record, so no chain of words is kept
+    twist = (target, about, power) if target._twist is None else None
+    return _reduced_curve(target.surface, _reduced_product(pieces), twist)
+
+
+def _twist_pieces(target, about, power, plan):
+    """The pieces of the twist T^power(target) about ``about``, in order:
+    the target's word cut at the plan's slots, and at each cut the run of
+    |power| copies of about's word that goes in there, so pieces at odd
+    indices are runs."""
     d, c = target.word, about.word
     pieces, done = [], 0
     for slot, eps, phase in plan:
-        loop = rotate_word(c, phase)
+        loop = c[phase:] + c[:phase]  # the plan's phase lies in [0, |c|)
         e = eps * power
         # the copies go in just before letter d[slot]
         pieces.append(d[done:slot])
         pieces.append(loop * e if e > 0 else inverse_word(loop) * (-e))
         done = slot
     pieces.append(d[done:])
-    # only the first twist of a chain keeps a record, so no chain of words is kept
-    twist = (target, about, power) if target._twist is None else None
-    return _reduced_curve(target.surface, _reduced_product(pieces), twist)
+    return pieces
+
+
+def _twist_tables(curve):
+    """``_run_tables`` of a twist of at least ``_RUN_TABLES_MIN`` letters,
+    else None: shorter words are read letter by letter."""
+    if curve._twist is None or len(curve.word) < _RUN_TABLES_MIN:
+        return None
+    return _run_tables(curve)
+
+
+def _run_tables(curve):
+    """The corner classes and turn codes of a twist's word, from its runs.
+
+    The curve is T^k(t) about u, as its record (t, u, k) says, and t keeps
+    the plan of (t, u), so the word is the reduced product of the pieces
+    of ``_twist_pieces``, and the join reports where each piece's
+    surviving letters start.  A run of copies of u's word, or of its
+    inverse, reads that word cyclically: past the run's first letter,
+    each position has the corner and the turn code of its phase in u's
+    word, which the position's corner fixes when u's corners are
+    distinct.  So each corner of u gets one range of positions, and u's
+    codes are repeated by slicing.  The first letter of a run, whose
+    corner straddles a seam, and the target's letters are read on their
+    own, and so is every run of a u whose word has a corner twice, which
+    keeps each position list ascending.  The tables equal
+    ``_corner_classes`` and ``_turn_codes`` of the word, keys in the same
+    order.  None where t keeps no plan of the pair, or where the pieces
+    do not join to the curve's word, as under a forged record.
+    """
+    target, about, power = curve._twist
+    plan = target._kept.get((about.word,))
+    if plan is None:
+        return None
+    pieces = _twist_pieces(target, about, power, plan)
+    starts = []
+    word = _reduced_product(pieces, starts)
+    if word != curve.word:
+        return None
+    pos = curve.surface._pos
+    n = len(curve.surface.boundary_order)
+    c = about.word
+    m = len(c)
+    loops = []  # (corners, codes, phase of each corner) of u, then of its inverse
+    for w, w_codes in ((c, about._kept_codes), (inverse_word(c), about._kept_inverse_codes)):
+        keys = list(zip(w, w[-1:] + w[:-1]))
+        loops.append((keys, w_codes, {key: r for r, key in enumerate(keys)}))
+    distinct = len(loops[0][2]) == m  # u has no corner twice
+    # piece i's surviving letters fill [lo, stop) of the word: the product
+    # loses `cut` letters off each end, and a later piece may cancel them
+    size = len(word)
+    cut = (starts[-1] - size) // 2
+    spans, stop = [], size
+    for i in range(len(pieces) - 1, -1, -1):
+        lo = max(starts[i] - cut, 0)
+        if lo < stop:
+            spans.append((i, lo, stop))
+            stop = lo
+    corners, codes = {}, []
+    for i, lo, hi in reversed(spans):
+        seam = lo + 1 if i % 2 and distinct else hi  # read letter by letter up to here
+        for t in range(lo + 1, seam + 1):
+            x, y = word[t - 1], word[t - 2]
+            corners.setdefault((x, y), []).append(t)
+            codes.append((pos[x] - pos[-y]) % n)
+        if seam < hi:
+            keys, w_codes, phase = loops[plan[i // 2][1] * power < 0]
+            r = phase[word[seam], word[seam - 1]]
+            for key, t in zip(keys[r:] + keys[:r], range(seam + 1, hi + 1)):
+                corners.setdefault(key, []).extend(range(t, hi + 1, m))
+            count = hi - seam
+            codes += ((w_codes[r:] + w_codes[:r]) * (count // m + 1))[:count]
+    return corners, codes
 
 
 def homology_class(a):

@@ -29,6 +29,12 @@ class MalformedInput(WorkbenchError):
     """An argument or a document has the wrong type or shape."""
 
 
+def _check_int(name, value):
+    # type, not isinstance: a bool is an int, and True must not pass as 1
+    if type(value) is not int:
+        raise MalformedInput(f"{name} must be an int, got {value!r}")
+
+
 class NotLSpaceForm(WorkbenchError):
     """A polynomial is not of the shape a staircase can produce."""
 

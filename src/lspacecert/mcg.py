@@ -18,7 +18,6 @@ from functools import lru_cache
 
 from .curves import (
     Curve,
-    _check_int,
     _merged_crossing_count,
     _word_class,
     algebraic_intersection_number,
@@ -33,6 +32,7 @@ from .errors import (
     MalformedInput,
     NegativePower,
     SurfaceMismatch,
+    _check_int,
 )
 from .poly import _mat_mul, charpoly
 from .record import record
@@ -69,8 +69,16 @@ def _require(fact, expected, got):
         raise AnchorViolation(fact, expected, got)
 
 
-@lru_cache(maxsize=None)
 def standard_curve_system(g):
+    """The standard system on the genus-g surface, kept per genus.  The
+    genus is checked before the cache sees it, so one that is not an int
+    raises MalformedInput."""
+    _check_int("genus", g)
+    return _standard_curve_system(g)
+
+
+@lru_cache(maxsize=None)
+def _standard_curve_system(g):
     """Build and validate the standard system on the genus-g surface.
 
     Each pair of consecutive chain curves must cross once, positively in

@@ -12,7 +12,7 @@ cut-open disk; side +k is the one a positive crossing exits through.
 """
 from functools import lru_cache
 
-from .errors import GenusTooSmall, MalformedInput
+from .errors import GenusTooSmall, MalformedInput, _check_int
 from .record import record
 
 
@@ -106,9 +106,16 @@ def chain_boundary_order(g):
     return tuple(order)
 
 
-@lru_cache(maxsize=None)
 def standard_surface(g):
-    """The surface of genus g with the chain-adapted cut system."""
+    """The surface of genus g with the chain-adapted cut system, kept per
+    genus.  The genus is checked before the cache sees it, so one that is
+    not an int raises MalformedInput."""
+    _check_int("genus", g)
+    return _standard_surface(g)
+
+
+@lru_cache(maxsize=None)
+def _standard_surface(g):
     if g < 2:
         raise GenusTooSmall(f"genus {g} < 2")
     arcs = tuple(f"e{k}" for k in range(1, 2 * g + 1))

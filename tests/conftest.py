@@ -56,8 +56,8 @@ def sys2():
 # every cache of the package; tests/test_source.py holds this to the
 # cached functions it finds in the package's modules
 PACKAGE_CACHES = (
-    surface.standard_surface,
-    mcg.standard_curve_system,
+    surface._standard_surface,
+    mcg._standard_curve_system,
     _base_block,
     _system_block,
     _psi_images,
@@ -95,12 +95,23 @@ def count_normal_forms(monkeypatch):
 
 def count_corner_classes(monkeypatch):
     """Record the word of every corner-class build, which a curve does once
-    when a count first reads it."""
+    when a count first reads it: letter by letter (``_corner_classes``) or,
+    for a long twist, from its runs (``_run_tables``, which builds the
+    turn codes in the same pass)."""
     built = []
     inner = curves._corner_classes
     monkeypatch.setattr(
         curves, "_corner_classes", lambda word: built.append(word) or inner(word)
     )
+    inner_runs = curves._run_tables
+
+    def run_tables(curve):
+        tables = inner_runs(curve)
+        if tables is not None:
+            built.append(curve.word)
+        return tables
+
+    monkeypatch.setattr(curves, "_run_tables", run_tables)
     return built
 
 

@@ -13,6 +13,7 @@ from lspacecert.curves import (
     is_isotopic,
 )
 from lspacecert import poly as poly_module
+from lspacecert.dsl import curve_from_text
 from lspacecert.errors import (
     AnchorViolation,
     CoefficientBoundTooLarge,
@@ -34,7 +35,7 @@ from lspacecert.mcg import (
     symplectic_form,
 )
 from lspacecert.poly import LaurentPoly, _mat_mul, charpoly
-from lspacecert.surface import SurfaceSpec, chain_boundary_order
+from lspacecert.surface import SurfaceSpec, chain_boundary_order, standard_surface
 
 from conftest import random_curve, random_twist_word, raises_under_python_O
 from oracles import (
@@ -249,6 +250,40 @@ def test_a_twist_power_that_is_not_an_int_is_a_typed_error_even_under_python_O()
             dehn_twist(s.betas[-1], s.c, 1.5)
         except MalformedInput:
             beta_gn(2, "3")
+        """,
+        "MalformedInput",
+    )
+
+
+NON_INT_GENERA = {
+    "system-3.0": lambda: standard_curve_system(3.0),
+    "system-str": lambda: standard_curve_system("3"),
+    "system-True": lambda: standard_curve_system(True),
+    "system-list": lambda: standard_curve_system([3]),
+    "surface-2.0": lambda: standard_surface(2.0),
+    "surface-True": lambda: standard_surface(True),
+    "beta-4.0": lambda: beta_gn(4.0, 2),
+    "psi-5.0": lambda: monodromy_psi(5.0),
+    "dsl-6.0": lambda: curve_from_text("a1", 6.0),
+}
+
+
+@pytest.mark.parametrize("name", NON_INT_GENERA)
+def test_a_genus_that_is_not_an_int_is_malformed_input(name):
+    # the genus is checked before a cache sees it: a warm cache of the
+    # equal int answers no float, and a bool does not pass as 1
+    for g in (2, 3, 4, 5, 6):
+        standard_curve_system(g)
+    with pytest.raises(MalformedInput):
+        NON_INT_GENERA[name]()
+
+
+def test_a_genus_that_is_not_an_int_is_a_typed_error_even_under_python_O():
+    assert raises_under_python_O(
+        """
+        from lspacecert.mcg import standard_curve_system
+        standard_curve_system(3)
+        standard_curve_system(3.0)
         """,
         "MalformedInput",
     )

@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from lspacecert import curves
+from lspacecert.certify import _psi_images
 from lspacecert.curves import (
     algebraic_intersection_number,
     dehn_twist,
@@ -166,14 +167,18 @@ def test_twist_words_join_their_pieces_like_the_naive_reduction(rng, monkeypatch
     joins = []
     inner = curves._reduced_product
 
-    def spy(pieces):
+    def spy(pieces, starts=None):
         pieces = [tuple(p) for p in pieces]
         joins.append(pieces)
-        return inner(pieces)
+        return inner(pieces, starts)
 
     monkeypatch.setattr(curves, "_reduced_product", spy)
     joined = shortened = 0
     for target, about, power in pairs:
+        # a long twist assembles its tables by the same join, so the tables
+        # the surgery plan reads are built before the twist's join is watched
+        for curve in (target, about):
+            curve._kept_corners, curve._kept_inverse_codes
         del joins[:]
         word = dehn_twist(target, about, power).word
         if not joins:  # disjoint or isotopic: the target comes back
@@ -185,6 +190,73 @@ def test_twist_words_join_their_pieces_like_the_naive_reduction(rng, monkeypatch
         joined += 1
         shortened += len(word) < len(naive)
     assert joined >= 150 and shortened >= 50  # many seams cancel letters
+
+
+def _trims(twist):
+    """Whether the join of a twist's pieces cancels letters at a seam, and
+    whether its cyclic trim cuts past a target segment at an end of the
+    word, into a run."""
+    target, about, power = twist._twist
+    pieces = curves._twist_pieces(target, about, power, target._kept[about.word,])
+    starts = []
+    size = len(curves._reduced_product(pieces, starts))
+    cut = (starts[-1] - size) // 2
+    return starts[-1] < sum(map(len, pieces)), cut > min(starts[1:]) or size + cut < starts[-2]
+
+
+def _assert_tables_of_runs(curve, codes_first):
+    """The tables a twist assembles from its runs, and the tables it keeps,
+    equal those read letter by letter off its word, keys in the same order."""
+    word = curve.word
+    corners = list(curves._corner_classes(word).items())
+    codes = curves._turn_codes(curve.surface, word)
+    inverse = curves._turn_codes(curve.surface, curves.inverse_word(word))
+    run_corners, run_codes = curves._run_tables(curve)
+    assert list(run_corners.items()) == corners and run_codes == codes, word
+    if codes_first:  # either table's first read builds both
+        assert curve._kept_codes == codes, word
+    assert list(curve._kept_corners.items()) == corners, word
+    assert curve._kept_codes == codes and curve._kept_inverse_codes == inverse, word
+
+
+def test_twist_tables_from_runs_equal_the_letter_by_letter_tables(sys2, rng):
+    # small scope: every twist of one of the 13 simple genus-2 curves of
+    # length <= 2 about another, at powers +-1..12 and +-40, then B[g,n]
+    # and T_{psi(c)}^(+-n)(psi(b_g)) for g = 2..4 and n <= 60; the run
+    # path runs on each whatever its length, and its kept tables are read.
+    # No short target has its trim cut into a run, so random pairs of
+    # genus 2 and 3 add such cases
+    words = oracle_simple_words(S2, 2)
+    assert len(words) == 13
+    powers = [p for k in (*range(1, 13), 40) for p in (k, -k)]
+    pairs = [(fast_curve(S2, t), fast_curve(S2, u), powers)
+             for t, u in itertools.product(words, repeat=2)]
+    for g in (2, 3):
+        for _ in range(150):
+            target = random_curve(rng, g, max_len=3)
+            pairs.append((fast_curve(target.surface, target.word),
+                          random_curve(rng, g, max_len=2), (2, -5)))
+    twists = []
+    for target, about, ps in pairs:
+        twists += [t for t in (dehn_twist(target, about, p) for p in ps) if t is not target]
+    for g in (2, 3, 4):
+        psi_b, psi_c = _psi_images(g)
+        for n in range(1, 61):
+            twists += [beta_gn(g, n), dehn_twist(psi_b, psi_c, n), dehn_twist(psi_b, psi_c, -n)]
+    seams = cuts = 0
+    for i, twist in enumerate(twists):
+        _assert_tables_of_runs(twist, i % 2)
+        seam, cut = _trims(twist)
+        seams += seam
+        cuts += cut
+    assert len(twists) > 3500 and seams > 1000 and cuts >= 10, (len(twists), seams, cuts)
+    # a record that does not give the word is not read: B[2,21] claiming
+    # to be B[2,20] gets the tables of its own word
+    b2, c = sys2.betas[-1], sys2.c
+    forged = curves._reduced_curve(S2, beta_gn(2, 21).word, (b2, c, 20))
+    assert curves._run_tables(forged) is None
+    assert list(forged._kept_corners.items()) == list(curves._corner_classes(forged.word).items())
+    assert forged._kept_codes == curves._turn_codes(S2, forged.word)
 
 
 def _twist_of_a_copy(target, about, power):
