@@ -8,14 +8,14 @@ keeps; each fact is checked against its pinned value, so a kernel
 regression or a corrupted curve table aborts the derivation with
 AnchorViolation instead of producing a wrong proof.  The length check
 and the extension run for every certificate, isotopy once per genus.
-Genus-only facts are kept for the life of the process: the base bound
-is derived and checked once per genus and per first index, which is 0
-for ``derive_base_bound`` and 14 where every certificate of the genus
-splices it (steps 14-16); the system curves a_{g-1}, a_g and b_{g-1},
-the partners of B[g,n] that keep its counts, are evaluated and step 3,
-rk HF(a_{g-1}, a_g) = 0, is derived and checked once per genus; and so
-are the images psi(b_g) and psi(c) that ``cross_validate`` twists.  A
-build that fails its checks is not cached.
+Genus-only facts are kept for the life of the process, in one block
+per genus: the system curves a_{g-1}, a_g and b_{g-1}, the partners of
+B[g,n] that keep its counts, evaluated once; step 3, rk HF(a_{g-1},
+a_g) = 0; and the base bound, steps 14-16, which every certificate of
+the genus cites and ``derive_base_bound`` returns.  Each is derived and
+checked once.  The images psi(b_g) and psi(c) that ``cross_validate``
+twists are kept per genus apart from it.  A build that fails its checks
+is not cached.
 Triangle steps apply the exact-triangle bound to earlier steps, and
 arithmetic steps track the inequality chain whose end is the final
 bound 16n^2 - 5 on the rank in Alexander grading 1 - g.  The verdict
@@ -35,8 +35,8 @@ from .dsl import curve_from_text
 from .errors import (
     AnchorViolation,
     BudgetExceeded,
-    GenusTooSmall,
     NegativePower,
+    _check_genus,
     _check_int,
 )
 from .floer import (
@@ -59,6 +59,9 @@ from .mcg import (
 from .record import record
 
 SCHEMA_VERSION = 1
+
+# the default bound on the word-length product that cross_validate walks
+VALIDATE_BUDGET = 50_000
 
 KIND_RANK_FACT = "rank_fact"
 KIND_TRIANGLE = "triangle_propagation"
@@ -189,53 +192,46 @@ def derive_base_bound(g):
     (recomputed), the untwisted surgered knot is the torus knot whose
     staircase carries rank one in grading 1-g (recomputed from the
     monodromy's own Alexander polynomial), and the surgery triangle then
-    bounds the reference rank by their sum.  Its steps are numbered from
-    0; ``certify`` builds the same block numbered from 14, where it
-    splices it.  Cached per genus and first index; a build that fails a
-    check raises and is not cached.  The genus is checked
-    before the cache sees it, so a genus that is not an int (unhashable
-    ones included) raises MalformedInput.
+    bounds the reference rank by their sum.  The steps are those every
+    certificate of the genus cites, numbered 14-16.  Kept per genus; a
+    build that fails a check raises and is not cached.  The genus is
+    checked before the cache sees it, so a genus that is not an int
+    (unhashable ones included) raises MalformedInput.
     """
-    _check_int("genus", g)
-    if g < 2:
-        raise GenusTooSmall(f"genus {g} < 2")
-    return _base_block(g, 0)
+    _check_genus(g)
+    return _genus_block(g)[2]
 
 
 @lru_cache(maxsize=None)
-def _base_block(g, first):
-    """The base block of genus g, its steps numbered from ``first``."""
-    builder = _Builder(g, first)
-    s_iota = builder.rank_fact(f"b{g}", f"psi(b{g})", 1)
+def _genus_block(g):
+    """The genus-only facts of every certificate of genus g: the system
+    curves a_{g-1}, a_g and b_{g-1}, each evaluated through the DSL, as
+    (expression, curve) pairs; step 3, rk HF(a_{g-1}, a_g) = 0, checked
+    against its pinned value; and the base block, steps 14-16."""
+    system = _Builder(g, 3)
+    s_aa = system.rank_fact(f"a{g - 1}", f"a{g}", 0)
+    system.curve(f"b{g - 1}")
+
+    base = _Builder(g, 14)
+    s_iota = base.rank_fact(f"b{g}", f"psi(b{g})", 1)
     stair = staircase_from_alexander(alexander_polynomial(monodromy_phi(g, 0)))
     base_rank = lspace_profile(stair).rank_at(1 - g)
     if base_rank != 1:
         raise AnchorViolation(f"rk HFK(S3, K0; {1 - g})", 1, base_rank)
-    s_k0 = builder.add(
+    s_k0 = base.add(
         KIND_RANK_FACT,
         f"rk HFK(S3, K0; {1 - g}) = 1",
         (f"curve:phi[0](b{g})",),
         RankInterval.exactly(1),
         "fact.base-knot",
     )
-    builder.triangle(
+    base.triangle(
         f"rk HFK(Y, K; {1 - g}) bounded via the surgery triangle over b{g}",
         s_k0,
         s_iota,
         "axiom.surgery-triangle",
     )
-    return tuple(builder.steps)
-
-
-@lru_cache(maxsize=None)
-def _system_block(g):
-    """The genus-only start of every certificate of genus g: the system
-    curves a_{g-1}, a_g and b_{g-1}, each evaluated through the DSL, and
-    step 3, rk HF(a_{g-1}, a_g) = 0, checked against its pinned value."""
-    builder = _Builder(g, 3)
-    s_aa = builder.rank_fact(f"a{g - 1}", f"a{g}", 0)
-    builder.curve(f"b{g - 1}")
-    return tuple(builder.curves.items()), s_aa
+    return tuple(system.curves.items()), s_aa, tuple(base.steps)
 
 
 def certify(g, n):
@@ -246,15 +242,13 @@ def certify(g, n):
     are spliced in; the returned steps deterministically replay to the
     same certificate.
     """
-    _check_int("genus", g)
     _check_int("n", n)
-    if g < 2:
-        raise GenusTooSmall(f"genus {g} < 2")
+    _check_genus(g)
     if n < 0:
         raise NegativePower(f"twist count n = {n} must be nonnegative")
     b_expr = f"B[{g},{n}]"
     tw_expr = f"T(a{g - 1})^1({b_expr})"
-    system_curves, s_aa = _system_block(g)
+    system_curves, s_aa, base_steps = _genus_block(g)
     builder = _Builder(g, curves=system_curves)
 
     # pinned crossing-word facts; step 3 is the genus's kept one
@@ -314,7 +308,7 @@ def certify(g, n):
         "arith.chain",
     )
 
-    builder.steps.extend(_base_block(g, len(builder.steps)))
+    builder.steps.extend(base_steps)
     s_base = builder.steps[-1]
 
     s_target = builder.triangle(
@@ -383,7 +377,7 @@ def _psi_images(g):
     return apply_word(psi, system.betas[-1]), apply_word(psi, system.c)
 
 
-def cross_validate(g, n, budget=50_000):
+def cross_validate(g, n, budget=VALIDATE_BUDGET):
     """Directly measure the twisted pair rank the derivation only bounds.
 
     Computes iota(B[g,n], psi(B[g,n])) on crossing words, checks the two
@@ -399,11 +393,9 @@ def cross_validate(g, n, budget=50_000):
     depend on how the image is built.  A genus, n or budget that is not
     an int raises MalformedInput.
     """
-    _check_int("genus", g)
     _check_int("n", n)
     _check_int("budget", budget)
-    if g < 2:
-        raise GenusTooSmall(f"genus {g} < 2")
+    _check_genus(g)
     if n < 1:
         raise NegativePower(f"cross validation needs n >= 1, got {n}")
     bn = beta_gn(g, n)

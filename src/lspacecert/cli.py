@@ -9,6 +9,7 @@ from .certify import (
     _CITED,
     KIND_CONCLUSION,
     SCHEMA_VERSION,
+    VALIDATE_BUDGET,
     certify,
     cross_validate,
 )
@@ -282,7 +283,7 @@ def _build_parser():
     p = sub.add_parser("validate", help="directly measure the twisted pair rank")
     p.add_argument("-g", "--genus", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=50_000)
+    p.add_argument("--budget", type=int, default=VALIDATE_BUDGET)
 
     p = sub.add_parser("sweep", help="certify a grid of (g, n) and verify verdicts")
     p.add_argument("-g", "--genus", required=True, help="genus or range G1..G2")

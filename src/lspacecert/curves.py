@@ -136,11 +136,6 @@ def inverse_word(word):
     return tuple(-x for x in reversed(word))
 
 
-def rotate_word(word, k):
-    k %= len(word)
-    return word[k:] + word[:k]
-
-
 def _least_rotation(word):
     """Lexicographically least rotation of a word, by Booth's algorithm.
 

@@ -35,6 +35,14 @@ def _check_int(name, value):
         raise MalformedInput(f"{name} must be an int, got {value!r}")
 
 
+def _check_genus(g):
+    """The one gate on a genus, run before any cache sees it: MalformedInput
+    if it is not an int, GenusTooSmall if it is below 2."""
+    _check_int("genus", g)
+    if g < 2:
+        raise GenusTooSmall(f"genus {g} < 2")
+
+
 class NotLSpaceForm(WorkbenchError):
     """A polynomial is not of the shape a staircase can produce."""
 

@@ -28,10 +28,10 @@ from .curves import (
 )
 from .errors import (
     AnchorViolation,
-    GenusTooSmall,
     MalformedInput,
     NegativePower,
     SurfaceMismatch,
+    _check_genus,
     _check_int,
 )
 from .poly import _mat_mul, charpoly
@@ -73,7 +73,7 @@ def standard_curve_system(g):
     """The standard system on the genus-g surface, kept per genus.  The
     genus is checked before the cache sees it, so one that is not an int
     raises MalformedInput."""
-    _check_int("genus", g)
+    _check_genus(g)
     return _standard_curve_system(g)
 
 
@@ -91,8 +91,6 @@ def _standard_curve_system(g):
     the chain curves and its null homology are checked one by one.  That
     is 10g - 3 kernel walks in all, with the self-counts of validation.
     """
-    if g < 2:
-        raise GenusTooSmall(f"genus {g} < 2; the curve c needs a_g and b_{{g-1}}")
     surface = standard_surface(g)
     alphas = tuple(Curve(surface, (2 * i - 1,)) for i in range(1, g + 1))
     betas = tuple(Curve(surface, (2 * i,)) for i in range(1, g + 1))

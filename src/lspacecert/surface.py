@@ -12,7 +12,7 @@ cut-open disk; side +k is the one a positive crossing exits through.
 """
 from functools import lru_cache
 
-from .errors import GenusTooSmall, MalformedInput, _check_int
+from .errors import MalformedInput, _check_genus, _check_int
 from .record import record
 
 
@@ -51,15 +51,15 @@ class SurfaceSpec(record("SurfaceSpec", "genus cut_arcs boundary_order")):
     ``boundary_order`` must list each of the 4g signed arc symbols exactly
     once, and regluing must produce a connected boundary (equivalently the
     reglued surface has Euler characteristic 1 - 2g and genus g).  A
-    spec that breaks either rule raises MalformedInput.  The position of
-    each side on the disk boundary (``_pos``) and the boundary word are
-    kept outside the fields, so they are not shown, compared or hashed.
+    spec that breaks either rule raises MalformedInput; the genus passes
+    ``_check_genus``.  The position of each side on the disk boundary
+    (``_pos``) and the boundary word are kept outside the fields, so they
+    are not shown, compared or hashed.
     """
 
     def __new__(cls, genus, cut_arcs, boundary_order):
         g = genus
-        if g < 2:
-            raise GenusTooSmall(f"genus {g} < 2")
+        _check_genus(g)
         if len(cut_arcs) != 2 * g:
             raise MalformedInput(f"need {2 * g} cut arcs, got {len(cut_arcs)}")
         order = tuple(boundary_order)
@@ -98,6 +98,7 @@ def chain_boundary_order(g):
     to chain curve k.  Consecutive chords must link and all others must
     not, which the staircase pattern 1, 2, -1, 3, -2, 4, -3, ... realizes.
     """
+    _check_int("genus", g)
     n = 2 * g
     order = [1, 2, -1]
     for k in range(3, n + 1):
@@ -110,13 +111,11 @@ def standard_surface(g):
     """The surface of genus g with the chain-adapted cut system, kept per
     genus.  The genus is checked before the cache sees it, so one that is
     not an int raises MalformedInput."""
-    _check_int("genus", g)
+    _check_genus(g)
     return _standard_surface(g)
 
 
 @lru_cache(maxsize=None)
 def _standard_surface(g):
-    if g < 2:
-        raise GenusTooSmall(f"genus {g} < 2")
     arcs = tuple(f"e{k}" for k in range(1, 2 * g + 1))
     return SurfaceSpec(genus=g, cut_arcs=arcs, boundary_order=chain_boundary_order(g))

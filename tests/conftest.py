@@ -8,7 +8,7 @@ import pytest
 
 import lspacecert
 from lspacecert import cli, curves, mcg, surface
-from lspacecert.certify import _base_block, _psi_images, _system_block
+from lspacecert.certify import _genus_block, _psi_images
 from lspacecert.mcg import TwistWord, apply_word, standard_curve_system
 
 
@@ -58,18 +58,17 @@ def sys2():
 PACKAGE_CACHES = (
     surface._standard_surface,
     mcg._standard_curve_system,
-    _base_block,
-    _system_block,
+    _genus_block,
     _psi_images,
     cli._build_parser,
 )
 
 
 def clear_genus_caches():
-    """Empty every cache of the package: surface, curve system, base block
-    (at each first index), the system curves and step 3 that start every
-    certificate of a genus, the psi images of b_g and c, and the argument
-    parser."""
+    """Empty every cache of the package: surface, curve system, the genus
+    block (the system curves, step 3 and the base block that every
+    certificate of a genus cites), the psi images of b_g and c, and the
+    argument parser."""
     for cached in PACKAGE_CACHES:
         cached.cache_clear()
 

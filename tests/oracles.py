@@ -30,8 +30,13 @@ from lspacecert.floer import RankInterval, Verdict
 # ---------------------------------------------------------------------------
 # cyclic words, one rotation at a time
 
+def rotate_word(word, k):
+    k %= len(word)
+    return word[k:] + word[:k]
+
+
 def _rotations(word):
-    return [word[k:] + word[:k] for k in range(len(word))]
+    return [rotate_word(word, k) for k in range(len(word))]
 
 
 def oracle_canonical_form(word):

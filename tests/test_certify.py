@@ -56,23 +56,15 @@ def test_base_bound_is_zero_two_for_every_genus(g):
 
 def test_base_block_is_spliced_at_steps_14_to_16():
     for g in range(2, 6):
-        shifted = [
-            s._replace(
-                index=s.index + 14,
-                inputs=tuple(
-                    f"step:{int(r.split(':')[1]) + 14}" if r.startswith("step:") else r
-                    for r in s.inputs
-                ),
-            )
-            for s in derive_base_bound(g)
-        ]
-        assert [s.inputs for s in shifted] == [
+        block = derive_base_bound(g)
+        assert [s.index for s in block] == [14, 15, 16]
+        assert [s.inputs for s in block] == [
             (f"curve:b{g}", f"curve:psi(b{g})"),
             (f"curve:phi[0](b{g})",),
             ("step:15", "step:14"),
         ]
         for n in range(4):
-            assert list(certify(g, n).steps[14:17]) == shifted
+            assert certify(g, n).steps[14:17] == block
 
 
 def test_genus_work_runs_once_per_genus_and_matches_a_cold_build(
@@ -102,6 +94,23 @@ def test_genus_work_runs_once_per_genus_and_matches_a_cold_build(
         clear_genus_caches()
         cert = certify(g, n)
         assert (cli.emit_certificate(cert, "json"), cli.emit_certificate(cert, "text")) == blobs
+
+
+def test_genus_only_facts_are_derived_once_per_genus(monkeypatch, fresh_system_caches):
+    # derive_base_bound and certify read one block per genus, in either order
+    calls = collections.Counter()
+    real = certify_module.alexander_polynomial
+
+    def counting(phi):
+        calls[phi.factors[0][0].surface.genus] += 1
+        return real(phi)
+
+    monkeypatch.setattr(certify_module, "alexander_polynomial", counting)
+    block = derive_base_bound(2)
+    assert [certify(2, n).steps[14:17] for n in range(7)] == [block] * 7
+    spliced = [certify(3, n).steps[14:17] for n in range(7)]
+    assert spliced == [derive_base_bound(3)] * 7
+    assert calls == {2: 1, 3: 1}
 
 
 @pytest.mark.parametrize("g", [2.0, True, "2", None, [2]])
@@ -487,7 +496,6 @@ def test_certify_count_work_does_not_grow_with_n(monkeypatch, fresh_system_cache
         curves, "_crossing_count", lambda a, b: pairs.append((a, b)) or inner_count(a, b)
     )
     for g in (2, 3):
-        derive_base_bound(g)
         system = mcg.standard_curve_system(g)
         aa, a_g = system.alphas[-2], system.alphas[-1]
         built.clear()
@@ -540,7 +548,7 @@ def test_system_block_fault_raises_and_is_not_cached(monkeypatch, fresh_system_c
     assert exc.value.fact == "rk HF(a1, a2)"
     monkeypatch.undo()
     assert certify(2, 1).final_bound == 11
-    assert certify_module._system_block(2)[1].output == RankInterval.exactly(0)
+    assert certify_module._genus_block(2)[1].output == RankInterval.exactly(0)
     assert raises_under_python_O(
         """
         from lspacecert import curves

@@ -262,6 +262,10 @@ NON_INT_GENERA = {
     "system-list": lambda: standard_curve_system([3]),
     "surface-2.0": lambda: standard_surface(2.0),
     "surface-True": lambda: standard_surface(True),
+    "spec-3.0": lambda: SurfaceSpec(3.0, standard_surface(3).cut_arcs, chain_boundary_order(3)),
+    "spec-True": lambda: SurfaceSpec(True, ("e1", "e2"), (1, 2, -1, -2)),
+    "order-3.0": lambda: chain_boundary_order(3.0),
+    "order-True": lambda: chain_boundary_order(True),
     "beta-4.0": lambda: beta_gn(4.0, 2),
     "psi-5.0": lambda: monodromy_psi(5.0),
     "dsl-6.0": lambda: curve_from_text("a1", 6.0),
@@ -284,6 +288,19 @@ def test_a_genus_that_is_not_an_int_is_a_typed_error_even_under_python_O():
         from lspacecert.mcg import standard_curve_system
         standard_curve_system(3)
         standard_curve_system(3.0)
+        """,
+        "MalformedInput",
+    )
+
+
+def test_a_surface_genus_that_is_not_an_int_is_a_typed_error_even_under_python_O():
+    assert raises_under_python_O(
+        """
+        from lspacecert.surface import SurfaceSpec, chain_boundary_order
+        try:
+            SurfaceSpec(True, ("e1", "e2"), (1, 2, -1, -2))
+        except MalformedInput:
+            chain_boundary_order(3.0)
         """,
         "MalformedInput",
     )

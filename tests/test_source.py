@@ -1,4 +1,5 @@
 import ast
+import collections
 import importlib
 import importlib.util
 import io
@@ -65,6 +66,35 @@ def test_benchmark_work_rows_read_the_arguments_they_size():
         rows = homology_action(*args)
         assert work["mcg.homology_action"](args, rows) == (g, 2 * g)
         assert work["poly.charpoly"]((rows,), charpoly(rows)) == (g, 2 * g)
+
+
+def _named(node):
+    """Every name and attribute name read or written under ``node``."""
+    return [
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    ]
+
+
+def test_every_package_function_has_a_caller():
+    # library code that only tests use belongs in tests/: each function
+    # defined in the package is named elsewhere in it, exported, wrapped by
+    # the benchmark or run as a CLI command (by name); Python calls the
+    # dunder methods by protocol
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(pathlib.Path(lspacecert.__file__).parent.glob("*.py"))]
+    named = collections.Counter(name for tree in trees for name in _named(tree))
+    kept = set(lspacecert.__all__) | {name for _, name, _ in _perfbench_tracer().TARGETS}
+    unused = [
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith(("_cmd_", "__")) or node.name in kept)
+        and named[node.name] == _named(node).count(node.name)
+    ]
+    assert unused == []
 
 
 # raises that may name a builtin exception, by (module, innermost function,
@@ -140,7 +170,7 @@ def test_clear_genus_caches_empties_every_cache_of_the_package():
     # fails the first check, and one that clear_genus_caches misses fails
     # the last
     caches = _package_caches()
-    assert len(caches) >= 6  # surface, system, two certify blocks, psi images, parser
+    assert len(caches) >= 5  # surface, system, genus block, psi images, parser
     out = io.StringIO()
     assert cli.main(["certify", "-g", "2", "-n", "1", "--json"], out) == 0
     assert verify_certificate(cli.replay_json(out.getvalue()))
