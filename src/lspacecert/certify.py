@@ -3,11 +3,12 @@
 A certificate is an ordered list of typed steps.  Every n-dependent rank
 fact is recomputed each time a certificate is built, except that from
 n = p0 on (6 for the one-letter partners) the counts of B[g,n] are read
-off counts against two short twists of b_g, which each cited partner
-keeps; each fact is checked against its pinned value, so a kernel
-regression or a corrupted curve table aborts the derivation with
-AnchorViolation instead of producing a wrong proof.  The length check
-and the extension run for every certificate, isotopy once per genus.
+off the counts each cited partner keeps against two short twists of
+b_g, which B[g,n] builds once for the three partners.  Each fact is
+checked against its pinned value, so a kernel regression or a corrupted
+curve table aborts the derivation with AnchorViolation instead of
+producing a wrong proof.  The length check and the extension run for
+every certificate, isotopy once per genus.
 Genus-only facts are kept for the life of the process, in one block
 per genus: the system curves a_{g-1}, a_g and b_{g-1}, the partners of
 B[g,n] that keep its counts, evaluated once; step 3, rk HF(a_{g-1},
@@ -28,8 +29,6 @@ the others once per genus.  Verifying a certificate is rerunning
 ``certify`` and comparing the result: the rerun re-evaluates every
 n-dependent fact and reuses the checked genus-only steps.
 """
-from functools import lru_cache
-
 from .curves import dehn_twist, is_isotopic
 from .dsl import curve_from_text
 from .errors import (
@@ -38,6 +37,7 @@ from .errors import (
     NegativePower,
     _check_genus,
     _check_int,
+    _per_genus,
 )
 from .floer import (
     RankInterval,
@@ -193,16 +193,14 @@ def derive_base_bound(g):
     staircase carries rank one in grading 1-g (recomputed from the
     monodromy's own Alexander polynomial), and the surgery triangle then
     bounds the reference rank by their sum.  The steps are those every
-    certificate of the genus cites, numbered 14-16.  Kept per genus; a
-    build that fails a check raises and is not cached.  The genus is
-    checked before the cache sees it, so a genus that is not an int
-    (unhashable ones included) raises MalformedInput.
+    certificate of the genus cites, numbered 14-16, read off the genus
+    block (``_per_genus``: a genus that is not an int raises
+    MalformedInput, and a build that fails a check is not kept).
     """
-    _check_genus(g)
     return _genus_block(g)[2]
 
 
-@lru_cache(maxsize=None)
+@_per_genus
 def _genus_block(g):
     """The genus-only facts of every certificate of genus g: the system
     curves a_{g-1}, a_g and b_{g-1}, each evaluated through the DSL, as
@@ -368,7 +366,7 @@ class CrossValidationReport(record(
     __slots__ = ()
 
 
-@lru_cache(maxsize=None)
+@_per_genus
 def _psi_images(g):
     """(psi(b_g), psi(c)), kept per genus; psi(b_g) keeps the surgery plan
     of the pair, so each later twist about psi(c) only assembles a word."""

@@ -209,16 +209,22 @@ def _cmd_validate(args, out):
     return 0
 
 
-def _sweep_one(task):
-    g, n = task
-    cert = certify(g, n)
-    return g, n, cert.final_bound, cert.verdict.value
+def _sweep_genus(task):
+    """The rows of one genus, in order of n; a genus is one task, so its
+    block and its partners' kept counts are built in one process."""
+    g, ns = task
+    rows = []
+    for n in ns:
+        cert = certify(g, n)
+        rows.append((g, n, cert.final_bound, cert.verdict.value))
+    return rows
 
 
 def _cmd_sweep(args, out):
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    tasks = [(g, n) for g in _parse_range(args.genus) for n in _parse_range(args.n)]
+    genera, ns = _parse_range(args.genus), _parse_range(args.n)
+    tasks = [(g, ns) for g in reversed(genera)]  # the largest genus first
     # a fork-started pool forks all its workers at once: no more than tasks
     workers = min(args.jobs, len(tasks))
     if workers > 1:
@@ -227,9 +233,10 @@ def _cmd_sweep(args, out):
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one, tasks))
+            per_genus = list(pool.map(_sweep_genus, tasks))
     else:
-        results = [_sweep_one(t) for t in tasks]
+        per_genus = list(map(_sweep_genus, tasks))
+    results = [row for rows in reversed(per_genus) for row in rows]
     mismatches = 0
     for g, n, bound, verdict in results:
         expected = (
@@ -256,33 +263,31 @@ def _build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the one declaration of a genus, and of a genus with a twist count n
+    genus = argparse.ArgumentParser(add_help=False)
+    genus.add_argument("-g", "--genus", type=int, required=True)
+    twisted = argparse.ArgumentParser(add_help=False, parents=[genus])
+    twisted.add_argument("-n", type=int, required=True)
 
-    p = sub.add_parser("curves", help="print the standard curve system")
-    p.add_argument("-g", "--genus", type=int, required=True)
+    sub.add_parser("curves", parents=[genus], help="print the standard curve system")
 
-    p = sub.add_parser("intersect", help="geometric intersection number")
-    p.add_argument("-g", "--genus", type=int, required=True)
+    p = sub.add_parser("intersect", parents=[genus], help="geometric intersection number")
     p.add_argument("expr", nargs=2, help="two curve expressions")
 
-    p = sub.add_parser("twist", help="normalized word of a curve expression")
-    p.add_argument("-g", "--genus", type=int, required=True)
+    p = sub.add_parser("twist", parents=[genus], help="normalized word of a curve expression")
     p.add_argument("expr")
 
-    p = sub.add_parser("alexander", help="Alexander polynomial of phi_n")
-    p.add_argument("-g", "--genus", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    sub.add_parser("alexander", parents=[twisted], help="Alexander polynomial of phi_n")
 
     p = sub.add_parser("staircase", help="staircase of an L-space form polynomial")
     p.add_argument("polynomial")
 
-    p = sub.add_parser("certify", help="derive the obstruction certificate")
-    p.add_argument("-g", "--genus", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p = sub.add_parser("certify", parents=[twisted], help="derive the obstruction certificate")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("validate", help="directly measure the twisted pair rank")
-    p.add_argument("-g", "--genus", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p = sub.add_parser(
+        "validate", parents=[twisted], help="directly measure the twisted pair rank"
+    )
     p.add_argument("--budget", type=int, default=VALIDATE_BUDGET)
 
     p = sub.add_parser("sweep", help="certify a grid of (g, n) and verify verdicts")

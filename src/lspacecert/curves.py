@@ -41,8 +41,8 @@ A ``Curve`` is built from its reduced word alone; its normal form, its
 corner classes, the turn codes of its word and of its inverse, and its
 memo ``_kept`` are cached properties, computed on first read and kept.
 A twist of at least ``_RUN_TABLES_MIN`` letters assembles its corner
-classes and turn codes from its surgery runs when either is first read
-(``_run_tables``); raw words and shorter twists are read letter by
+classes and turn codes from its surgery runs when its corners are first
+read (``_run_tables``); raw words and shorter twists are read letter by
 letter.  Every count of one curve and every twist about it reads the
 same kept fields, and validation runs its self-count on the curve it
 returns.
@@ -54,7 +54,7 @@ the lengths of t, u and a partner alone, its counts against that partner
 are affine in |k|, since each further power adds one period deep inside
 every inserted run (a window bound, Fine and Wilf 1965).  So from |k| =
 p0 on ``crossing_count`` reads them off the twists at p0 and p0 + 1,
-whose counts the partner keeps, and the work does not grow with k.
+which T^k(t) keeps, and the partner keeps its counts against them.
 
 Twist surgery is a plan and its assembly.  The plan of a pair (t, u) is
 one (slot, eps, phase) per crossing, read off their crossing order: where
@@ -499,20 +499,24 @@ class Curve:
     form ``_canonical``, its corner classes ``_kept_corners`` and the turn
     codes ``_kept_codes`` and ``_kept_inverse_codes``.  A twist of at
     least ``_RUN_TABLES_MIN`` letters fills the first two in one pass
-    over its surgery runs (``_run_tables``); any other word is read
-    letter by letter, and the inverse codes are read off the forward
-    ones.  Assigning or deleting any attribute raises.  A curve built
-    from a raw word keeps what its validation's self-count built.
+    over its surgery runs (``_run_tables``) when its corners are read;
+    any other word is read letter by letter, and the inverse codes are
+    read off the forward ones.  Assigning or deleting any attribute
+    raises.  A curve built from a raw word keeps what its validation's
+    self-count built.
     Equality is ``is_isotopic`` on one surface, which reads the normal
     forms only of words of equal length.  A twist keeps its (target,
     about, power) in ``_twist``.  What a curve keeps is one memo, the
     cached property ``_kept``, filled by ``_keep``: as a target, its
     surgery plan about u under ``(u.word,)`` (``_surgery_plan``); as a
-    partner, its counts against the twists of t about u under
-    ``(t.word, u.word, signed p0)`` (``_run_extrapolated_count``).  No
-    kept value holds a curve, and a build that raises keeps nothing.  The
-    walk margin is a constant of the walk, so no key holds it; tests
-    lower it only on curves that keep nothing.
+    long twist T^k(t), its twists T^p0(t) and T^(p0+1)(t) under
+    ``(signed p0,)``; as a partner, its counts against the twists of t
+    about u under ``(t.word, u.word, signed p0)``
+    (``_run_extrapolated_count``), one entry per twist family it is
+    counted against, for its life (``certify`` counts one family per
+    genus).  A build that raises keeps nothing.  The walk margin is a
+    constant of the walk, so no key holds it; tests lower it only on
+    curves that keep nothing.
     """
 
     def __new__(cls, surface, word):
@@ -531,23 +535,20 @@ class Curve:
 
     @cached_property
     def _kept_corners(self):
-        """The corner classes of the word, ``_corner_classes(self.word)``;
-        a long twist keeps its turn codes from the same run pass."""
-        tables = _twist_tables(self)
-        if tables is None:
-            return _corner_classes(self.word)
-        vars(self)["_kept_codes"] = tables[1]
-        return tables[0]
+        """The corner classes of the word, and the one choice of table
+        builder: a twist of at least ``_RUN_TABLES_MIN`` letters reads them
+        and its turn codes off its runs (``_run_tables``), keeping both."""
+        if self._twist is not None and len(self.word) >= _RUN_TABLES_MIN:
+            tables = _run_tables(self)
+            if tables is not None:
+                vars(self).setdefault("_kept_codes", tables[1])
+                return tables[0]
+        return _corner_classes(self.word)
 
     @cached_property
     def _kept_codes(self):
-        """The turn codes of the word; a long twist keeps its corner
-        classes from the same run pass."""
-        tables = _twist_tables(self)
-        if tables is None:
-            return _turn_codes(self.surface, self.word)
-        vars(self)["_kept_corners"] = tables[0]
-        return tables[1]
+        """The turn codes of the word, unless its corners kept them."""
+        return _turn_codes(self.surface, self.word)
 
     @cached_property
     def _kept_inverse_codes(self):
@@ -671,9 +672,10 @@ def _run_extrapolated_count(partner, curve):
 
     It applies from |k| = p0 on, and only if len(curve) grows from the
     kept length by the kept step per power.  The first count of a
-    partner against twists of t about u builds and walks both short
-    twists, which near p0 is one walk more than the expanded word would
-    take; every later one, at any |k| >= p0, reads the kept entry.  No
+    partner against twists of t about u walks both short twists, which
+    the long twist builds once for all its partners of one length; near
+    p0 that is one walk more than the expanded word would take.  Every
+    later one, at any |k| >= p0, reads the kept entry.  No
     key holds the margin, and p0 never reads a margin below the default,
     so a lowered cap cannot move it.
     """
@@ -687,7 +689,8 @@ def _run_extrapolated_count(partner, curve):
     sign = 1 if power > 0 else -1
 
     def build():
-        near, far = (dehn_twist(target, about, sign * p) for p in (p0, p0 + 1))
+        near, far = _keep(curve, (sign * p0,), lambda: tuple(
+            dehn_twist(target, about, sign * p) for p in (p0, p0 + 1)))
         if is_isotopic(partner, near) or is_isotopic(partner, far):
             return None  # the walk never runs on an isotopic pair
         grow = len(far.word) - len(near.word)
@@ -785,14 +788,6 @@ def _twist_pieces(target, about, power, plan):
         done = slot
     pieces.append(d[done:])
     return pieces
-
-
-def _twist_tables(curve):
-    """``_run_tables`` of a twist of at least ``_RUN_TABLES_MIN`` letters,
-    else None: shorter words are read letter by letter."""
-    if curve._twist is None or len(curve.word) < _RUN_TABLES_MIN:
-        return None
-    return _run_tables(curve)
 
 
 def _run_tables(curve):

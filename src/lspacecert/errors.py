@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one gate on a genus."""
+from functools import lru_cache, wraps
 
 
 class WorkbenchError(Exception):
@@ -41,6 +42,21 @@ def _check_genus(g):
     _check_int("genus", g)
     if g < 2:
         raise GenusTooSmall(f"genus {g} < 2")
+
+
+def _per_genus(build):
+    """``build(g)``, kept per genus for the life of the process behind
+    ``_check_genus``, so an unhashable genus raises MalformedInput too.  A
+    build that raises keeps nothing."""
+    cached = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def kept(g):
+        _check_genus(g)
+        return cached(g)
+
+    kept.cache_clear, kept.cache_info = cached.cache_clear, cached.cache_info
+    return kept
 
 
 class NotLSpaceForm(WorkbenchError):

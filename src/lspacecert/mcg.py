@@ -14,8 +14,6 @@ that form off the checked system.  Every matrix of the homology layer,
 J, the action and what ``charpoly`` takes, is a list of 2g sparse rows,
 each a dict column -> nonzero int.
 """
-from functools import lru_cache
-
 from .curves import (
     Curve,
     _merged_crossing_count,
@@ -31,8 +29,8 @@ from .errors import (
     MalformedInput,
     NegativePower,
     SurfaceMismatch,
-    _check_genus,
     _check_int,
+    _per_genus,
 )
 from .poly import _mat_mul, charpoly
 from .record import record
@@ -69,17 +67,9 @@ def _require(fact, expected, got):
         raise AnchorViolation(fact, expected, got)
 
 
+@_per_genus
 def standard_curve_system(g):
-    """The standard system on the genus-g surface, kept per genus.  The
-    genus is checked before the cache sees it, so one that is not an int
-    raises MalformedInput."""
-    _check_genus(g)
-    return _standard_curve_system(g)
-
-
-@lru_cache(maxsize=None)
-def _standard_curve_system(g):
-    """Build and validate the standard system on the genus-g surface.
+    """The standard system on the genus-g surface, built and validated.
 
     Each pair of consecutive chain curves must cross once, positively in
     chain order, which three walks check.  Every other pair must be

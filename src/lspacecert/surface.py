@@ -10,9 +10,7 @@ of arc k in the positive / negative direction.  The cyclic sequence
 ``boundary_order`` lists the 4g arc sides counterclockwise around the
 cut-open disk; side +k is the one a positive crossing exits through.
 """
-from functools import lru_cache
-
-from .errors import MalformedInput, _check_genus, _check_int
+from .errors import MalformedInput, _check_genus, _check_int, _per_genus
 from .record import record
 
 
@@ -107,15 +105,8 @@ def chain_boundary_order(g):
     return tuple(order)
 
 
+@_per_genus
 def standard_surface(g):
-    """The surface of genus g with the chain-adapted cut system, kept per
-    genus.  The genus is checked before the cache sees it, so one that is
-    not an int raises MalformedInput."""
-    _check_genus(g)
-    return _standard_surface(g)
-
-
-@lru_cache(maxsize=None)
-def _standard_surface(g):
+    """The surface of genus g with the chain-adapted cut system."""
     arcs = tuple(f"e{k}" for k in range(1, 2 * g + 1))
     return SurfaceSpec(genus=g, cut_arcs=arcs, boundary_order=chain_boundary_order(g))

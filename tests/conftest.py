@@ -56,8 +56,8 @@ def sys2():
 # every cache of the package; tests/test_source.py holds this to the
 # cached functions it finds in the package's modules
 PACKAGE_CACHES = (
-    surface._standard_surface,
-    mcg._standard_curve_system,
+    surface.standard_surface,
+    mcg.standard_curve_system,
     _genus_block,
     _psi_images,
     cli._build_parser,

@@ -457,7 +457,7 @@ def test_certify_validate_and_replay_compute_no_normal_form(monkeypatch):
 def test_certify_builds_tables_only_of_short_twists(monkeypatch, fresh_system_caches):
     # B[g,n] is counted against a_{g-1}, a_g and b_{g-1}; from n = p0 = 6
     # each count reads the partner's counts against T(c)^6(b_g) and
-    # T(c)^7(b_g), which each of the three builds once per genus, and
+    # T(c)^7(b_g), which B[g,n] builds once for all three partners, and
     # below that the count walks B's own word, whose classes it builds once
     built = count_corner_classes(monkeypatch)
     certify(3, 400)
@@ -472,8 +472,9 @@ def test_certify_builds_tables_only_of_short_twists(monkeypatch, fresh_system_ca
     built.clear()
     certify(2, 6)  # the genus's first short-twist certificate
     short = [mcg.beta_gn(2, 6).word, mcg.beta_gn(2, 7).word]
-    # one per cited partner; B[2,6], of T(c)^6(b_2)'s word, builds none
-    assert [built.count(word) for word in short] == [3, 3]
+    # one for the three cited partners; B[2,6], of T(c)^6(b_2)'s word,
+    # builds none
+    assert [built.count(word) for word in short] == [1, 1]
     for n in (6, 9):
         built.clear()
         certify(2, n)

@@ -284,9 +284,9 @@ def test_sweep_command_verifies_verdicts():
 
 
 def test_sweep_parallel_jobs():
-    code, out = run("sweep", "-g", "2", "-n", "0..2", "--jobs", "2")
+    code, out = run("sweep", "-g", "2..3", "-n", "0..2", "--jobs", "2")
     assert code == 0
-    assert "3 certificates, 0 mismatches" in out
+    assert "6 certificates, 0 mismatches" in out
 
 
 @pytest.fixture
@@ -326,12 +326,16 @@ def test_importing_the_cli_loads_no_process_pool():
 
 
 def test_sweep_pool_is_no_larger_than_its_tasks(pool_sizes):
+    # one task per genus, the largest first, and the rows in (g, n) order
+    code, out = run("sweep", "-g", "2..4", "-n", "0..1", "--jobs", "5000")
+    assert code == 0 and "6 certificates, 0 mismatches" in out
+    assert [line.split()[:2] for line in out.splitlines()[:-1]] == [
+        [f"g={g}", f"n={n}"] for g in (2, 3, 4) for n in (0, 1)
+    ]
+    assert pool_sizes == [3]
+    # one genus is one task, which needs no pool at all
     code, out = run("sweep", "-g", "2", "-n", "0..2", "--jobs", "5000")
     assert code == 0 and "3 certificates, 0 mismatches" in out
-    assert pool_sizes == [3]
-    # one task needs no pool at all
-    code, out = run("sweep", "-g", "2", "-n", "0", "--jobs", "5000")
-    assert code == 0 and "1 certificates, 0 mismatches" in out
     assert pool_sizes == [3]
 
 

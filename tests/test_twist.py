@@ -213,7 +213,7 @@ def _assert_tables_of_runs(curve, codes_first):
     inverse = curves._turn_codes(curve.surface, curves.inverse_word(word))
     run_corners, run_codes = curves._run_tables(curve)
     assert list(run_corners.items()) == corners and run_codes == codes, word
-    if codes_first:  # either table's first read builds both
+    if codes_first:  # codes read first are read letter by letter and kept
         assert curve._kept_codes == codes, word
     assert list(curve._kept_corners.items()) == corners, word
     assert curve._kept_codes == codes and curve._kept_inverse_codes == inverse, word
