@@ -194,8 +194,7 @@ def derive_base_bound(g):
     monodromy's own Alexander polynomial), and the surgery triangle then
     bounds the reference rank by their sum.  The steps are those every
     certificate of the genus cites, numbered 14-16, read off the genus
-    block (``_per_genus``: a genus that is not an int raises
-    MalformedInput, and a build that fails a check is not kept).
+    block, whose gate and cache are ``_per_genus``'s.
     """
     return _genus_block(g)[2]
 
@@ -232,6 +231,14 @@ def _genus_block(g):
     return tuple(system.curves.items()), s_aa, tuple(base.steps)
 
 
+def _check_certify_args(g, n):
+    """``certify``'s checks, in the order their errors show."""
+    _check_int("n", n)
+    _check_genus(g)
+    if n < 0:
+        raise NegativePower(f"twist count n = {n} must be nonnegative")
+
+
 def certify(g, n):
     """Build the full certificate for the n-twisted genus-g knot.
 
@@ -240,10 +247,7 @@ def certify(g, n):
     are spliced in; the returned steps deterministically replay to the
     same certificate.
     """
-    _check_int("n", n)
-    _check_genus(g)
-    if n < 0:
-        raise NegativePower(f"twist count n = {n} must be nonnegative")
+    _check_certify_args(g, n)
     b_expr = f"B[{g},{n}]"
     tw_expr = f"T(a{g - 1})^1({b_expr})"
     system_curves, s_aa, base_steps = _genus_block(g)

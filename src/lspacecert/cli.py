@@ -10,6 +10,7 @@ from .certify import (
     KIND_CONCLUSION,
     SCHEMA_VERSION,
     VALIDATE_BUDGET,
+    _check_certify_args,
     certify,
     cross_validate,
 )
@@ -210,20 +211,18 @@ def _cmd_validate(args, out):
 
 
 def _sweep_genus(task):
-    """The rows of one genus, in order of n; a genus is one task, so its
-    block and its partners' kept counts are built in one process."""
+    """The rows of one genus, in order of n, built in one process."""
     g, ns = task
-    rows = []
-    for n in ns:
-        cert = certify(g, n)
-        rows.append((g, n, cert.final_bound, cert.verdict.value))
-    return rows
+    certs = ((n, certify(g, n)) for n in ns)
+    return [(g, n, cert.final_bound, cert.verdict.value) for n, cert in certs]
 
 
 def _cmd_sweep(args, out):
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     genera, ns = _parse_range(args.genus), _parse_range(args.n)
+    # certify's checks fail first, if anywhere, at the smallest (g, n)
+    _check_certify_args(genera[0], ns[0])
     tasks = [(g, ns) for g in reversed(genera)]  # the largest genus first
     # a fork-started pool forks all its workers at once: no more than tasks
     workers = min(args.jobs, len(tasks))
@@ -285,9 +284,7 @@ def _build_parser():
     p = sub.add_parser("certify", parents=[twisted], help="derive the obstruction certificate")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser(
-        "validate", parents=[twisted], help="directly measure the twisted pair rank"
-    )
+    p = sub.add_parser("validate", parents=[twisted], help="directly measure the twisted pair rank")
     p.add_argument("--budget", type=int, default=VALIDATE_BUDGET)
 
     p = sub.add_parser("sweep", help="certify a grid of (g, n) and verify verdicts")

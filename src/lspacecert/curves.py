@@ -53,8 +53,8 @@ A twist T^k(t) about u keeps (t, u, k).  From a power p0 that depends on
 the lengths of t, u and a partner alone, its counts against that partner
 are affine in |k|, since each further power adds one period deep inside
 every inserted run (a window bound, Fine and Wilf 1965).  So from |k| =
-p0 on ``crossing_count`` reads them off the twists at p0 and p0 + 1,
-which T^k(t) keeps, and the partner keeps its counts against them.
+p0 on ``crossing_count`` reads them off the twists at p0 and p0 + 1;
+T^k(t) keeps the last such pair, and the partner its counts against them.
 
 Twist surgery is a plan and its assembly.  The plan of a pair (t, u) is
 one (slot, eps, phase) per crossing, read off their crossing order: where
@@ -507,16 +507,16 @@ class Curve:
     Equality is ``is_isotopic`` on one surface, which reads the normal
     forms only of words of equal length.  A twist keeps its (target,
     about, power) in ``_twist``.  What a curve keeps is one memo, the
-    cached property ``_kept``, filled by ``_keep``: as a target, its
-    surgery plan about u under ``(u.word,)`` (``_surgery_plan``); as a
-    long twist T^k(t), its twists T^p0(t) and T^(p0+1)(t) under
-    ``(signed p0,)``; as a partner, its counts against the twists of t
-    about u under ``(t.word, u.word, signed p0)``
-    (``_run_extrapolated_count``), one entry per twist family it is
-    counted against, for its life (``certify`` counts one family per
-    genus).  A build that raises keeps nothing.  The walk margin is a
-    constant of the walk, so no key holds it; tests lower it only on
-    curves that keep nothing.
+    cached property ``_kept``: as a target, its surgery plan about u
+    under ``(u.word,)`` (``_surgery_plan``); as a partner, its counts
+    against the twists of t about u under ``(t.word, u.word, signed
+    p0)``, one entry per twist family it is counted against, for its
+    life (``certify`` counts one family per genus); as a long twist
+    T^k(t), under ``()``, (p0, T^p0(t), T^(p0+1)(t)) for the last p0 it
+    was counted at (``_run_extrapolated_count``), the only curves kept.
+    A build that raises keeps nothing.  The walk margin is a constant of
+    the walk, so no key holds it; tests lower it only on curves that keep
+    nothing.
     """
 
     def __new__(cls, surface, word):
@@ -673,11 +673,11 @@ def _run_extrapolated_count(partner, curve):
     It applies from |k| = p0 on, and only if len(curve) grows from the
     kept length by the kept step per power.  The first count of a
     partner against twists of t about u walks both short twists, which
-    the long twist builds once for all its partners of one length; near
-    p0 that is one walk more than the expanded word would take.  Every
-    later one, at any |k| >= p0, reads the kept entry.  No
-    key holds the margin, and p0 never reads a margin below the default,
-    so a lowered cap cannot move it.
+    the long twist keeps for the last p0 it was counted at, so partners
+    of one length share one build; near p0 that is one walk more than
+    the expanded word would take.  Every later one, at any |k| >= p0,
+    reads the kept entry.  No key holds the margin, and p0 never reads a
+    margin below the default, so a lowered cap cannot move it.
     """
     target, about, power = curve._twist
     step = len(about.word)
@@ -689,8 +689,11 @@ def _run_extrapolated_count(partner, curve):
     sign = 1 if power > 0 else -1
 
     def build():
-        near, far = _keep(curve, (sign * p0,), lambda: tuple(
-            dehn_twist(target, about, sign * p) for p in (p0, p0 + 1)))
+        shorts = curve._kept.get(())
+        if shorts is None or shorts[0] != p0:
+            twists = (dehn_twist(target, about, sign * p) for p in (p0, p0 + 1))
+            shorts = curve._kept[()] = (p0, *twists)
+        _, near, far = shorts
         if is_isotopic(partner, near) or is_isotopic(partner, far):
             return None  # the walk never runs on an isotopic pair
         grow = len(far.word) - len(near.word)

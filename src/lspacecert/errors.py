@@ -46,8 +46,7 @@ def _check_genus(g):
 
 def _per_genus(build):
     """``build(g)``, kept per genus for the life of the process behind
-    ``_check_genus``, so an unhashable genus raises MalformedInput too.  A
-    build that raises keeps nothing."""
+    ``_check_genus``, which every genus passes first; a raise keeps nothing."""
     cached = lru_cache(maxsize=None)(build)
 
     @wraps(build)

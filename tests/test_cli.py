@@ -354,6 +354,22 @@ def test_sweep_empty_range_exits_one(flag, capsys):
     assert "empty range '5..2'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ranges, error", [
+    (("1..40", "0..3"), "GenusTooSmall: genus 1 < 2"),
+    (("1..3", "-1..0"), "GenusTooSmall: genus 1 < 2"),
+    (("2..3", "-1..1"), "NegativePower: twist count n = -1 must"),
+])
+def test_a_failing_sweep_raises_its_first_error_before_any_genus_runs(
+    ranges, error, pool_sizes, monkeypatch, capsys
+):
+    # the error of the smallest (g, n), as a sweep in (g, n) order would
+    # raise it, and no certificate is built, in process or in a pool
+    monkeypatch.setattr(cli, "certify", lambda g, n: pytest.fail(f"certified ({g}, {n})"))
+    code, out = run("sweep", "-g", ranges[0], f"-n={ranges[1]}", "--jobs", "4")
+    assert code == 1 and out == "" and pool_sizes == []
+    assert f"error: {error}" in capsys.readouterr().err
+
+
 def test_sweep_mismatch_exits_two(monkeypatch):
     real = certify
 

@@ -1299,13 +1299,14 @@ def _ints_or_none(value):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_what_a_curve_keeps_does_not_grow_with_its_partners(seed):
-    # a target keeps one plan per twisting curve, and a partner one entry
-    # per twist family it is counted against: 300 random partners of
-    # B[2,100], counted in both orders, leave b_2 its plan about c and
-    # each partner that extrapolated one entry, and no kept value holds a
-    # curve.  The partners are copies that keep nothing.  The cached b_2,
-    # which the random twists also twist, and other tests count as a
-    # partner, keeps what it kept before the counts
+    # a target keeps one plan per twisting curve, a partner one entry per
+    # twist family it is counted against, and a long twist one pair of
+    # short twists: 300 random partners of B[2,100] of assorted lengths,
+    # counted in both orders, leave b_2 its plan about c, each partner
+    # that extrapolated one entry, and the long twist the partners' entries
+    # were built on the pair of the last p0 it was counted at.  The partners are copies that keep
+    # nothing.  The cached b_2, which the random twists also twist, and
+    # other tests count as a partner, keeps what it kept before the counts
     rng = random.Random(seed)
     system = standard_curve_system(2)
     b2, c = system.betas[-1], system.c
@@ -1313,7 +1314,7 @@ def test_what_a_curve_keeps_does_not_grow_with_its_partners(seed):
     partners = [_expanded(random_curve(rng, 2)) for _ in range(300)]
     cached = beta_gn(2, 100)
     before = b2._kept.copy()
-    extrapolated = 0
+    extrapolated, counted_at = 0, []
     for partner in partners:
         for twisted in (bn, cached):
             if is_isotopic(partner, twisted):
@@ -1328,9 +1329,17 @@ def test_what_a_curve_keeps_does_not_grow_with_its_partners(seed):
         assert list(kept) == [(b2.word, c.word, p0)], partner
         assert _ints_or_none(kept[b2.word, c.word, p0]), partner
         extrapolated += kept[b2.word, c.word, p0] is not None
+        counted_at.append(p0)
     assert list(target._kept) == [(c.word,)] and _ints_or_none(target._kept[c.word,])
     assert b2._kept == before and (c.word,) in before
-    assert extrapolated >= 250
+    assert extrapolated >= 250 and len(set(counted_at)) > 1
+    # each partner's entry was built on bn, which keeps the pair of the
+    # last p0; the other long twist of the family read the entries
+    assert list(bn._kept) == [()] and cached._kept == {}
+    p0, near, far = bn._kept[()]
+    assert p0 == counted_at[-1]
+    assert near.word == dehn_twist(target, c, p0).word
+    assert far.word == dehn_twist(target, c, p0 + 1).word
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,22 @@
 Each grid runs ``cli.main`` in process on a list of argument lists and
 hashes, per command, the arguments, stdout, stderr and exit code into one
 sha256, which must equal the grid's entry in ``digests.json``.  Help text
-wraps at the terminal width, so COLUMNS is fixed at 80; argparse lays out
-help differently across Python versions, and the digests were recorded
-under Python 3.11.  A change that moves bytes on purpose re-records them
-with
+wraps at the terminal width, so COLUMNS is fixed at 80.  argparse lays out
+help and usage differently across Python versions, so the help grid is
+recorded per Python minor version, and a version with no entry fails with
+a request to record one.  A change that moves bytes on purpose, or a new
+Python version whose help text has been read, re-records them with
 
     PYTHONPATH=src python tests/test_digests.py
 
-and names every grid that moved.
+which keeps the help digests of other versions; name every grid that moved.
 """
 import hashlib
 import io
 import json
 import os
 import pathlib
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -24,6 +26,8 @@ import pytest
 from lspacecert import cli
 
 DIGESTS = pathlib.Path(__file__).with_name("digests.json")
+PER_VERSION = {"help"}  # grids recorded per Python version, as "3.11"
+VERSION = "%d.%d" % sys.version_info[:2]
 
 COMMANDS = ("curves", "intersect", "twist", "alexander", "staircase", "certify",
             "validate", "sweep")
@@ -62,7 +66,12 @@ GRIDS = {
     "certify-json": _certify("--json"),
     "validate": [["validate", "-g", str(g), "-n", str(n), "--budget", "200000"]
                  for g in (2, 3) for n in range(1, 41)],
-    "sweep": [["sweep", "-g", "2..8", "-n", "0..14", "--jobs", "1"]],
+    # and three grids that fail certify's checks, each with the error of
+    # its first (g, n)
+    "sweep": [["sweep", "-g", "2..8", "-n", "0..14", "--jobs", "1"],
+              ["sweep", "-g", "1..3", "-n=-1..0", "--jobs", "1"],
+              ["sweep", "-g", "2..3", "-n=-1..1"],
+              ["sweep", "-g", "1..40", "-n", "0..3"]],
     "intersect": _intersect(),
     "twist": [["twist", "-g", g, expr] for g, expr in TWIST_PINS],
     # every help text, and the usage message of each command given no arguments
@@ -84,10 +93,22 @@ def grid_digest(commands):
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 def test_command_output_matches_its_recorded_digest(grid, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    assert grid_digest(GRIDS[grid]) == json.loads(DIGESTS.read_text())[grid]
+    recorded = json.loads(DIGESTS.read_text())[grid]
+    if grid in PER_VERSION:
+        if VERSION not in recorded:
+            pytest.fail(f"no {grid} digest recorded under Python {VERSION}: read its "
+                        "output, then record it with PYTHONPATH=src python "
+                        "tests/test_digests.py")
+        recorded = recorded[VERSION]
+    assert grid_digest(GRIDS[grid]) == recorded
 
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
-    digests = {name: grid_digest(commands) for name, commands in sorted(GRIDS.items())}
-    DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
+    digests = json.loads(DIGESTS.read_text())
+    for name, commands in GRIDS.items():
+        digest = grid_digest(commands)
+        if name in PER_VERSION:
+            digest = {**digests.get(name, {}), VERSION: digest}
+        digests[name] = digest
+    DIGESTS.write_text(json.dumps(dict(sorted(digests.items())), indent=2) + "\n")
