@@ -79,6 +79,7 @@ from functools import cached_property
 
 from .errors import (
     AnchorViolation,
+    BudgetExceeded,
     Inessential,
     MalformedInput,
     NotSimple,
@@ -92,6 +93,8 @@ _DEFAULT_WALK_MARGIN = 8
 _WALK_MARGIN = _DEFAULT_WALK_MARGIN
 # twists of at least this many letters read their tables off their runs
 _RUN_TABLES_MIN = 80
+# no twist builds a word of more letters: about 1.6 GB at 33 bytes a letter
+_MAX_LETTERS = 5 * 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -761,11 +764,24 @@ def dehn_twist(target, about, power=1):
     ``crossing_count``, unless the target keeps one itself.  Nothing else
     is stored: a long image's tables are assembled from that record and
     the kept plan when first read (``_run_tables``).
+
+    The pieces hold |t| + |k| i(t, u) |u| letters, and a bound past
+    ``_MAX_LETTERS`` raises BudgetExceeded before the plan or a piece is
+    built.  Each crossing has its own (axis vertex, phase) anchor, so
+    i(t, u) <= |t| |u|; the count form reads i(t, u), without listing a
+    crossing, only where that walk-free bound passes the limit.
     """
     _check_int("power", power)
     _check_same_surface(target, about)
     if power == 0 or is_isotopic(target, about):
         return target
+    p, q, k = len(target.word), len(about.word), abs(power)
+    if p + k * p * q * q > _MAX_LETTERS:
+        bound = p + k * _crossing_count(target, about)[0] * q
+        if bound > _MAX_LETTERS:
+            raise BudgetExceeded(
+                f"a twist of up to {bound} letters is past the letter limit {_MAX_LETTERS}"
+            )
     plan = _surgery_plan(target, about)
     if not plan:
         return target

@@ -14,10 +14,16 @@ the named monodromies.  Every failure carries the UTF-8 byte offset
 where the parse stopped and the tokens that would have been accepted
 there.
 """
+import re
+
 from .errors import ExprSyntaxError, IndexOutOfRange
 from .mcg import apply_word, beta_gn, monodromy_phi, monodromy_psi, standard_curve_system
 from .curves import dehn_twist
 from .record import record
+
+# ASCII digits only: str.isdigit also accepts "²", which int() rejects
+_UNSIGNED = re.compile("[0-9]+")
+_SIGNED = re.compile("-?[0-9]+")
 
 
 class AtomCurve(record("AtomCurve", "family index", defaults=(0,))):
@@ -43,6 +49,9 @@ class ApplyPhi(record("ApplyPhi", "n target")):
 
 
 class _Parser:
+    """One token rule: ``take`` skips whitespace and consumes a token if it
+    comes next, and every production is read by it."""
+
     # Subexpressions nest at most this deep, so parsing and evaluation
     # stay far below the interpreter's recursion limit.
     MAX_DEPTH = 100
@@ -62,110 +71,78 @@ class _Parser:
         found = self.text[self.i] if self.i < len(self.text) else None
         raise ExprSyntaxError(self.byte(self.i), expected, found)
 
-    def skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.i] if self.i < len(self.text) else None
-
-    def expect(self, ch):
-        self.skip_ws()
-        if self.i < len(self.text) and self.text[self.i] == ch:
-            self.i += 1
-            return
-        self.error([repr(ch)])
-
-    def integer(self, allow_negative=False):
-        self.skip_ws()
-        start = self.i
-        if allow_negative and self.i < len(self.text) and self.text[self.i] == "-":
-            self.i += 1
-        digits = self.i
-        # ASCII only: str.isdigit also accepts "²", which int() rejects
-        while self.i < len(self.text) and "0" <= self.text[self.i] <= "9":
-            self.i += 1
-        if self.i == digits:
-            self.i = start
-            self.error(["integer"])
-        return int(self.text[start:self.i])
-
-    def match_word(self, word):
-        self.skip_ws()
-        if self.text.startswith(word, self.i):
-            self.i += len(word)
+    def take(self, token):
+        """Skip whitespace, then consume ``token`` if it comes next."""
+        text, i = self.text, self.i
+        while i < len(text) and text[i].isspace():
+            i += 1
+        self.i = i
+        if text.startswith(token, i):
+            self.i = i + len(token)
             return True
         return False
 
-    def curve_index(self, family):
-        offset = self.i
-        idx = self.integer()
-        if not 1 <= idx <= self.g:
-            raise IndexOutOfRange(
-                f"at byte {self.byte(offset)}: "
-                f"{family}{idx} needs 1 <= index <= genus {self.g}"
-            )
-        return idx
+    def expect(self, token):
+        if not self.take(token):
+            self.error([repr(token)])
 
-    def nested(self):
-        """Parse a subexpression one level deeper than the current one."""
+    def integer(self, signed=False):
+        self.take("")
+        m = (_SIGNED if signed else _UNSIGNED).match(self.text, self.i)
+        if m is None:
+            self.error(["integer"])
+        self.i = m.end()
+        return int(m[0])
+
+    def index(self, lo, hi, message):
+        """An integer in lo..hi, else IndexOutOfRange at its offset, with
+        ``message`` formatted by the integer read and the genus."""
+        offset = self.i
+        value = self.integer()
+        if not lo <= value <= hi:
+            raise IndexOutOfRange(f"at byte {self.byte(offset)}: {message.format(value, self.g)}")
+        return value
+
+    def group(self):
+        """``"(" expr ")"``, with the expression one level deeper."""
+        self.expect("(")
         if self.depth == self.MAX_DEPTH:
-            self.skip_ws()
+            self.take("")
             self.error([f"an expression nested at most {self.MAX_DEPTH} deep"])
         self.depth += 1
         node = self.expr()
         self.depth -= 1
+        self.expect(")")
         return node
 
     def expr(self):
-        self.skip_ws()
-        if self.match_word("psi"):
-            self.expect("(")
-            target = self.nested()
-            self.expect(")")
-            return ApplyPsi(target)
-        if self.match_word("phi"):
-            self.expect("[")
-            n = self.integer(allow_negative=True)
-            self.expect("]")
-            self.expect("(")
-            target = self.nested()
-            self.expect(")")
-            return ApplyPhi(n, target)
-        ch = self.peek()
-        if ch == "T":
-            self.i += 1
-            self.expect("(")
-            about = self.nested()
-            self.expect(")")
-            power = 1
-            if self.peek() == "^":
-                self.i += 1
-                power = self.integer(allow_negative=True)
-            self.expect("(")
-            target = self.nested()
-            self.expect(")")
-            return Twist(about, power, target)
-        if ch == "B":
-            self.i += 1
-            self.expect("[")
-            offset = self.i
-            gg = self.integer()
-            if gg != self.g:
-                raise IndexOutOfRange(
-                    f"at byte {self.byte(offset)}: B[{gg},_] does not match genus {self.g}"
-                )
-            self.expect(",")
-            n = self.integer(allow_negative=True)
-            self.expect("]")
-            return TwistedBeta(gg, n)
+        """The production that the next character starts."""
+        self.take("")
+        ch = self.text[self.i:self.i + 1]
+        if ch in ("a", "b", "c", "B", "T"):
+            self.take(ch)
         if ch in ("a", "b"):
-            self.i += 1
-            return AtomCurve(ch, self.curve_index(ch))
+            return AtomCurve(ch, self.index(1, self.g, ch + "{} needs 1 <= index <= genus {}"))
         if ch == "c":
-            self.i += 1
-            return AtomCurve("c")
+            return AtomCurve(ch)
+        if ch == "B":
+            self.expect("[")
+            g = self.index(self.g, self.g, "B[{},_] does not match genus {}")
+            self.expect(",")
+            n = self.integer(signed=True)
+            self.expect("]")
+            return TwistedBeta(g, n)
+        if ch == "T":
+            about = self.group()
+            power = self.integer(signed=True) if self.take("^") else 1
+            return Twist(about, power, self.group())
+        if self.take("psi"):
+            return ApplyPsi(self.group())
+        if self.take("phi"):
+            self.expect("[")
+            n = self.integer(signed=True)
+            self.expect("]")
+            return ApplyPhi(n, self.group())
         self.error(["'a'", "'b'", "'c'", "'B['", "'T('", "'psi('", "'phi['"])
 
 
@@ -177,8 +154,8 @@ def parse_expression(text, g):
     """
     p = _Parser(text, g)
     node = p.expr()
-    p.skip_ws()
-    if p.i != len(text):
+    p.take("")
+    if p.i < len(text):
         p.error(["end of input"])
     return node
 

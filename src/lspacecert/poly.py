@@ -84,9 +84,11 @@ class LaurentPoly(record("LaurentPoly", "coeffs")):
 def parse_poly(text):
     """Parse a signed sum of monomials in t, e.g. ``t^4 - t^3 + t^2 - t + 1``.
 
-    Exponents may be negative (``t^-2``).  Digits are ASCII only, and
-    spaces are ignored everywhere.  Raises ValueError on malformed input,
-    with the offset into ``text`` as given.
+    A monomial is a coefficient, ``t`` or ``t^e``, or a coefficient times
+    either, as ``2*t^3`` or ``2t^3``; a ``+`` or ``-`` stands between two
+    monomials.  Exponents may be negative (``t^-2``).  Digits are ASCII
+    only, and spaces are ignored everywhere.  Raises ValueError on
+    malformed input, with the offset into ``text`` as given.
     """
     s = text.replace(" ", "")
     if not s:
@@ -111,8 +113,10 @@ def parse_poly(text):
             i += 1
         if i > start:
             mag = int(s[start:i])
-        if i < n and s[i] == "*":
-            i += 1
+            if i < n and s[i] == "*":
+                i += 1
+                if i == n or s[i] != "t":
+                    raise ValueError(f"expected t at byte {at[i]}")
         exp = 0
         if i < n and s[i] == "t":
             i += 1
@@ -129,6 +133,8 @@ def parse_poly(text):
                 exp = int(s[estart:i])
         elif mag is None:
             raise ValueError(f"expected coefficient or t at byte {at[start]}")
+        if i < n and s[i] not in "+-":
+            raise ValueError(f"expected '+' or '-' at byte {at[i]}")
         coeff = sign * (1 if mag is None else mag)
         coeffs[exp] = coeffs.get(exp, 0) + coeff
     return LaurentPoly.from_dict(coeffs)

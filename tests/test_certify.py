@@ -67,6 +67,18 @@ def test_base_block_is_spliced_at_steps_14_to_16():
             assert certify(g, n).steps[14:17] == block
 
 
+def test_the_letter_limit_adds_no_walk_to_cold_certificates(monkeypatch, fresh_system_caches):
+    # every twist a certificate builds passes the walk-free letter bound,
+    # so the count of the letter limit never runs: the number is the one
+    # these certificates made before the limit was added
+    walks = []
+    inner = curves._crossing_count
+    monkeypatch.setattr(curves, "_crossing_count", lambda a, b: walks.append(a) or inner(a, b))
+    for g in range(4, 21):
+        certify(g, 2)
+    assert len(walks) == 1700
+
+
 def test_genus_work_runs_once_per_genus_and_matches_a_cold_build(
     monkeypatch, fresh_system_caches
 ):

@@ -6,10 +6,14 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lspacecert
 import lspacecert.cli as cli
@@ -112,9 +116,16 @@ def test_staircase_of_non_ascii_digits_exits_one(poly, capsys):
     ("t -  ", "dangling sign at byte 5"),
     # the parse stops at the first non-ASCII character, so the offsets
     # before it count bytes and characters alike
-    ("t^4 - t\u00e9", "expected coefficient or t at byte 7"),
-    ("t\u00a0- 1", "expected coefficient or t at byte 1"),
+    ("t^4 - t\u00e9", "expected '+' or '-' at byte 7"),
+    ("t\u00a0- 1", "expected '+' or '-' at byte 1"),
     ("t - \u00b2\u00b2", "expected coefficient or t at byte 4"),
+    # monomials side by side are not a sum, and "*" stands only before t
+    ("t^2-t1", "expected '+' or '-' at byte 5"),
+    ("tt", "expected '+' or '-' at byte 1"),
+    ("t*t", "expected '+' or '-' at byte 1"),
+    ("2*3", "expected t at byte 2"),
+    ("2 *", "expected t at byte 3"),
+    ("*t", "expected coefficient or t at byte 0"),
 ])
 def test_staircase_error_offsets_index_the_text_as_given(poly, message, capsys):
     code, out = run("staircase", poly)
@@ -454,10 +465,13 @@ def test_walk_bound_exits_one_with_a_message(monkeypatch, capsys):
 
 
 def test_oversized_twist_power_exits_one_with_a_message(capsys):
-    # the power does not fit an index, so the twist fails before allocating
+    # the twist's letter bound is past the limit, so it fails before allocating
     code, out = run("twist", "-g", "2", "T(c)^99999999999999999999(b2)")
     assert code == 1 and out == ""
-    assert capsys.readouterr().err.startswith("error: OverflowError: ")
+    assert capsys.readouterr().err == (
+        "error: BudgetExceeded: a twist of up to 799999999999999999993 letters "
+        "is past the letter limit 50000000\n"
+    )
 
 
 @pytest.mark.parametrize("limit", [MemoryError, RecursionError])
@@ -485,5 +499,96 @@ def test_oversized_power_reaches_no_traceback_from_the_command_line():
         timeout=60,
     )
     assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("error: OverflowError: ")
+    assert proc.stderr.startswith("error: BudgetExceeded: ")
     assert "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the contract of the command line: every argument list ends in a result or
+# one typed error, never a traceback
+
+COMMANDS = ("curves", "intersect", "twist", "alexander", "staircase", "certify",
+            "validate", "sweep")
+NOT_INT = st.sampled_from(["x", "2.5", "", "0x2", "1e1", "\u00b2"])
+GENUS = st.one_of(st.integers(-1, 41).map(str), NOT_INT)
+# 1249 is the largest n whose B[g,n] of 8n + 1 letters fits the test's limit
+COUNT = st.one_of(
+    st.integers(-1, 3), st.sampled_from([40, 400, 1249, 1250, 10**8, 10**20])
+).map(str) | NOT_INT
+POWER = st.integers(-30, 30) | st.sampled_from([10**8, -10**20])
+
+
+def _expressions(g):
+    """Expressions at genus g, mostly well formed, and some character soup."""
+    good = st.one_of(
+        st.builds("{}{}".format, st.sampled_from("ab"), st.integers(1, max(g, 1))),
+        st.just("c"),
+        st.builds("B[{},{}]".format, st.just(g), st.integers(0, 40)),
+    )
+    bad = st.one_of(
+        st.builds("{}{}".format, st.sampled_from("ab"), st.sampled_from([0, g + 1])),
+        st.builds("B[{},{}]".format, st.just(g) | st.just(g + 1), COUNT),
+    )
+    expr = st.recursive(st.one_of(*[good] * 5, bad), lambda x: st.one_of(
+        st.builds("psi({})".format, x),
+        st.builds("phi[{}]({})".format, st.integers(-1, 40) | st.just(10**20), x),
+        st.builds("T({})^{}({})".format, x, POWER, x),
+        st.builds("T({})({})".format, x, x),
+    ), max_leaves=5)
+    return st.one_of(expr, expr, expr, st.text("abcBT()[]^,-0123psih\u00e9 ", max_size=12))
+
+
+POLYNOMIAL = st.sampled_from([
+    "t^4 - t^3 + t^2 - t + 1", "t^2 - t + 1", "t^2000000 - t^1000000 + 1",
+    "t^2 + t + 1", "1", "",
+]) | st.lists(st.sampled_from(
+    ["t", "t^", "2", "-", "+", "*", " ", "^-", "1", "x", "\u00b2", "10", "t^4"]
+), max_size=8).map("".join)
+
+
+def _span(lo):
+    """A value lo, or a range from lo over up to three values."""
+    return st.integers(-1, 2).map(lambda d: f"{lo}..{lo + d}" if d >= 0 else str(lo))
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    g = draw(st.integers(-1, 41))
+    genus = ["-g", draw(st.one_of(*[st.just(str(g))] * 3, GENUS))]
+    n = ["-n", draw(COUNT)]
+    if command == "curves":
+        return [command, *genus]
+    if command in ("twist", "intersect"):
+        exprs = [draw(_expressions(g)) for _ in range(1 + (command == "intersect"))]
+        return [command, *genus, *exprs]
+    if command == "alexander":
+        return [command, *genus, *n]
+    if command == "staircase":
+        return [command, draw(POLYNOMIAL)]
+    if command == "certify":
+        return [command, *genus, *n] + draw(st.sampled_from([[], ["--json"]]))
+    if command == "validate":
+        budget = draw(st.sampled_from([[], ["--budget", "0"], ["--budget", "-1"],
+                                       ["--budget", "10000000"], ["--budget", "x"]]))
+        return [command, *genus, *n, *budget]
+    jobs = ["--jobs", draw(st.sampled_from(["1", "0", "-1"]))]  # never a pool
+    return [command, "-g", draw(_span(g)), "-n", draw(_span(draw(st.integers(-1, 3)))), *jobs]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(command_lines())
+def test_every_command_line_ends_in_a_result_or_one_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    # a lowered letter limit keeps every drawn twist small
+    with mock.patch.object(curves, "_MAX_LETTERS", 10**4):
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert out == "", argv
+        lines = err.splitlines()
+        usage = err.startswith("usage: ") and ": error: " in lines[-1]
+        error = len(lines) == 1 and err.startswith("error: ") and err.strip() != "error:"
+        assert usage or error, (argv, err)

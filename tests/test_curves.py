@@ -734,15 +734,27 @@ def _random_primitive_word(rng, g, length):
             return word
 
 
-def test_crossing_count_equals_the_walk_on_random_pairs():
+def _random_pairs():
+    """Random word pairs of genus 2 to 4, each fourth a word with itself."""
     rng = random.Random(1187)
     for g in (2, 3, 4):
-        surface = standard_surface(g)
         for trial in range(40):
             a = random_curve(rng, g).word
             b = a if trial % 4 == 0 else random_curve(rng, g).word
-            for x, y in ((a, b), (b, a)):
-                assert _counted(surface, x, y) == _listed(surface, x, y), (g, x, y)
+            yield standard_surface(g), a, b
+
+
+def test_crossing_count_equals_the_walk_on_random_pairs():
+    for surface, a, b in _random_pairs():
+        for x, y in ((a, b), (b, a)):
+            assert _counted(surface, x, y) == _listed(surface, x, y), (x, y)
+
+
+def test_crossings_are_at_most_the_product_of_the_word_lengths():
+    # each crossing has its own (axis vertex, phase) anchor, which the
+    # letter limit of dehn_twist reads as i(a, b) <= |a| |b|
+    for surface, a, b in _random_pairs():
+        assert _count(surface, a, b)[0] <= len(a) * len(b), (a, b)
 
 
 def test_curve_crossing_count_matches_the_listed_signs():

@@ -61,6 +61,46 @@ def _intersect():
     return out
 
 
+# Curve expressions: every production, with whitespace variants, and every
+# error the parser raises, including nesting at and one past MAX_DEPTH.
+# T(a1)^0(y) is y, so the deep forms cost no surgery.
+_DEEP = 100  # dsl._Parser.MAX_DEPTH, written out so the grid pins it
+EXPRESSIONS = (
+    # atoms
+    "a1", "a2", "a3", "b1", "b2", "b3", "c", " a1", "a1 ", "\ta1\n", "a 1", "a01",
+    "b002", "a1\u00a0", "\u2003b2", "B[2,0]", "B[2,1]", "B[3,2]", "B[ 2 , 5 ]",
+    " B [2,3] ", "B[2,-0]", "B[3,-0]",
+    # twists
+    "T(a1)(b1)", "T(a1)^2(b1)", "T(a1)^-2(b1)", "T ( a1 ) ^ 3 ( b1 )", "T(c)^0(b2)",
+    "T(b1)^5(a1)", "T(B[2,1])^-2(a1)", "T(c)^3(psi(B[2,2]))", "T(a2)^-1(T(b2)(c))",
+    "T(T(a1)(b1))^2(c)", "T(a1)^ -2(b1)", "T(a1)^00(b1)",
+    # monodromies
+    "psi(a1)", "psi (b1)", "psi( c )", "psi(B[2,1])", "psi(B[3,1])", "phi[1](c)",
+    "phi[0](a1)", "phi[-1](b1)", "phi [ 2 ] ( b1 )", "phi[-2](c)", "phi[1](psi(b2))",
+    # errors: empty, index, genus, sign
+    "", " ", " \t ", "a0", "b9", "a", "b", "a99999999999999999999",
+    "B[3,1]", "B[2,-1]", "B[3,-1]", "B[99999999999999999999,1]", "B[2,- 1]",
+    "B[3,- 1]",
+    # errors: truncated productions
+    "ps", "p", "psi", "psi(", "psi(a1", "phi", "phi[", "phi[1", "phi[1]", "phi[1](",
+    "phi[1](c", "phi[-](c)", "T", "T(", "T(a1", "T(a1)", "T(a1)^", "T(a1)^2",
+    "T(a1)^2(", "T(a1)^2(b1", "B", "B[", "B[2", "B[2,", "B[2,1", "B[2;1]", "B(2,1)",
+    # errors: wrong tokens
+    "T(c^3(b2)", "T(c)^(b2)", "T(c)^-(b2)", "T(a1)^+2(b1)", "T(a1)^--2(b1)",
+    "psi[a1]", "Psi(a1)", "t(a1)(b1)", "x", "(a1)", "c1", "cc", "a1 b2", "a1)",
+    "B[2,1]]", "B[3,1]]", "B[3;1]", "phi(c)", "phi[1]c",
+    # errors: characters outside ASCII, and bytes that were not UTF-8
+    "a\u00b2", "\u00e9", "\udcff", "\u00e9a1", "a1\u00e9", "T(a1)^\u00b2(b1)",
+    "phi[\u00b2](c)", "b\u0661", "T(\u00e9)(b1)", "psi(\udcff)",
+    # nesting at MAX_DEPTH, and one level past it in the target, the axis and
+    # after whitespace
+    "T(a1)^0(" * _DEEP + "b1" + ")" * _DEEP,
+    "T(a1)^0(" * (_DEEP + 1) + "b1" + ")" * (_DEEP + 1),
+    "T(" * _DEEP + "a1" + ")^0(b1)" * _DEEP,
+    "T(" * (_DEEP + 1) + "a1" + ")^0(b1)" * (_DEEP + 1),
+    "T(a1)^0( " * (_DEEP + 1) + "b1" + ")" * (_DEEP + 1),
+)
+
 GRIDS = {
     "certify-text": _certify(),
     "certify-json": _certify("--json"),
@@ -74,6 +114,7 @@ GRIDS = {
               ["sweep", "-g", "1..40", "-n", "0..3"]],
     "intersect": _intersect(),
     "twist": [["twist", "-g", g, expr] for g, expr in TWIST_PINS],
+    "expressions": [["twist", "-g", g, expr] for g in ("2", "3") for expr in EXPRESSIONS],
     # every help text, and the usage message of each command given no arguments
     "help": [["-h"]] + [[c, "-h"] for c in COMMANDS] + [[c] for c in COMMANDS]
     + [["certify", "-g", "x", "-n", "1"], ["validate", "-g", "2", "-n", "1", "-q"]],

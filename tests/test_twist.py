@@ -12,6 +12,7 @@ from lspacecert.curves import (
     intersection_number,
     is_isotopic,
 )
+from lspacecert.errors import BudgetExceeded
 from lspacecert.mcg import apply_word, beta_gn, monodromy_psi, standard_curve_system
 from lspacecert.surface import standard_surface
 
@@ -127,6 +128,26 @@ def test_twisted_words_grow_linearly():
     # one surgery pass inserts n parallel copies
     for n in (1, 4, 9):
         assert len(beta_gn(2, n)) == 1 + 2 * 4 * n
+
+
+def test_the_letter_limit_raises_before_any_plan_or_piece(sys2, monkeypatch):
+    # T_c^30(b2): |b2| = 1, |c| = 4 and i(b2, c) = 2 give at most 241 letters,
+    # and the walk-free bound 1 + 30 * 1 * 4^2 = 481 has the count read first
+    walks = []
+    inner = curves._crossing_count
+    monkeypatch.setattr(curves, "_crossing_count", lambda a, b: walks.append(a) or inner(a, b))
+    cold = fast_curve(S2, sys2.betas[1].word)  # it keeps no plan
+    monkeypatch.setattr(curves, "_MAX_LETTERS", 240)
+    with pytest.raises(BudgetExceeded, match="up to 241 letters .* letter limit 240$"):
+        dehn_twist(cold, sys2.c, 30)
+    assert walks == [cold] and cold._kept == {}
+    monkeypatch.setattr(curves, "_MAX_LETTERS", 241)
+    assert len(dehn_twist(cold, sys2.c, -30)) == 241
+    # where the walk-free bound passes, the limit reads no count
+    walks.clear()
+    monkeypatch.setattr(curves, "_MAX_LETTERS", 481)
+    assert dehn_twist(fast_curve(S2, cold.word), sys2.c, 30) == beta_gn(2, 30)
+    assert walks == []
 
 
 def test_transvection_formula(rng):
