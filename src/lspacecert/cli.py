@@ -125,10 +125,14 @@ def replay_json(text):
 
     Only the (genus, n) pair is trusted; everything else is recomputed,
     so comparing the emission of the result against the input is a full
-    integrity check.  A document that is not an object, or whose genus or
-    n is missing or not an int, raises MalformedInput.
+    integrity check.  Text that is not JSON, a document that is not an
+    object, or one whose genus or n is missing or not an int, raises
+    MalformedInput.
     """
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except ValueError as e:  # json.JSONDecodeError is a ValueError
+        raise MalformedInput(f"not a JSON document: {e}") from None
     if not isinstance(data, dict):
         raise MalformedInput(f"a certificate is a JSON object, got {type(data).__name__}")
     # a missing key reaches certify as None and fails its int check

@@ -40,12 +40,11 @@ classes: ``_merged_crossing_count`` gives their summed number in one walk.
 A ``Curve`` is built from its reduced word alone; its normal form, its
 corner classes, the turn codes of its word and of its inverse, and its
 memo ``_kept`` are cached properties, computed on first read and kept.
-A twist of at least ``_RUN_TABLES_MIN`` letters assembles its corner
-classes and turn codes from its surgery runs when its corners are first
-read (``_run_tables``); raw words and shorter twists are read letter by
-letter.  Every count of one curve and every twist about it reads the
-same kept fields, and validation runs its self-count on the curve it
-returns.
+One builder, ``_word_tables``, makes the corner classes and turn codes
+together, and fills the stretches of a word that repeat one period (a
+twist's copies of the curve it twists about) a period at a time.  Every
+count of one curve and every twist about it reads the same kept fields,
+and validation runs its self-count on the curve it returns.
 Reduced words of isotopic curves have equal length, so isotopy tests and
 equality run Booth's algorithm only on curves of equal length.
 
@@ -64,16 +63,13 @@ it, and every twist of t about u assembles its word from the kept plan;
 the twists B[g,n] of b_g about c for every n list the crossings of that
 pair once.  The slot check runs when a plan is built, and a plan that
 fails it is not kept.  t keeps its plans and a partner its counts in
-one memo (see ``Curve``), and no key holds the walk margin.  The record
-and the kept plan also give a twist's pieces again, so its tables are
-filled a run at a time: the join reports where each piece's surviving
-letters start, each corner of the loop gets one range of positions, and
-only the letter at each seam is read on its own.
+one memo (see ``Curve``), and no key holds the walk margin.
 
 The homology class of a word is one dict from arc index to nonzero
 signed count, ``_word_class``; ``homology_class`` and the homology layer
 in ``mcg`` both read it.
 """
+import operator
 from collections import namedtuple
 from functools import cached_property
 
@@ -91,8 +87,6 @@ from .errors import (
 # distinct periodic rays part within p + q steps, and crossing ends within q + 1 codes
 _DEFAULT_WALK_MARGIN = 8
 _WALK_MARGIN = _DEFAULT_WALK_MARGIN
-# twists of at least this many letters read their tables off their runs
-_RUN_TABLES_MIN = 80
 # no twist builds a word of more letters: about 1.6 GB at 33 bytes a letter
 _MAX_LETTERS = 5 * 10**7
 
@@ -100,16 +94,12 @@ _MAX_LETTERS = 5 * 10**7
 # ---------------------------------------------------------------------------
 # words
 
-def _reduced_product(pieces, starts=None):
+def _reduced_product(pieces):
     """The freely and cyclically reduced product of freely reduced pieces.
 
     Nothing cancels inside a piece, so each piece is joined by one walk at
     its seam: its head cancels the end of the product letter by letter,
-    and the rest of the piece goes on at once.  Given a list ``starts``,
-    the walk appends to it, per piece, the index in the product before its
-    ends are cut at which the piece's surviving letters start, and then
-    that product's length; ``_run_tables`` places each piece's letters by
-    them.
+    and the rest of the piece goes on at once.
     """
     out = []
     for piece in pieces:
@@ -117,13 +107,9 @@ def _reduced_product(pieces, starts=None):
         while k < len(piece) and out and out[-1] == -piece[k]:
             out.pop()
             k += 1
-        if starts is not None:
-            starts.append(len(out))
         out += piece[k:]
     # the ends cancel in pairs; count the pairs, then cut them off at once
     n = len(out)
-    if starts is not None:
-        starts.append(n)
     k = 0
     while 2 * k + 1 < n and out[k] == -out[n - 1 - k]:
         k += 1
@@ -194,16 +180,57 @@ def is_primitive(word):
 # ---------------------------------------------------------------------------
 # walks in the dual tree
 
-def _turn_codes(surface, word):
-    """Germ of each letter counted counterclockwise from the edge it follows.
+def _word_tables(surface, word, period):
+    """The corner classes and the turn codes of a cyclic word, together.
 
-    Position i of a cyclic word leaves its vertex along w[i] after arriving
-    along the edge of -w[i-1]; the code is the number of boundary steps
-    between the two germs, (pos[w[i]] - pos[-w[i-1]]) % 4g.
+    Position t, counted from 1, sits just past the corner (w[t-1], w[t-2]):
+    a letter and the one before it, whose inverse is the germ the word
+    arrives along.  The corner classes map each corner to its positions,
+    ascending, keys in order of first occurrence.  The turn code of index
+    i is the number of boundary steps counterclockwise between the same
+    two germs, (pos[w[i]] - pos[-w[i-1]]) % 4g.
+
+    Where letters i and i - 1 repeat the letters ``period`` places back,
+    index i has the corner and the code of index i - period.  Such
+    stretches are found in the word itself, so the period only guides the
+    pass and never changes the tables.  A stretch is filled a period at a
+    time: each corner of its first period gets one range of positions,
+    and the codes of the period before it are repeated by slicing.  Every
+    other index is read letter by letter, and so is a stretch of at most
+    one period, which would copy nothing twice, and a stretch whose first
+    period holds a corner twice, so that each position list stays
+    ascending.
     """
     pos = surface._pos
     n = len(surface.boundary_order)
-    return [(pos[x] - pos[-y]) % n for x, y in zip(word, word[-1:] + word[:-1])]
+    corners, codes = {}, []
+    before = word[-1:] + word[:-1]
+
+    def read(lo, hi):
+        for t, corner in enumerate(zip(word[lo:hi], before[lo:hi]), lo + 1):
+            corners.setdefault(corner, []).append(t)
+            codes.append((pos[corner[0]] - pos[-corner[1]]) % n)
+
+    done = 0
+    # byte j is 1 where letter j + period repeats letter j; each run of
+    # ones between zeros, bytes [lo - 1 - period, hi - period), lets the
+    # indices [lo, hi) copy
+    same = bytes(map(operator.eq, word[period:], word)) if period else b""
+    lo = period + 1
+    for ones in same.split(b"\0"):
+        hi = lo + len(ones) - 1
+        # a stretch of at most one period would copy no position twice
+        first = hi - lo > period and list(zip(word[lo:lo + period], before[lo:lo + period]))
+        if first and len(set(first)) == period:
+            read(done, lo)
+            for t, corner in enumerate(first, lo + 1):
+                corners[corner].extend(range(t, hi + 1, period))
+            count = hi - lo
+            codes += (codes[lo - period:lo] * (count // period + 1))[:count]
+            done = hi
+        lo = hi + 2
+    read(done, len(word))
+    return corners, codes
 
 
 class _Crossing(namedtuple("_Crossing", "m j k aligned eps")):
@@ -260,16 +287,6 @@ def _coasting_blocks(codes_a, codes_w, xs, ups, downs, cap):
                     ties.append((xc, bu.get(c, ()), bd.get(c, ())))
         groups = ties
         depth += 1
-
-
-def _corner_classes(word):
-    """Each corner of a cyclic word, a letter and the one before it (whose
-    inverse is the germ the word arrives along), mapped to the positions
-    just past it."""
-    corners = {}
-    for t, corner in enumerate(zip(word, word[-1:] + word[:-1]), 1):
-        corners.setdefault(corner, []).append(t)
-    return corners
 
 
 def _lift_classes(surface, corners_a, corners_b, q):
@@ -500,13 +517,12 @@ class Curve:
     The reduced word is all a curve is built from; what is derived from
     it is a cached property, computed on first read and kept: its normal
     form ``_canonical``, its corner classes ``_kept_corners`` and the turn
-    codes ``_kept_codes`` and ``_kept_inverse_codes``.  A twist of at
-    least ``_RUN_TABLES_MIN`` letters fills the first two in one pass
-    over its surgery runs (``_run_tables``) when its corners are read;
-    any other word is read letter by letter, and the inverse codes are
-    read off the forward ones.  Assigning or deleting any attribute
-    raises.  A curve built from a raw word keeps what its validation's
-    self-count built.
+    codes ``_kept_codes`` and ``_kept_inverse_codes``.  Whichever of
+    the first two is read first builds both (``_word_tables``), with the
+    length of the curve a twist is about as the period of its word, and
+    the inverse codes are read off the forward ones.  Assigning or
+    deleting any attribute raises.  A curve built from a raw word keeps
+    what its validation's self-count built.
     Equality is ``is_isotopic`` on one surface, which reads the normal
     forms only of words of equal length.  A twist keeps its (target,
     about, power) in ``_twist``.  What a curve keeps is one memo, the
@@ -538,20 +554,13 @@ class Curve:
 
     @cached_property
     def _kept_corners(self):
-        """The corner classes of the word, and the one choice of table
-        builder: a twist of at least ``_RUN_TABLES_MIN`` letters reads them
-        and its turn codes off its runs (``_run_tables``), keeping both."""
-        if self._twist is not None and len(self.word) >= _RUN_TABLES_MIN:
-            tables = _run_tables(self)
-            if tables is not None:
-                vars(self).setdefault("_kept_codes", tables[1])
-                return tables[0]
-        return _corner_classes(self.word)
+        """The corner classes of the word, kept with its turn codes."""
+        return _keep_tables(self)[0]
 
     @cached_property
     def _kept_codes(self):
-        """The turn codes of the word, unless its corners kept them."""
-        return _turn_codes(self.surface, self.word)
+        """The turn codes of the word, kept with its corner classes."""
+        return _keep_tables(self)[1]
 
     @cached_property
     def _kept_inverse_codes(self):
@@ -601,6 +610,18 @@ def _reduced_curve(surface, reduced, twist=None):
     curve = object.__new__(Curve)
     vars(curve).update(surface=surface, word=reduced, _twist=twist)
     return curve
+
+
+def _keep_tables(curve):
+    """Both tables of a curve's word (``_word_tables``), kept on the curve.
+
+    The period is the length of the curve a twist is about, whose copies
+    repeat in the twist's word, or 0 for a curve with no twist record.
+    """
+    twist = curve._twist
+    tables = _word_tables(curve.surface, curve.word, len(twist[1].word) if twist else 0)
+    vars(curve).update(_kept_corners=tables[0], _kept_codes=tables[1])
+    return tables
 
 
 def _keep(curve, key, build):
@@ -761,9 +782,8 @@ def dehn_twist(target, about, power=1):
     same pair again walks no crossing.  The target's word and each
     inserted run of copies are reduced, so only the seams between them
     can cancel.  The image keeps (target, about, power) for the counts of
-    ``crossing_count``, unless the target keeps one itself.  Nothing else
-    is stored: a long image's tables are assembled from that record and
-    the kept plan when first read (``_run_tables``).
+    ``crossing_count``, unless the target keeps one itself, and the
+    length of ``about`` in it is the period its tables are read with.
 
     The pieces hold |t| + |k| i(t, u) |u| letters, and a bound past
     ``_MAX_LETTERS`` raises BudgetExceeded before the plan or a piece is
@@ -785,17 +805,6 @@ def dehn_twist(target, about, power=1):
     plan = _surgery_plan(target, about)
     if not plan:
         return target
-    pieces = _twist_pieces(target, about, power, plan)
-    # only the first twist of a chain keeps a record, so no chain of words is kept
-    twist = (target, about, power) if target._twist is None else None
-    return _reduced_curve(target.surface, _reduced_product(pieces), twist)
-
-
-def _twist_pieces(target, about, power, plan):
-    """The pieces of the twist T^power(target) about ``about``, in order:
-    the target's word cut at the plan's slots, and at each cut the run of
-    |power| copies of about's word that goes in there, so pieces at odd
-    indices are runs."""
     d, c = target.word, about.word
     pieces, done = [], 0
     for slot, eps, phase in plan:
@@ -806,71 +815,9 @@ def _twist_pieces(target, about, power, plan):
         pieces.append(loop * e if e > 0 else inverse_word(loop) * (-e))
         done = slot
     pieces.append(d[done:])
-    return pieces
-
-
-def _run_tables(curve):
-    """The corner classes and turn codes of a twist's word, from its runs.
-
-    The curve is T^k(t) about u, as its record (t, u, k) says, and t keeps
-    the plan of (t, u), so the word is the reduced product of the pieces
-    of ``_twist_pieces``, and the join reports where each piece's
-    surviving letters start.  A run of copies of u's word, or of its
-    inverse, reads that word cyclically: past the run's first letter,
-    each position has the corner and the turn code of its phase in u's
-    word, which the position's corner fixes when u's corners are
-    distinct.  So each corner of u gets one range of positions, and u's
-    codes are repeated by slicing.  The first letter of a run, whose
-    corner straddles a seam, and the target's letters are read on their
-    own, and so is every run of a u whose word has a corner twice, which
-    keeps each position list ascending.  The tables equal
-    ``_corner_classes`` and ``_turn_codes`` of the word, keys in the same
-    order.  None where t keeps no plan of the pair, or where the pieces
-    do not join to the curve's word, as under a forged record.
-    """
-    target, about, power = curve._twist
-    plan = target._kept.get((about.word,))
-    if plan is None:
-        return None
-    pieces = _twist_pieces(target, about, power, plan)
-    starts = []
-    word = _reduced_product(pieces, starts)
-    if word != curve.word:
-        return None
-    pos = curve.surface._pos
-    n = len(curve.surface.boundary_order)
-    c = about.word
-    m = len(c)
-    loops = []  # (corners, codes, phase of each corner) of u, then of its inverse
-    for w, w_codes in ((c, about._kept_codes), (inverse_word(c), about._kept_inverse_codes)):
-        keys = list(zip(w, w[-1:] + w[:-1]))
-        loops.append((keys, w_codes, {key: r for r, key in enumerate(keys)}))
-    distinct = len(loops[0][2]) == m  # u has no corner twice
-    # piece i's surviving letters fill [lo, stop) of the word: the product
-    # loses `cut` letters off each end, and a later piece may cancel them
-    size = len(word)
-    cut = (starts[-1] - size) // 2
-    spans, stop = [], size
-    for i in range(len(pieces) - 1, -1, -1):
-        lo = max(starts[i] - cut, 0)
-        if lo < stop:
-            spans.append((i, lo, stop))
-            stop = lo
-    corners, codes = {}, []
-    for i, lo, hi in reversed(spans):
-        seam = lo + 1 if i % 2 and distinct else hi  # read letter by letter up to here
-        for t in range(lo + 1, seam + 1):
-            x, y = word[t - 1], word[t - 2]
-            corners.setdefault((x, y), []).append(t)
-            codes.append((pos[x] - pos[-y]) % n)
-        if seam < hi:
-            keys, w_codes, phase = loops[plan[i // 2][1] * power < 0]
-            r = phase[word[seam], word[seam - 1]]
-            for key, t in zip(keys[r:] + keys[:r], range(seam + 1, hi + 1)):
-                corners.setdefault(key, []).extend(range(t, hi + 1, m))
-            count = hi - seam
-            codes += ((w_codes[r:] + w_codes[:r]) * (count // m + 1))[:count]
-    return corners, codes
+    # only the first twist of a chain keeps a record, so no chain of words is kept
+    twist = (target, about, power) if target._twist is None else None
+    return _reduced_curve(target.surface, _reduced_product(pieces), twist)
 
 
 def homology_class(a):

@@ -93,24 +93,16 @@ def count_normal_forms(monkeypatch):
 
 
 def count_corner_classes(monkeypatch):
-    """Record the word of every corner-class build, which a curve does once
-    when a count first reads it: letter by letter (``_corner_classes``) or,
-    for a long twist, from its runs (``_run_tables``, which builds the
-    turn codes in the same pass)."""
+    """Record the word of every table build (``_word_tables``), which a
+    curve does once, for its corner classes and turn codes together, when
+    a count first reads either."""
     built = []
-    inner = curves._corner_classes
+    inner = curves._word_tables
     monkeypatch.setattr(
-        curves, "_corner_classes", lambda word: built.append(word) or inner(word)
+        curves,
+        "_word_tables",
+        lambda surface, word, period: built.append(word) or inner(surface, word, period),
     )
-    inner_runs = curves._run_tables
-
-    def run_tables(curve):
-        tables = inner_runs(curve)
-        if tables is not None:
-            built.append(curve.word)
-        return tables
-
-    monkeypatch.setattr(curves, "_run_tables", run_tables)
     return built
 
 

@@ -9,7 +9,8 @@ coasting loop per direction over a letter closure, crossing lists and
 signs by asking that loop about both rays of every lift, the chain
 pattern of the standard system by those signs pair by pair, Alexander
 polynomials from a Seifert matrix by permutation expansion, homology
-classes as dense vectors, homological actions as dense products of
+classes as dense vectors, corner classes and turn codes one letter at a
+time, homological actions as dense products of
 transvection matrices, matrix products as
 triple sums, characteristic polynomials by permutation expansion and by
 the Faddeev-LeVerrier loop over lists of rows, Mersenne primes by the
@@ -193,6 +194,26 @@ def oracle_reduce_cyclic(word):
         w = w[-1:] + w[:-1]
         del w[:2]
     return tuple(w)
+
+
+# ---------------------------------------------------------------------------
+# corner classes and turn codes, one letter at a time
+
+def oracle_corner_classes(word):
+    """Each corner of a cyclic word, a letter and the one before it, mapped
+    to the positions just past it, counted from 1."""
+    corners = {}
+    for t in range(1, len(word) + 1):
+        corners.setdefault((word[t - 1], word[t - 2]), []).append(t)
+    return corners
+
+
+def oracle_turn_codes(surface, word):
+    """The boundary steps counterclockwise from the germ each letter arrives
+    along, the inverse of the letter before it, to the germ it leaves along."""
+    pos = {x: i for i, x in enumerate(surface.boundary_order)}
+    n = len(pos)
+    return [(pos[word[i]] - pos[-word[i - 1]]) % n for i in range(len(word))]
 
 
 # ---------------------------------------------------------------------------

@@ -247,7 +247,9 @@ def test_main_builds_its_parser_once_and_matches_a_fresh_process(monkeypatch, ca
 
 
 @pytest.mark.parametrize(
-    "text", ['{"n": 1}', '{"genus": 2}', '{"genus": 2, "n": "1"}', '{"genus": 2.0, "n": 1}', "[1]"]
+    "text",
+    ['{"n": 1}', '{"genus": 2}', '{"genus": 2, "n": "1"}', '{"genus": 2.0, "n": 1}', "[1]",
+     "not json", "", '{"genus": 2, "n": 1'],
 )
 def test_replay_of_a_malformed_document_is_a_typed_error(text):
     with pytest.raises(MalformedInput):

@@ -46,6 +46,7 @@ from oracles import (
     oracle_reduce,
     oracle_reduce_cyclic,
     oracle_simple_words,
+    oracle_turn_codes,
     oriented_class,
     rotate_word,
 )
@@ -387,13 +388,9 @@ def test_is_isotopic_matches_the_rotation_oracle():
 
 def test_twisting_about_one_curve_again_builds_none_of_its_codes(sys2, monkeypatch):
     # B[2,n] twists b2 about c, and ordering the two crossings reads c's
-    # kept turn codes, so n = 1..5 build them at most once
+    # kept turn codes, so n = 1..5 build its tables at most once
     c = sys2.c
-    built = []
-    inner = curves._turn_codes
-    monkeypatch.setattr(
-        curves, "_turn_codes", lambda surface, word: built.append(word) or inner(surface, word)
-    )
+    built = count_corner_classes(monkeypatch)
     for n in range(1, 6):
         beta_gn(2, n)
     assert built.count(c.word) <= 1
@@ -915,7 +912,7 @@ def test_inverse_codes_read_off_the_forward_codes_match_the_inverse_word():
                 pool.append(dehn_twist(psi_b, psi_c, n))
         for curve in pool:
             fresh = fast_curve(curve.surface, curve.word)
-            want = curves._turn_codes(curve.surface, curves.inverse_word(curve.word))
+            want = oracle_turn_codes(curve.surface, curves.inverse_word(curve.word))
             assert fresh._kept_inverse_codes == want, curve
 
 

@@ -1,5 +1,6 @@
 """Twist surgery properties: the square identity, naturality, group laws."""
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -17,7 +18,14 @@ from lspacecert.mcg import apply_word, beta_gn, monodromy_psi, standard_curve_sy
 from lspacecert.surface import standard_surface
 
 from conftest import fast_curve, random_curve, random_twist_word
-from oracles import canonical_sign, oracle_reduce_cyclic, oracle_simple_words, oriented_class
+from oracles import (
+    canonical_sign,
+    oracle_corner_classes,
+    oracle_reduce_cyclic,
+    oracle_simple_words,
+    oracle_turn_codes,
+    oriented_class,
+)
 
 S2 = standard_surface(2)
 
@@ -188,18 +196,14 @@ def test_twist_words_join_their_pieces_like_the_naive_reduction(rng, monkeypatch
     joins = []
     inner = curves._reduced_product
 
-    def spy(pieces, starts=None):
+    def spy(pieces):
         pieces = [tuple(p) for p in pieces]
         joins.append(pieces)
-        return inner(pieces, starts)
+        return inner(pieces)
 
     monkeypatch.setattr(curves, "_reduced_product", spy)
     joined = shortened = 0
     for target, about, power in pairs:
-        # a long twist assembles its tables by the same join, so the tables
-        # the surgery plan reads are built before the twist's join is watched
-        for curve in (target, about):
-            curve._kept_corners, curve._kept_inverse_codes
         del joins[:]
         word = dehn_twist(target, about, power).word
         if not joins:  # disjoint or isotopic: the target comes back
@@ -213,71 +217,97 @@ def test_twist_words_join_their_pieces_like_the_naive_reduction(rng, monkeypatch
     assert joined >= 150 and shortened >= 50  # many seams cancel letters
 
 
-def _trims(twist):
-    """Whether the join of a twist's pieces cancels letters at a seam, and
-    whether its cyclic trim cuts past a target segment at an end of the
-    word, into a run."""
-    target, about, power = twist._twist
-    pieces = curves._twist_pieces(target, about, power, target._kept[about.word,])
-    starts = []
-    size = len(curves._reduced_product(pieces, starts))
-    cut = (starts[-1] - size) // 2
-    return starts[-1] < sum(map(len, pieces)), cut > min(starts[1:]) or size + cut < starts[-2]
+def _stretches(word, period):
+    """The stretches [lo, hi) of indices i > period whose corner, the
+    letter and the one before it, is that of index i - period, each as
+    long as it goes."""
+    out = []
+    for i in range(period + 1, len(word)) if period else ():
+        if (word[i], word[i - 1]) == (word[i - period], word[i - period - 1]):
+            if out and out[-1][1] == i:
+                out[-1][1] += 1
+            else:
+                out.append([i, i + 1])
+    return out
 
 
-def _assert_tables_of_runs(curve, codes_first):
-    """The tables a twist assembles from its runs, and the tables it keeps,
-    equal those read letter by letter off its word, keys in the same order."""
-    word = curve.word
-    corners = list(curves._corner_classes(word).items())
-    codes = curves._turn_codes(curve.surface, word)
-    inverse = curves._turn_codes(curve.surface, curves.inverse_word(word))
-    run_corners, run_codes = curves._run_tables(curve)
-    assert list(run_corners.items()) == corners and run_codes == codes, word
-    if codes_first:  # codes read first are read letter by letter and kept
+def _assert_word_tables(surface, word, period, cases):
+    """``_word_tables`` at this period equals the letter-by-letter oracle,
+    keys in the same order.  cases counts the word's stretches of more
+    than one period: those whose first period holds a corner twice, and of
+    the rest those that a seam cuts short and those that end at the
+    word's last letter."""
+    corners, codes = curves._word_tables(surface, word, period)
+    assert list(corners.items()) == list(oracle_corner_classes(word).items()), (word, period)
+    assert codes == oracle_turn_codes(surface, word), (word, period)
+    for lo, hi in _stretches(word, period):
+        if hi - lo <= period:
+            continue
+        if len(set(zip(word[lo:lo + period], word[lo - 1:lo + period - 1]))) < period:
+            cases["twice"] += 1
+        else:
+            cases["end" if hi == len(word) else "seam"] += 1
+
+
+def _assert_kept_tables(curve, codes_first):
+    """The tables a curve keeps, read corners first or codes first, equal
+    the letter-by-letter oracle's, keys in the same order."""
+    word, surface = curve.word, curve.surface
+    corners = list(oracle_corner_classes(word).items())
+    codes = oracle_turn_codes(surface, word)
+    if codes_first:
         assert curve._kept_codes == codes, word
     assert list(curve._kept_corners.items()) == corners, word
-    assert curve._kept_codes == codes and curve._kept_inverse_codes == inverse, word
+    assert curve._kept_codes == codes, word
+    assert curve._kept_inverse_codes == oracle_turn_codes(surface, curves.inverse_word(word))
+
+
+def _twists(pairs):
+    """The twists of each (target, about, powers) that are not the target."""
+    return [t for target, about, ps in pairs for t in (dehn_twist(target, about, p) for p in ps)
+            if t is not target]
 
 
 def test_twist_tables_from_runs_equal_the_letter_by_letter_tables(sys2, rng):
     # small scope: every twist of one of the 13 simple genus-2 curves of
-    # length <= 2 about another, at powers +-1..12 and +-40, then B[g,n]
-    # and T_{psi(c)}^(+-n)(psi(b_g)) for g = 2..4 and n <= 60; the run
-    # path runs on each whatever its length, and its kept tables are read.
-    # No short target has its trim cut into a run, so random pairs of
-    # genus 2 and 3 add such cases
+    # length <= 2 about another, at powers +-1..12 and +-40, then random
+    # twists of genus 2 and 3, B[g,n] and T_{psi(c)}^(+-n)(psi(b_g)) for
+    # g = 2..4 and n <= 60, each at the period of its record; the random
+    # twists also at every period 0..8
     words = oracle_simple_words(S2, 2)
     assert len(words) == 13
     powers = [p for k in (*range(1, 13), 40) for p in (k, -k)]
-    pairs = [(fast_curve(S2, t), fast_curve(S2, u), powers)
-             for t, u in itertools.product(words, repeat=2)]
+    twists = _twists((fast_curve(S2, t), fast_curve(S2, u), powers)
+                     for t, u in itertools.product(words, repeat=2))
+    random_twists = []
     for g in (2, 3):
         for _ in range(150):
             target = random_curve(rng, g, max_len=3)
-            pairs.append((fast_curve(target.surface, target.word),
-                          random_curve(rng, g, max_len=2), (2, -5)))
-    twists = []
-    for target, about, ps in pairs:
-        twists += [t for t in (dehn_twist(target, about, p) for p in ps) if t is not target]
+            random_twists += _twists([(fast_curve(target.surface, target.word),
+                                       random_curve(rng, g, max_len=2), (2, -5))])
+    twists += random_twists
     for g in (2, 3, 4):
         psi_b, psi_c = _psi_images(g)
         for n in range(1, 61):
             twists += [beta_gn(g, n), dehn_twist(psi_b, psi_c, n), dehn_twist(psi_b, psi_c, -n)]
-    seams = cuts = 0
+    cases = Counter()
     for i, twist in enumerate(twists):
-        _assert_tables_of_runs(twist, i % 2)
-        seam, cut = _trims(twist)
-        seams += seam
-        cuts += cut
-    assert len(twists) > 3500 and seams > 1000 and cuts >= 10, (len(twists), seams, cuts)
-    # a record that does not give the word is not read: B[2,21] claiming
-    # to be B[2,20] gets the tables of its own word
+        _assert_word_tables(twist.surface, twist.word, len(twist._twist[1].word), cases)
+        _assert_kept_tables(twist, i % 2)
+    hinted = Counter()
+    for twist in random_twists:
+        for period in range(9):
+            _assert_word_tables(twist.surface, twist.word, period, hinted)
+    assert len(twists) > 3500 and len(random_twists) > 350, (len(twists), len(random_twists))
+    # stretches that a seam cuts short, that end at the last letter, and
+    # whose period holds a corner twice, so they are read letter by letter
+    assert cases["seam"] > 3000 and cases["end"] > 700 and cases["twice"] > 400, cases
+    assert hinted["seam"] > 600 and hinted["end"] > 50 and hinted["twice"] > 300, hinted
+    # a record that does not give the word only slows the pass: B[2,21]
+    # claiming to be B[2,20] keeps the tables of its own word
     b2, c = sys2.betas[-1], sys2.c
     forged = curves._reduced_curve(S2, beta_gn(2, 21).word, (b2, c, 20))
-    assert curves._run_tables(forged) is None
-    assert list(forged._kept_corners.items()) == list(curves._corner_classes(forged.word).items())
-    assert forged._kept_codes == curves._turn_codes(S2, forged.word)
+    _assert_kept_tables(forged, False)
 
 
 def _twist_of_a_copy(target, about, power):
