@@ -18,7 +18,7 @@ words.  No reduction order ever has to be chosen; the counts returned
 are minimal by construction, which is the bigon criterion in this model.
 
 A ray is a position in a cyclic word, and running backward along a word
-is running forward along its inverse.  One classifier, ``_lift_classes``,
+is running forward along its inverse.  One walk, ``_crossing_blocks``,
 decides the lifts of one curve through the axis of another a pair of
 corner classes at a time.  A ray that branches off the axis at once is
 placed by where its first letter sits between the axis's two germs.  A
@@ -26,16 +26,15 @@ ray that runs along the axis is left to turn codes: the code of position
 i of a word w is ``(pos[w[i]] - pos[-w[i-1]]) % 4g``, and a ray leaves
 on the positive side exactly when its codes are lexicographically
 greater than the axis's, which is the cyclic order of ends in the dual
-tree.
+tree.  One decider, ``_coasting_blocks``, compares the turn codes of
+coasting rays a bucket at a time.  The walk yields blocks of lifts that
+all cross alike.
 
-Both forms of the crossing kernel read that classifier and take curves,
-and one decider, ``_coasting_blocks``, compares the turn codes of
-coasting rays a bucket at a time, yielding blocks of pairs that all
-cross at one depth.  The count form ``_crossing_count`` counts each
-class of branching lifts and each block by one product; the list form
+Every form of the crossing kernel reads those blocks.  The count form
+``_crossing_count`` counts each block by one product; the list form
 ``_crossings``, which only twist surgery needs, expands them.  Where no
-ray coasts, one count can read the union of several curves' corner
-classes: ``_merged_crossing_count`` gives their summed number in one walk.
+ray coasts, the walk can read the union of several curves' corner
+classes: ``_merged_crossing_count`` gives their summed number at once.
 
 A ``Curve`` is built from its reduced word alone; its normal form, its
 corner classes, the turn codes of its word and of its inverse, and its
@@ -289,36 +288,38 @@ def _coasting_blocks(codes_a, codes_w, xs, ups, downs, cap):
         depth += 1
 
 
-def _lift_classes(surface, corners_a, corners_b, q):
-    """The lifts of b through the axis of a, in classes decided alike.
+def _crossing_blocks(a, corners, b=None):
+    """Every block of lifts of b crossing the axis of a, as (xs, ys, k,
+    sign, eps): the lift at each axis position in xs and each position of
+    b in ys crosses, both advanced k letters along the axis, with sign eps.
 
     The lift at axis vertex m and phase j sits at two corners, (a[m],
     -a[m-1]) of the axis and (b[j], -b[j-1]) of b, whose corner classes
-    hold the positions m + 1 and j + 1.  Its rays leave the vertex along
-    b[j] and -b[j-1].  A lift with a ray along the axis's backward letter
+    (b's are ``corners``) hold the positions m + 1 and j + 1.  Its rays
+    leave the vertex along b[j] and -b[j-1].  A lift with a ray along
     -a[m-1] also passes the previous axis vertex and is skipped, so each
     crossing is anchored once.  A ray that starts along f = a[m] coasts;
     any other ray branches off at once, on the + side exactly when its
     first letter sits between f and -a[m-1] counterclockwise.
 
-    Returns (branch, coast).  branch holds an (xs, ts, eps) for each pair
-    of classes whose two rays branch off on opposite sides: the lift at
-    every axis position in xs and every position of b in ts crosses, with
-    sign eps.  coast holds an (xs, sign, ups, downs) for each axis class
-    with rays that coast along b (sign 1) or along b's inverse (sign -1);
-    a backward ray is read as a forward ray on b's inverse, from position
-    q + 2 - (j + 1).  A ray of ups crosses when it leaves on the + side,
-    one of downs when it leaves on the - side, and a crossing whose
-    coasting ray leaves on the + side has eps = sign.
+    First come the pairs of classes whose rays branch off on opposite
+    sides, with k = 0 and sign 0.  Then ``_coasting_blocks`` decides the
+    coasting rays of each axis class by the kept turn codes of b (sign 1)
+    or of its inverse (sign -1, where a backward ray from j + 1 is a
+    forward ray from q + 2 - (j + 1)), with a cap of |a| + |b| +
+    ``_WALK_MARGIN`` shared letters, and eps = sign where they leave on
+    the + side.  With b None, ``corners`` may be a union of several
+    curves' classes, which keeps no turn codes: a coasting ray raises
+    MalformedInput.
     """
-    pos = surface._pos
-    n = len(surface.boundary_order)
-    branch, coast = [], {}
-    for (f, prev), xs in corners_a.items():
+    pos = a.surface._pos
+    n = len(a.surface.boundary_order)
+    coast = {}
+    for (f, prev), xs in a._kept_corners.items():
         back = -prev
         pf = pos[f]
         db = (pos[back] - pf) % n
-        for (x, before), ts in corners_b.items():
+        for (x, before), ts in corners.items():
             y = -before  # the backward ray's first letter
             if x == back or y == back:
                 continue  # the lift also passes the previous axis vertex
@@ -328,11 +329,23 @@ def _lift_classes(surface, corners_a, corners_b, q):
             if x == f:
                 coast.setdefault((f, prev, 1), (xs, 1, [], []))[2 + up_y].extend(ts)
             elif y == f:
-                group = coast.setdefault((f, prev, -1), (xs, -1, [], []))
-                group[2 + up_x].extend(q + 2 - t for t in ts)
+                coast.setdefault((f, prev, -1), (xs, -1, [], []))[2 + up_x].extend(ts)
             elif up_x != up_y:
-                branch.append((xs, ts, 1 if up_x else -1))
-    return branch, coast.values()
+                yield xs, ts, 0, 0, 1 if up_x else -1
+    if not coast:
+        return
+    if b is None:
+        raise MalformedInput("a merged count cannot decide rays that run along the axis")
+    q = len(b.word)
+    cap = len(a.word) + q + _WALK_MARGIN
+    for xs, sign, ups, downs in coast.values():
+        if sign > 0:
+            codes_b = b._kept_codes
+        else:
+            codes_b = b._kept_inverse_codes
+            ups, downs = ([q + 2 - t for t in ts] for ts in (ups, downs))
+        for xk, yk, k, above in _coasting_blocks(a._kept_codes, codes_b, xs, ups, downs, cap):
+            yield xk, yk, k, sign, sign if above else -sign
 
 
 def _crossings(surface, a, b):
@@ -346,23 +359,16 @@ def _crossings(surface, a, b):
     axis itself (j == m when a == b) is skipped because it passes the
     previous vertex.
 
-    The lifts come from ``_lift_classes``, as in ``_crossing_count``: a
-    lift whose rays branch off at once is listed with k = 0, and coasting
-    rays are listed from the blocks of ``_coasting_blocks``, with k the
-    depth of the block.  The corner classes and turn codes are the
-    curves' kept ones.  The list is sorted by (m, j).
+    Each block of ``_crossing_blocks`` is expanded: a lift at axis
+    position x and position y of b, advanced by the block's depth k, is
+    listed at m = x - k - 1 and phase j = y - k - 1, or q + 1 + k - y on
+    b's inverse.  The list is sorted by (m, j).
     """
-    p, q = len(a), len(b)
-    cap = p + q + _WALK_MARGIN
-    branch, coast = _lift_classes(surface, a._kept_corners, b._kept_corners, q)
-    out = [_Crossing(x - 1, t - 1, 0, False, eps) for xs, ts, eps in branch for x in xs for t in ts]
-    for xs, sign, ups, downs in coast:
-        codes_b = b._kept_codes if sign > 0 else b._kept_inverse_codes
-        for xk, yk, k, above in _coasting_blocks(a._kept_codes, codes_b, xs, ups, downs, cap):
-            eps = sign if above else -sign
-            # the block's positions are advanced by k; j is b's phase at the vertex
-            js = [y - k - 1 if sign > 0 else q + 1 + k - y for y in yk]
-            out += (_Crossing(x - k - 1, j, k, sign > 0, eps) for x in xk for j in js)
+    q = len(b)
+    out = []
+    for xs, ys, k, sign, eps in _crossing_blocks(a, b._kept_corners, b):
+        js = [q + 1 + k - y for y in ys] if sign < 0 else [y - k - 1 for y in ys]
+        out += (_Crossing(x - k - 1, j, k, sign > 0, eps) for x in xs for j in js)
     out.sort()
     return out
 
@@ -372,46 +378,27 @@ def _crossing_count(a, b):
 
     Equal to len and the sum of eps of ``_crossings(a.surface, a, b)``,
     and raises WalkBoundExceeded wherever that list does, without listing
-    a crossing.  Both forms read the same lifts: a class of lifts whose
-    rays branch off at once (``_lift_classes``) counts by one product of
-    class sizes, and so does each block of coasting pairs that
-    ``_coasting_blocks`` yields, one axis class and one direction of b at
-    a time.  The corner classes and turn codes are the curves' kept ones;
-    the cap depends on both words and is computed by each count.
+    a crossing: each block of ``_crossing_blocks`` counts by one product
+    of its sizes.
     """
-    q = len(b.word)
-    cap = len(a.word) + q + _WALK_MARGIN
     count = signed = 0
-    branch, coast = _lift_classes(a.surface, a._kept_corners, b._kept_corners, q)
-    for xs, ts, eps in branch:
-        c = len(xs) * len(ts)
+    for xs, ys, _, _, eps in _crossing_blocks(a, b._kept_corners, b):
+        c = len(xs) * len(ys)
         count += c
         signed += eps * c
-    for xs, sign, ups, downs in coast:
-        codes_b = b._kept_codes if sign > 0 else b._kept_inverse_codes
-        for xk, yk, _, above in _coasting_blocks(a._kept_codes, codes_b, xs, ups, downs, cap):
-            c = len(xk) * len(yk)
-            count += c
-            signed += sign * c if above else -sign * c
     return count, signed
 
 
-def _merged_crossing_count(a, corners, q):
+def _merged_crossing_count(a, corners):
     """Number of lifts of several curves crossing the axis of curve a.
 
-    ``corners`` is the union of the kept corner classes of curves that all
-    have word length q, each class the concatenation of theirs.  A class
-    of branching lifts counts by one product of class sizes, and a product
-    over a concatenated class is the sum of the products, so the result is
-    the sum of the curves' ``_crossing_count`` numbers and a 0 shows every
-    one disjoint from a.  A coasting ray is decided by its own curve's
-    turn codes, which a union does not keep: a coasting group raises
-    MalformedInput.  The lifts are read from ``_lift_classes`` alone.
+    ``corners`` is the union of the curves' kept corner classes, each class
+    the concatenation of theirs.  A product of class sizes over a union is
+    the sum of the products, so the result is the sum of the curves'
+    ``_crossing_count`` numbers, and a 0 shows every one disjoint from a.
+    A coasting ray raises MalformedInput (``_crossing_blocks``).
     """
-    branch, coast = _lift_classes(a.surface, a._kept_corners, corners, q)
-    if coast:
-        raise MalformedInput("a merged count cannot decide rays that run along the axis")
-    return sum(len(xs) * len(ts) for xs, ts, _ in branch)
+    return sum(len(xs) * len(ys) for xs, ys, *_ in _crossing_blocks(a, corners))
 
 
 def _phase_at(x, t, q):
@@ -433,7 +420,9 @@ def _crossing_order(target, about):
     letter an end reads b or b's inverse, both of period q, so two ends
     that agree on q more codes are equal, which ends of distinct lifts
     never are; equal keys raise WalkBoundExceeded.  The codes are the
-    kept ones of ``about``, so twisting about one curve again builds none.
+    kept ones of ``about``, so twisting about one curve again builds none,
+    and the keys share the at most 2q windows of them that ends read, one
+    per direction and start.
     """
     surface, a, b = target.surface, target.word, about.word
     xs = _crossings(surface, target, about)
@@ -448,7 +437,7 @@ def _crossing_order(target, about):
     reps = depth // q + 2
     fwd = about._kept_codes * reps
     bwd = about._kept_inverse_codes * reps
-    keys = []
+    windows, keys = {}, []
     for x in xs:
         plus = x.eps > 0  # the + end is the forward ray
         v = x.m + x.k if plus == x.aligned else x.m  # the vertex it leaves at
@@ -458,9 +447,13 @@ def _crossing_order(target, about):
         else:  # the backward ray reads b's inverse from q - j
             i = (q - j) % q
             first, codes, at = inv[i], bwd, i + 1
+        # each end reads one of 2q windows, and each window is sliced once
+        window = windows.get((plus, at))
+        if window is None:
+            window = windows[plus, at] = codes[at:at + depth]
         # sorted greatest first, so the vertex and the germ are negated
         germ = (pos[-a[(v - 1) % p]] - pos[first]) % n
-        keys.append((-v, -germ, codes[at:at + depth]))
+        keys.append((-v, -germ, window))
     order = sorted(range(len(xs)), key=keys.__getitem__, reverse=True)
     for prev, i in zip(order, order[1:]):
         if keys[prev] == keys[i]:

@@ -101,7 +101,7 @@ def standard_curve_system(g):
             later.setdefault(corner, []).extend(ts)
         span = f"chain_{i + 3}" + (f"..chain_{2 * g}" if i + 3 < 2 * g else "")
         _require(f"iota(chain_{i + 1}, {span})", 0,
-                 _merged_crossing_count(chain[i], later, 1))
+                 _merged_crossing_count(chain[i], later))
     for name, x in system.named()[:-1]:
         want = 2 if name in (f"b{g}", f"a{g - 1}") else 0
         _require(f"iota(c, {name})", want, intersection_number(c, x))

@@ -526,6 +526,22 @@ def test_tied_crossing_ends_are_a_typed_error_even_under_python_O():
     )
 
 
+def test_crossing_order_keys_share_their_code_windows(monkeypatch):
+    # every end reads b or b's inverse from a phase in [1, q], so the keys
+    # of a plan hold at most 2q distinct windows of codes, not one a crossing
+    bn, a1 = beta_gn(2, 400), standard_curve_system(2).alphas[0]
+    keys = []
+
+    def spy(order, key, reverse):
+        keys.extend(key.__self__)
+        return sorted(order, key=key, reverse=reverse)
+
+    monkeypatch.setattr(curves, "sorted", spy, raising=False)
+    order = curves._crossing_order(bn, a1)
+    assert len(order) == len(keys) == 1600
+    assert len({id(key[2]) for key in keys}) <= 2 * len(a1)
+
+
 def _listed_or_bound(surface, a, b):
     """The list form's and the oracle's crossing tuples, or "bound"."""
     out = []
@@ -810,19 +826,19 @@ def _len_and_sum(xs):
 
 
 def test_both_forms_read_one_lift_classifier(monkeypatch):
-    # flipping the sign of every class of branching lifts moves the list form
+    # flipping the sign of every block of branching lifts moves the list form
     # and the count form alike: neither decides a lift by a rule of its own.
     # B[2,3] crosses b2 in branching and coasting lifts, whose signs cancel
     bn, b2 = beta_gn(2, 3), standard_curve_system(2).betas[1]
     before = _len_and_sum(curves._crossings(S2, bn, b2))
     assert curves._crossing_count(bn, b2) == before == (12, 0)
-    classify = curves._lift_classes
+    walk = curves._crossing_blocks
 
     def flipped(*args):
-        branch, coast = classify(*args)
-        return [(xs, ts, -eps) for xs, ts, eps in branch], coast
+        for xs, ys, k, sign, eps in walk(*args):
+            yield xs, ys, k, sign, -eps if sign == 0 else eps
 
-    monkeypatch.setattr(curves, "_lift_classes", flipped)
+    monkeypatch.setattr(curves, "_crossing_blocks", flipped)
     after = _len_and_sum(curves._crossings(S2, bn, b2))
     assert after == (12, -2)
     assert curves._crossing_count(bn, b2) == after

@@ -99,7 +99,7 @@ def test_system_matches_the_pairwise_chain_oracle(g):
     }
     for i, x in enumerate(chain[:-2]):
         later = chain[i + 2:]
-        assert _merged_crossing_count(x, _merged_corners(later), 1) == sum(
+        assert _merged_crossing_count(x, _merged_corners(later)) == sum(
             pattern[i, j][0] for j in range(i + 2, 2 * g)
         )
 
@@ -112,7 +112,7 @@ def test_merged_count_is_the_sum_of_the_pairwise_counts(rng, g):
         i = rng.randrange(2 * g)
         others = [y for k, y in enumerate(chain) if k != i and rng.random() < 0.5]
         total = sum(_crossing_count(chain[i], y)[0] for y in others)
-        assert _merged_crossing_count(chain[i], _merged_corners(others), 1) == total
+        assert _merged_crossing_count(chain[i], _merged_corners(others)) == total
         totals.append(total)
     # subsets with a neighbour of chain[i] cross it, the others do not
     assert 0 in totals and max(totals) == 2
@@ -123,8 +123,8 @@ def test_merged_count_refuses_rays_that_run_along_the_axis(sys2):
     a1, b1, a2, _ = sys2.chain()
     for axis in (b1, a2):
         with pytest.raises(MalformedInput):
-            _merged_crossing_count(axis, _merged_corners([sys2.c]), 4)
-    assert _merged_crossing_count(a1, _merged_corners([b1, a2]), 1) == 1
+            _merged_crossing_count(axis, _merged_corners([sys2.c]))
+    assert _merged_crossing_count(a1, _merged_corners([b1, a2])) == 1
 
 
 def test_merged_count_refuses_rays_that_run_along_the_axis_even_under_python_O():
@@ -133,7 +133,7 @@ def test_merged_count_refuses_rays_that_run_along_the_axis_even_under_python_O()
         from lspacecert.curves import _merged_crossing_count
         from lspacecert.mcg import standard_curve_system
         system = standard_curve_system(2)
-        _merged_crossing_count(system.alphas[1], dict(system.c._kept_corners), 4)
+        _merged_crossing_count(system.alphas[1], dict(system.c._kept_corners))
         """,
         "MalformedInput",
     )

@@ -97,6 +97,20 @@ def test_every_package_function_has_a_caller():
     assert unused == []
 
 
+def test_the_coasting_decider_has_one_caller_the_walk():
+    # every crossing form reads the blocks of one walk, _crossing_blocks, so
+    # no form decides coasting rays by a loop of its own
+    callers = []
+    for path in sorted(pathlib.Path(lspacecert.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callers += [
+            (path.stem, node.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and "_coasting_blocks" in _named(node)
+        ]
+    assert callers == [("curves", "_crossing_blocks")]
+
+
 # raises that may name a builtin exception, by (module, innermost function,
 # exception): the text parsers, whose ValueError message the CLI prints after
 # "error: " and the tests pin; the expression evaluator's check on its own
